@@ -72,27 +72,7 @@ Three things happen:
      engine's result cache serves every read after the first without
      executing the plan at all.
 
-6. the **morsel-parallel scaling workloads E31–E33** run (written to
-   ``--parallel-output``, default ``BENCH_pr5.json``), timing the
-   serial vectorized executor against the morsel-driven parallel
-   executor at 1/2/4/8 workers on structurally identical answers:
-
-   - ``e31_parallel_scan`` — the E28-shaped selection-heavy scan,
-     morselized across the worker pool;
-   - ``e32_parallel_join`` — the E29-shaped two-key hash join, build
-     once, probe morselized;
-   - ``e33_parallel_difference`` — ``−̄`` with a shared membership
-     index probed concurrently.
-
-   Structural identity is asserted for every worker count
-   unconditionally.  The ≥2× speedup-at-4-workers gate applies only on
-   hardware that can actually parallelize pure-Python work — ≥ 4 CPU
-   cores on a free-threaded (GIL-disabled) build; on GIL builds or
-   small containers the workloads still run (pinning correctness and
-   recording the scaling curve) but the wall-clock gate is skipped,
-   because threads cannot beat the GIL on CPU-bound work.
-
-7. the **symbolic-equivalence workloads E34–E36** run (written to
+6. the **symbolic-equivalence workloads E34–E36** run (written to
    ``--equivalence-output``, default ``BENCH_pr7.json``), pitting the
    SAT/BDD condition-equivalence engine against witness-domain world
    enumeration:
@@ -110,7 +90,7 @@ Three things happen:
      ``2^variables`` on small counts vs the symbolic engine flat-ish out
      to 100 variables.
 
-8. the **probability-at-scale workloads E37–E39** run (written to
+7. the **probability-at-scale workloads E37–E39** run (written to
    ``--probability-output``, default ``BENCH_pr8.json``), measuring the
    knowledge-compilation route (d-DNNF + weighted model counting) that
    makes Theorem-9 probabilities exact far past enumeration:
@@ -127,7 +107,7 @@ Three things happen:
      curves vs lineage width: linear circuit growth against
      ``2^width`` world growth.
 
-9. the **observability workloads E40–E42** run (written to
+8. the **observability workloads E40–E42** run (written to
    ``--obs-output``, default ``BENCH_pr9.json``), pricing and
    exercising the ``repro.obs`` layer:
 
@@ -141,18 +121,18 @@ Three things happen:
      hot loops read back through one ``Engine.metrics_snapshot()``:
      the unified cache stats must show the hits the loops generated.
 
-10. the **incremental-maintenance workloads E43–E45** run (written to
-    ``--ivm-output``, default ``BENCH_pr10.json``), measuring the
-    signed-delta view maintenance of ``maintenance="incremental"``:
+9. the **incremental-maintenance workloads E43–E45** run (written to
+   ``--ivm-output``, default ``BENCH_pr10.json``), measuring the
+   signed-delta view maintenance of ``maintenance="incremental"``:
 
-    - ``e43_refresh_vs_rerun`` — a standing join refreshed after 1%
-      per-cycle churn: ``refresh()`` vs full re-execution, gated ≥10×
-      on the full run with structural identity asserted on *every*
-      cycle, unconditionally.
-    - ``e44_update_throughput`` — sustained mutate→refresh cycles;
-      delta rows/second read back through ``metrics_snapshot()``.
-    - ``e45_cancellation_fast_path`` — no-op refreshes and
-      insert-then-delete cancellations against the full-rerun price.
+   - ``e43_refresh_vs_rerun`` — a standing join refreshed after 1%
+     per-cycle churn: ``refresh()`` vs full re-execution, gated ≥10×
+     on the full run with structural identity asserted on *every*
+     cycle, unconditionally.
+   - ``e44_update_throughput`` — sustained mutate→refresh cycles;
+     delta rows/second read back through ``metrics_snapshot()``.
+   - ``e45_cancellation_fast_path`` — no-op refreshes and
+     insert-then-delete cancellations against the full-rerun price.
 
 The workloads are sized so the full run finishes in a couple of minutes;
 ``--quick`` shrinks them for CI.
@@ -954,192 +934,17 @@ PHYSICAL_WORKLOADS = (
 
 
 # ----------------------------------------------------------------------
-# Workloads: morsel-parallel scaling E31–E33
-# (serial vectorized vs the parallel executor at 1/2/4/8 workers)
+# Structural identity, asserted by the workloads below
 # ----------------------------------------------------------------------
-
-PARALLEL_WORKER_COUNTS = (1, 2, 4, 8)
-
-
-def parallel_capable() -> bool:
-    """True when threads can actually speed CPU-bound Python up here:
-    at least 4 cores *and* a free-threaded (GIL-disabled) interpreter."""
-    gil_enabled = getattr(sys, "_is_gil_enabled", lambda: True)()
-    return (os.cpu_count() or 1) >= 4 and not gil_enabled
-
 
 def _assert_structurally_identical(reference, candidate, context: str) -> None:
     """Positional identity: same rows in the same order, the same interned
     condition objects.  (``CTable.__eq__`` compares row *sets*, which
-    would let a morsel-merge reordering bug through.)"""
+    would let a row-reordering bug through.)"""
     assert len(candidate.rows) == len(reference.rows), context
     for expected, actual in zip(reference.rows, candidate.rows):
         assert actual.values == expected.values, context
         assert actual.condition is expected.condition, context
-
-
-def _parallel_ablation(
-    make_tables, query, rows: int, iters: int, repeats: int,
-    morsel_size: int,
-) -> dict:
-    """Time serial vectorized vs parallel at each worker count.
-
-    Structural identity of every parallel answer against the serial one
-    is asserted before timing — the determinism contract is
-    unconditional, whatever the hardware does to the wall clock.
-    """
-    tables = make_tables(rows)
-    serial = (
-        Engine(executor="vectorized", result_cache_size=0)
-        .session(**tables)
-        .prepare(query)
-    )
-    serial_answer = serial.execute()
-    arms = {}
-    for workers in PARALLEL_WORKER_COUNTS:
-        prepared = (
-            Engine(
-                executor="parallel",
-                num_workers=workers,
-                morsel_size=morsel_size,
-                result_cache_size=0,
-            )
-            .session(**tables)
-            .prepare(query)
-        )
-        _assert_structurally_identical(
-            serial_answer,
-            prepared.execute(),
-            f"parallel executor diverged from serial at {workers} workers",
-        )
-        arms[workers] = prepared
-
-    def loop(prepared):
-        def run():
-            for _ in range(iters):
-                prepared.execute()
-        return run
-
-    baseline = _timed(loop(serial), repeats)
-    parallel_seconds = {
-        str(workers): _timed(loop(prepared), repeats)
-        for workers, prepared in arms.items()
-    }
-    at_four = parallel_seconds["4"]
-    return {
-        "rows": rows,
-        "iterations": iters,
-        "morsel_size": morsel_size,
-        "answer_rows": len(serial_answer),
-        "equivalent": True,  # asserted above, for every worker count
-        "workers": list(PARALLEL_WORKER_COUNTS),
-        "baseline_seconds": baseline,
-        "parallel_seconds": parallel_seconds,
-        "optimized_seconds": at_four,
-        "speedup": baseline / at_four if at_four else float("inf"),
-        "parallel_capable": parallel_capable(),
-    }
-
-
-def run_e31_parallel_scan(rows: int, iters: int, repeats: int) -> dict:
-    """E31 — the large selection-heavy scan, morselized.
-
-    The same shape as E28; the filter's residual memo is shared across
-    morsel workers, so the parallel arm pays one instantiation per
-    distinct constant signature just like the serial arm.
-    """
-    x, y = Var("x"), Var("y")
-
-    def make_tables(size):
-        entries = [((i % 13, i % 11), ne(x, i % 7)) for i in range(size)]
-        entries.append(((x, 3), eq(x, 1)))
-        entries.append(((5, y), ne(y, 4)))
-        return {"V": CTable(entries, arity=2)}
-
-    predicate = conj(
-        col_ne_const(0, 5),
-        col_eq_const(1, 3) | col_eq_const(1, 7) | col_eq_const(0, 2),
-    )
-    query = proj(sel(rel("V", 2), predicate), [1, 0])
-    return _parallel_ablation(
-        make_tables, query, rows, iters, repeats, morsel_size=256
-    )
-
-
-def run_e32_parallel_join(rows: int, iters: int, repeats: int) -> dict:
-    """E32 — the two-key hash join; build once, probe morselized."""
-    x, y = Var("x"), Var("y")
-
-    def make_tables(size):
-        left = [
-            ((i % 19, i % 13, i % 7), ne(x, i % 5)) for i in range(size)
-        ]
-        left.append(((x, 0, 1), eq(x, 2)))
-        right = [
-            ((i % 13, i % 7, i % 17), eq(y, i % 3)) for i in range(size)
-        ]
-        right.append(((y, 2, 3), ne(y, 1)))
-        return {
-            "L": CTable(left, arity=3),
-            "R": CTable(right, arity=3),
-        }
-
-    predicate = conj(col_eq(1, 3), col_eq(2, 4), col_ne(0, 5))
-    query = proj(sel(prod(rel("L", 3), rel("R", 3)), predicate), [0, 5])
-    return _parallel_ablation(
-        make_tables, query, rows, iters, repeats, morsel_size=128
-    )
-
-
-def run_e33_parallel_difference(rows: int, iters: int, repeats: int) -> dict:
-    """E33 — ``−̄`` probing one shared membership index concurrently."""
-    x, y = Var("x"), Var("y")
-
-    def make_tables(size):
-        left = [((i % 251, i % 97), ne(x, i % 5)) for i in range(size)]
-        left.append(((x, 1), eq(x, 3)))
-        right = [((i % 11, i % 7), eq(y, i % 3)) for i in range(size // 40 + 4)]
-        right.append(((y, 0), ne(y, 2)))
-        return {
-            "L": CTable(left, arity=2),
-            "R": CTable(right, arity=2),
-        }
-
-    query = diff(rel("L", 2), rel("R", 2))
-    return _parallel_ablation(
-        make_tables, query, rows, iters, repeats, morsel_size=256
-    )
-
-
-PARALLEL_WORKLOADS = (
-    ("e31_parallel_scan", run_e31_parallel_scan),
-    ("e32_parallel_join", run_e32_parallel_join),
-    ("e33_parallel_difference", run_e33_parallel_difference),
-)
-
-
-def run_parallel_suite(quick: bool, repeats: int) -> dict:
-    sizes = {
-        "e31_parallel_scan": (800, 2) if quick else (6000, 4),
-        "e32_parallel_join": (160, 2) if quick else (700, 4),
-        "e33_parallel_difference": (500, 2) if quick else (3000, 4),
-    }
-    workloads = {}
-    for name, runner in PARALLEL_WORKLOADS:
-        print(f"== {name} (serial vectorized vs morsel-parallel) ==")
-        rows, iters = sizes[name]
-        result = runner(rows, iters, repeats)
-        workloads[name] = result
-        curve = ", ".join(
-            f"{workers}w {seconds * 1000:.1f}ms"
-            for workers, seconds in result["parallel_seconds"].items()
-        )
-        print(
-            f"   serial {result['baseline_seconds']*1000:.1f}ms | {curve} "
-            f"({result['speedup']:.2f}x at 4 workers), "
-            f"{result['answer_rows']} answer rows, identical output"
-        )
-    return workloads
 
 
 # ----------------------------------------------------------------------
@@ -2174,11 +1979,6 @@ def main(argv=None) -> int:
         help="where to write the physical-executor (E28–E30) JSON report",
     )
     parser.add_argument(
-        "--parallel-output",
-        default=str(REPO_ROOT / "BENCH_pr5.json"),
-        help="where to write the morsel-parallel (E31–E33) JSON report",
-    )
-    parser.add_argument(
         "--equivalence-output",
         default=str(REPO_ROOT / "BENCH_pr7.json"),
         help="where to write the symbolic-equivalence (E34–E36) JSON report",
@@ -2277,17 +2077,6 @@ def main(argv=None) -> int:
         "workloads": run_physical_suite(args.quick, repeats),
     }
 
-    parallel_report = {
-        "meta": {
-            "label": Path(args.parallel_output).stem,
-            "quick": args.quick,
-            "python": sys.version.split()[0],
-            "cpu_count": os.cpu_count(),
-            "parallel_capable": parallel_capable(),
-        },
-        "workloads": run_parallel_suite(args.quick, repeats),
-    }
-
     equivalence_report = {
         "meta": {
             "label": Path(args.equivalence_output).stem,
@@ -2348,10 +2137,6 @@ def main(argv=None) -> int:
     physical_output.write_text(json.dumps(physical_report, indent=2) + "\n")
     print(f"wrote {physical_output}")
 
-    parallel_output = Path(args.parallel_output)
-    parallel_output.write_text(json.dumps(parallel_report, indent=2) + "\n")
-    print(f"wrote {parallel_output}")
-
     equivalence_output = Path(args.equivalence_output)
     equivalence_output.write_text(
         json.dumps(equivalence_report, indent=2) + "\n"
@@ -2391,15 +2176,6 @@ def main(argv=None) -> int:
     result_cache_served = physical_report["workloads"][
         "e30_result_cache_hot_loop"
     ]["served_from_cache"]
-    parallel_workloads = parallel_report["workloads"].values()
-    # E31–E33: identity is unconditional; the ≥2×-at-4-workers wall-clock
-    # gate only binds where threads can beat the GIL (see parallel_capable).
-    parallel_identity = all(w["equivalent"] for w in parallel_workloads)
-    parallel_fast_enough = (
-        args.quick
-        or not parallel_capable()
-        or parallel_report["workloads"]["e31_parallel_scan"]["speedup"] >= 2.0
-    )
     # E34–E36: the symbolic engine must decide the 100-variable pair no
     # witness enumeration can touch (True on the reordered ring, False
     # on the strengthened one), agree with the enumeration oracle where
@@ -2483,8 +2259,6 @@ def main(argv=None) -> int:
         or not all(w["equivalent"] for w in physical_workloads)
         or vectorized_wins < 2
         or not result_cache_served
-        or not parallel_identity
-        or not parallel_fast_enough
         or not symbolic_at_scale
         or not probability_at_scale
         or not observability_ok

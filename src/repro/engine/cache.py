@@ -32,8 +32,8 @@ from repro.obs.metrics import CacheStats
 class PlanCache:
     """A bounded LRU mapping plan keys to planned :class:`PlanNode` trees.
 
-    Thread safety: an engine (and its caches) may be shared by many
-    application threads and by morsel-parallel sessions, so every public
+    Thread safety: sessions are usable from threads, so an engine (and
+    its caches) may be shared by many application threads; every public
     operation runs under one re-entrant lock.  ``get``'s
     ``move_to_end``, ``put``'s eviction sweep, and ``invalidate``'s
     two-structure walk each mutate the ``OrderedDict`` *and* the

@@ -15,15 +15,12 @@ cache keys.
 Environment overrides
 ---------------------
 
-The executor knobs read their *defaults* from the environment so a whole
-test run (or deployment) can be flipped without touching code — CI uses
-this to exercise the entire tier-1 suite under the morsel-parallel
-executor:
+The execution knobs read their *defaults* from the environment so a
+whole test run (or deployment) can be flipped without touching code —
+CI uses this to run the entire tier-1 suite under several settings:
 
 - ``REPRO_EXECUTOR`` — default for ``executor``
-  (``interpreted`` / ``vectorized`` / ``parallel``);
-- ``REPRO_NUM_WORKERS`` — default for ``num_workers``;
-- ``REPRO_MORSEL_SIZE`` — default for ``morsel_size``;
+  (``interpreted`` / ``vectorized``);
 - ``REPRO_VERIFY_PLANS`` — default for ``verify_plans``
   (truthy values: ``1``, ``true``, ``yes``, ``on``);
 - ``REPRO_VERIFY_MODE`` — default for ``verify_mode``
@@ -52,18 +49,6 @@ from dataclasses import dataclass, field, fields, replace
 def _env_executor() -> str:
     # An empty value means "unset" so CI matrices can blank the knob.
     return os.environ.get("REPRO_EXECUTOR") or "vectorized"
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError as error:
-        raise ValueError(
-            f"environment variable {name}={value!r} is not an integer"
-        ) from error
 
 
 def _env_choice(name: str, default: str, choices: tuple) -> str:
@@ -107,16 +92,9 @@ class ExecutionConfig:
       lifted operator; trades execution time for smaller conditions.
     - ``executor`` — ``"vectorized"`` runs plans through the physical
       batch runtime of :mod:`repro.physical` (the default);
-      ``"parallel"`` adds the morsel-driven scheduler of
-      :mod:`repro.physical.parallel` on top of it;
       ``"interpreted"`` keeps the recursive lifted-operator evaluation
-      as the oracle.  All three produce structurally identical answer
+      as the oracle.  Both produce structurally identical answer
       tables, so the knob is purely about speed.
-    - ``num_workers`` — width of the shared morsel worker pool
-      (``executor="parallel"`` only).
-    - ``morsel_size`` — rows per morsel; also the threshold below which
-      ``lower()`` marks an operator serial (``executor="parallel"``
-      only).  The answer never depends on either knob.
     - ``plan_cache_size`` — LRU capacity of the engine's prepared-plan
       cache; ``0`` disables plan caching entirely.
     - ``result_cache_size`` — LRU capacity of the engine's answer-table
@@ -180,12 +158,6 @@ class ExecutionConfig:
     optimize: bool = True
     simplify_conditions: bool = False
     executor: str = field(default_factory=_env_executor)
-    num_workers: int = field(
-        default_factory=lambda: _env_int("REPRO_NUM_WORKERS", 4)
-    )
-    morsel_size: int = field(
-        default_factory=lambda: _env_int("REPRO_MORSEL_SIZE", 256)
-    )
     plan_cache_size: int = 128
     result_cache_size: int = 64
     max_candidates: int = 100_000
@@ -215,18 +187,10 @@ class ExecutionConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.executor not in ("interpreted", "vectorized", "parallel"):
+        if self.executor not in ("interpreted", "vectorized"):
             raise ValueError(
-                f"executor must be 'interpreted', 'vectorized', or "
-                f"'parallel', got {self.executor!r}"
-            )
-        if self.num_workers < 1:
-            raise ValueError(
-                f"num_workers must be >= 1, got {self.num_workers}"
-            )
-        if self.morsel_size < 1:
-            raise ValueError(
-                f"morsel_size must be >= 1, got {self.morsel_size}"
+                f"executor must be 'interpreted' or 'vectorized', got "
+                f"{self.executor!r}"
             )
         if self.plan_cache_size < 0:
             raise ValueError(

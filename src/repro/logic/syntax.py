@@ -56,11 +56,11 @@ _INTERN_TABLE: "weakref.WeakValueDictionary" = (  # guarded-by: _INTERN_LOCK [wr
 )
 
 #: Serializes the construct-and-insert miss path of :func:`hashcons`.
-#: Without it, two threads racing to build the same formula could both
-#: miss the table and each return a *different* object for one structural
-#: formula — breaking the "structural equality implies identity"
-#: invariant that the morsel-parallel executor (and every ``is``-based
-#: memo) relies on.  Hits stay lock-free: once a canonical node is in the
+#: Sessions are usable from threads, so two threads racing to build the
+#: same formula could otherwise both miss the table and each return a
+#: *different* object for one structural formula — breaking the
+#: "structural equality implies identity" invariant every ``is``-based
+#: memo relies on.  Hits stay lock-free: once a canonical node is in the
 #: table it is never replaced while referenced, so a stale read can only
 #: return the canonical object.
 #:
@@ -87,8 +87,8 @@ _COUNTERS_LOCK = threading.Lock()
 
 #: Every thread's private counter object, for aggregation.  The interning
 #: hot path increments only its own thread's object, so the counters stay
-#: exact without taking a lock per formula construction (the previous
-#: module-global ints lost increments under concurrent morsel workers).
+#: exact without taking a lock per formula construction (module-global
+#: ints would lose increments when sessions intern from several threads).
 #: Entries of finished threads are kept: their tallies remain part of the
 #: process totals.
 _ALL_COUNTERS: list = []  # guarded-by: _COUNTERS_LOCK
@@ -318,8 +318,8 @@ def hashcons(cls: type, *fields: object) -> Formula:
 
     The miss path re-checks under :data:`_INTERN_LOCK` before
     constructing, so concurrent builders of one structural formula all
-    receive the same canonical object (morsel workers compose conditions
-    concurrently).
+    receive the same canonical object (sessions used from several
+    threads compose conditions concurrently).
     """
     counters = _LOCAL.counters
     node = _INTERN_TABLE.get((cls, fields))
@@ -338,7 +338,7 @@ def interning_stats() -> dict:
     """Return live-size and hit/miss counters of the intern table.
 
     Hits/misses are summed over every thread's private counters, so the
-    totals are exact even with concurrent morsel workers interning.
+    totals are exact even when several threads intern concurrently.
     """
     with _COUNTERS_LOCK:
         hits = sum(counters.hits for counters in _ALL_COUNTERS)
@@ -358,7 +358,7 @@ def is_interned(formula: Formula) -> bool:
     was built around the intern table — e.g. keyword-argument dataclass
     construction racing an existing canonical node.  The plan verifier
     uses this to certify the "structural equality ⇒ identity" invariant
-    the morsel-parallel executor depends on.
+    the ``is``-keyed memos depend on.
     """
     return _INTERN_TABLE.get((formula.__class__, formula._fields())) is formula
 

@@ -11,9 +11,9 @@ subsystem may import them without cycles:
   system reports through, and a Prometheus text renderer;
 - :mod:`repro.obs.trace` — span-based `Tracer` (hierarchical per-query
   traces: parse → plan/optimize/verify → lower → execute) and
-  `TraceCollector` (per-physical-operator actuals: rows, batches,
-  morsels, worker attribution), both with a no-op fast path costing one
-  integer comparison when disabled;
+  `TraceCollector` (per-physical-operator actuals: rows, batches, wall
+  time), both with a no-op fast path costing one integer comparison
+  when disabled;
 - :mod:`repro.obs.explain` — the EXPLAIN ANALYZE renderer joining the
   planner's estimates with the collector's actuals, flagging ≥4×
   estimate drift per operator.

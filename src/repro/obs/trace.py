@@ -14,11 +14,9 @@ consulted.  Per-operator actuals are cheaper still: physical execution
 checks ``ctx.collector is None`` and takes the untouched fast path.
 
 A `TraceCollector` accumulates per-physical-operator actuals (rows
-in/out, batches, wall time, morsel counts, worker attribution) during
-one execution.  Row counts and operator identities are deterministic
-across the serial, vectorized, and parallel executors; timings and
-worker names naturally vary and are excluded from determinism
-guarantees.
+in/out, batches, wall time) during one execution.  Row counts and
+operator identities are deterministic from run to run; timings
+naturally vary and are excluded from determinism guarantees.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from repro.obs.names import SPAN_QUERY
 
@@ -163,11 +161,9 @@ class OperatorRecord:
         "batches",
         "calls",
         "label",
-        "morsels",
         "rows_in",
         "rows_out",
         "seconds",
-        "workers",
     )
 
     def __init__(self, label: str) -> None:
@@ -177,21 +173,17 @@ class OperatorRecord:
         self.rows_in = 0
         self.rows_out = 0
         self.seconds = 0.0
-        self.morsels = 0
-        self.workers: Set[str] = set()
 
     def as_dict(self, timings: bool = True) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "batches": self.batches,
             "calls": self.calls,
-            "morsels": self.morsels,
             "operator": self.label,
             "rows_in": self.rows_in,
             "rows_out": self.rows_out,
         }
         if timings:
             out["seconds"] = self.seconds
-            out["workers"] = sorted(self.workers)
         return out
 
 
@@ -230,14 +222,6 @@ class TraceCollector:
             record.rows_in += rows_in
             record.rows_out += len(output)
             record.seconds += seconds
-
-    def add_morsels(self, record: OperatorRecord, count: int) -> None:
-        with self._lock:
-            record.morsels += count
-
-    def note_worker(self, record: OperatorRecord, worker: str) -> None:
-        with self._lock:
-            record.workers.add(worker)
 
     def lookup(self, op: "PhysicalOp") -> Optional[OperatorRecord]:
         with self._lock:

@@ -1,8 +1,8 @@
 """The physical execution subsystem: vectorized batch operators.
 
-PR 2 gave the lifted c-table algebra a logical plan IR and PR 3 a
-prepared-query layer that caches plans; this package is the layer in
-between — a *physical* runtime that makes a cached plan fast.
+This package sits between the logical plan IR of
+:mod:`repro.ctalgebra.plan` and the prepared-query layer that caches
+plans: a *physical* runtime that makes a cached plan fast.
 :func:`lower` turns an optimized :class:`~repro.ctalgebra.plan.PlanNode`
 tree into a tree of pull-based batch operators over the columnar
 :class:`~repro.physical.batch.Batch` representation;
@@ -10,28 +10,14 @@ tree into a tree of pull-based batch operators over the columnar
 
 The contract with the interpreted path (``execute_plan``) is structural
 identity: same rows, same interned condition objects, same order.  The
-engine's ``ExecutionConfig.executor`` knob flips between the executors
-— ``"interpreted"`` (the oracle), ``"vectorized"`` (the serial batch
-runtime), and ``"parallel"`` (the morsel-driven scheduler of
-:mod:`repro.physical.parallel`, which splits batches into fixed-size
-morsels across a shared worker pool and restores the deterministic
-order on merge).  All three produce byte-for-byte the same answer
-tables; the differential harness (``tests/harness.py``) and benchmarks
-E28–E33 check them against each other.
+engine's ``ExecutionConfig.executor`` knob flips between the two
+executors — ``"interpreted"`` (the lifted-operator oracle) and
+``"vectorized"`` (this batch runtime).  Both produce byte-for-byte the
+same answer tables; the differential harness (``tests/harness.py``) and
+benchmarks E28–E30 check them against each other.
 """
 
 from repro.physical.batch import Batch, merge_metadata
-from repro.physical.parallel import (
-    DEFAULT_MORSEL_SIZE,
-    DEFAULT_NUM_WORKERS,
-    MorselScheduler,
-    ParallelSpec,
-    execute_parallel,
-    execute_plan_parallel,
-    morsel_ranges,
-    shutdown_worker_pools,
-    worker_pool,
-)
 from repro.physical.operators import (
     ConstScanOp,
     DifferenceOp,
@@ -56,29 +42,20 @@ from repro.physical.lower import (
 __all__ = [
     "Batch",
     "ConstScanOp",
-    "DEFAULT_MORSEL_SIZE",
-    "DEFAULT_NUM_WORKERS",
     "DifferenceOp",
     "EmptyOp",
     "ExecContext",
     "FilterOp",
     "HashJoinOp",
     "IntersectOp",
-    "MorselScheduler",
-    "ParallelSpec",
     "PhysicalOp",
     "ProductOp",
     "ProjectOp",
     "ScanOp",
     "UnionOp",
-    "execute_parallel",
     "execute_physical",
-    "execute_plan_parallel",
     "execute_plan_vectorized",
     "explain_physical",
     "lower",
     "merge_metadata",
-    "morsel_ranges",
-    "shutdown_worker_pools",
-    "worker_pool",
 ]

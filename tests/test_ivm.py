@@ -7,9 +7,9 @@ the mutated tables, under every executor mode.  That is the contract
 the signed-delta propagation of :mod:`repro.ivm` is pinned to here:
 
 - 200+ seeded insert/delete/update sequences, refreshed and compared
-  against cold re-executions (interpreted / vectorized / parallel at
-  worker counts 1, 2 and 8) plus a symbolic Mod-equivalence check
-  against a freshly planned execution;
+  against cold re-executions (interpreted and vectorized, the latter
+  also from 1, 2 and 8 concurrent threads) plus a symbolic
+  Mod-equivalence check against a freshly planned execution;
 - batching invariance: one-by-one mutations, one coalesced batch, and
   a cold rerun all land on the identical answer;
 - insert-then-delete cancellation restores the prior answer
@@ -24,6 +24,7 @@ the signed-delta propagation of :mod:`repro.ivm` is pinned to here:
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -43,7 +44,7 @@ from repro import (
     sel,
     union,
 )
-from repro.ctalgebra.plan import StatsAccumulator, TableStats
+from repro.ctalgebra.plan import StatsAccumulator, TableStats, collect_stats
 from repro.errors import PlanVerificationError
 from repro.logic.atoms import BoolVar
 from repro.logic.syntax import BOTTOM, TOP
@@ -52,6 +53,7 @@ from repro.obs.names import (
     IVM_MUTATIONS_TOTAL,
     IVM_REFRESH_TOTAL,
 )
+from repro.physical import execute_plan_vectorized
 
 from harness import (
     CHURN_UPDATES,
@@ -81,6 +83,50 @@ def seeded_session(seed, engine=None, **prepare_options):
     session = engine.session(**tables)
     prepared = session.prepare(query, **prepare_options)
     return session, prepared, rng
+
+
+def rerun_from_threads(prepared, workers):
+    """Cold vectorized reruns of *prepared*'s frozen plan, one per thread.
+
+    All *workers* threads start together behind a barrier, so the reruns
+    intern their condition objects concurrently.
+    """
+    session = prepared.session
+    config = prepared.config
+    view = session._views.get(
+        (prepared.query, config.optimize, config.simplify_conditions)
+    )
+    plan = view.plan if view is not None else prepared.plan()
+    tables = {
+        name: session.table(name)
+        for name in prepared.query.relation_names()
+    }
+    results = [None] * workers
+    errors = []
+    barrier = threading.Barrier(workers)
+
+    def run(worker):
+        barrier.wait()
+        try:
+            results[worker] = execute_plan_vectorized(
+                plan,
+                tables,
+                simplify_conditions=config.simplify_conditions,
+                stats=collect_stats(tables),
+            )
+        except Exception as error:  # noqa: BLE001 - collected for report
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=run, args=(worker,))
+        for worker in range(workers)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors, errors
+    return results
 
 
 def small_tables():
@@ -207,13 +253,16 @@ class TestDeltaEqualsRerun:
     @pytest.mark.parametrize("workers", (1, 2, 8))
     @pytest.mark.parametrize("seed", range(80, 90))
     def test_seeded_sequences_across_worker_counts(self, seed, workers):
+        # Sessions are usable from threads: the refreshed view must also
+        # equal cold reruns issued from *workers* threads at once.
         session, prepared, rng = seeded_session(seed)
         apply_random_updates(rng, session)
-        assert_delta_equals_rerun(
-            prepared,
-            num_workers=workers,
-            context=f"seed={seed} workers={workers}",
-        )
+        context = f"seed={seed} workers={workers}"
+        maintained = assert_delta_equals_rerun(prepared, context=context)
+        for worker, rerun in enumerate(rerun_from_threads(prepared, workers)):
+            assert_structurally_identical(
+                rerun, maintained, context=f"{context} thread={worker}"
+            )
 
     @pytest.mark.parametrize("seed", range(95, 105))
     def test_seeded_sequences_unoptimized_plans(self, seed):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro import (
     rel,
     sel,
 )
-from repro.engine.cache import PlanCache
+from repro.engine.cache import PlanCache, ResultCache
 
 
 X = Var("x")
@@ -149,6 +151,41 @@ class TestPlanCacheUnit:
         # and invalidation must count only the live entry.
         assert cache.invalidate(1, ("A",)) == 1
         assert len(cache) == 0
+
+    def test_plan_and_result_cache_thread_hammer(self):
+        # Sessions are usable from threads, so the caches must keep the
+        # LRU order and the dependency index consistent under races.
+        for cache in (PlanCache(16), ResultCache(16)):
+            barrier = threading.Barrier(6)
+
+            def worker(worker_id, cache=cache, barrier=barrier):
+                rng = random.Random(worker_id)
+                barrier.wait()
+                for step in range(200):
+                    key = f"k{rng.randrange(24)}"
+                    action = rng.random()
+                    if action < 0.5:
+                        cache.get(key)
+                    elif action < 0.8:
+                        cache.put(
+                            key,
+                            f"value-{worker_id}-{step}",
+                            scope=worker_id % 2,
+                            dependencies=frozenset({key[:2]}),
+                        )
+                    elif action < 0.95:
+                        cache.invalidate(worker_id % 2, (key[:2],))
+                    else:
+                        cache.stats()
+
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                list(pool.map(worker, range(6)))
+            stats = cache.stats()
+            assert stats["entries"] <= 16
+            # The dependency index must not leak evicted/invalidated keys.
+            live = set(cache._entries)
+            indexed = set().union(*cache._by_dependency.values(), set())
+            assert indexed <= live
 
 
 #: Single-relation shape for the cache tests, via the shared harness

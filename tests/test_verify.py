@@ -50,7 +50,6 @@ from repro.engine.config import ExecutionConfig, _env_choice, _env_flag
 from repro.logic.atoms import Const, Var, eq
 from repro.logic.syntax import Not, TOP, conj, is_interned
 from repro.physical.lower import lower
-from repro.physical.parallel import ParallelSpec
 from repro.tables.ctable import CRow, CTable
 
 
@@ -490,16 +489,15 @@ class TestVerifyCTable:
 # ----------------------------------------------------------------------
 
 class TestVerifyPhysical:
-    def lowered_join(self, parallel=None):
+    def lowered_join(self):
         tables = small_tables()
         plan = JoinNode(Scan("R", 2), Scan("S", 2), col_eq(0, 2))
         stats = collect_stats(tables)
-        return lower(plan, stats, parallel=parallel), stats
+        return lower(plan, stats), stats
 
     def test_clean_lowering_verifies(self):
-        spec = ParallelSpec(num_workers=2, morsel_size=2)
-        op, stats = self.lowered_join(parallel=spec)
-        PlanVerifier(stats).verify_physical(op, morsel_size=spec.morsel_size)
+        op, stats = self.lowered_join()
+        PlanVerifier(stats).verify_physical(op)
 
     def test_flipped_build_side_is_stale_estimates(self):
         op, stats = self.lowered_join()
@@ -514,39 +512,6 @@ class TestVerifyPhysical:
         with pytest.raises(PlanVerificationError) as excinfo:
             PlanVerifier(stats).verify_physical(op)
         assert excinfo.value.check == "estimates"
-
-    def test_stale_parallel_stamp(self):
-        spec = ParallelSpec(num_workers=2, morsel_size=2)
-        op, stats = self.lowered_join(parallel=spec)
-        stamped = [
-            node for node in op.walk() if node.par_decision is not None
-        ]
-        assert stamped, "expected at least one stamped operator"
-        for node in stamped:
-            node.par_decision = (
-                "serial" if node.par_decision == "parallel" else "parallel"
-            )
-        with pytest.raises(PlanVerificationError) as excinfo:
-            PlanVerifier(stats).verify_physical(
-                op, morsel_size=spec.morsel_size
-            )
-        assert excinfo.value.check == "lowering"
-
-    def test_stamp_on_non_morselizable_operator(self):
-        op, stats = self.lowered_join()
-        from repro.physical.parallel import PARALLELIZABLE_OPS
-
-        outsider = None
-        for node in op.walk():
-            if not isinstance(node, PARALLELIZABLE_OPS):
-                outsider = node
-                break
-        if outsider is None:
-            pytest.skip("every operator in this tree is morselizable")
-        outsider.par_decision = "parallel"
-        with pytest.raises(PlanVerificationError) as excinfo:
-            PlanVerifier(stats).verify_physical(op)
-        assert excinfo.value.check == "lowering"
 
 
 # ----------------------------------------------------------------------

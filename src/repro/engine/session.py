@@ -55,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.errors import ProbabilityError, QueryError, TableError, nearest_name
 from repro.core.domain import Domain
 from repro.core.instance import Instance, Row
+from repro.logic.counting import ValidatedDistributions, merge_distributions
 from repro.logic.syntax import BOTTOM, Formula
 from repro.algebra.ast import Query
 from repro.algebra.parser import parse_query
@@ -130,27 +131,6 @@ def bind_single_table(query: Query, table: CTable) -> Dict[str, CTable]:
     return {name: table for name in names}
 
 
-#: The variable-distribution maps pc-tables contribute.
-_Distributions = Dict[str, Dict[Hashable, Fraction]]
-
-
-def _merge_distribution_sources(
-    sources: Iterable[Mapping[str, Mapping[Hashable, Fraction]]],
-) -> _Distributions:
-    """Merge per-table variable distributions; conflicting names raise."""
-    merged: Dict[str, Dict[Hashable, Fraction]] = {}
-    for distributions in sources:
-        for variable, dist in distributions.items():
-            existing = merged.get(variable)
-            if existing is not None and existing != dict(dist):
-                raise ProbabilityError(
-                    f"variable {variable!r} has conflicting distributions "
-                    f"across registered pc-tables"
-                )
-            merged[variable] = dict(dist)
-    return merged
-
-
 class _Registered:
     """One registry entry: the coerced c-table plus cached derived data.
 
@@ -172,7 +152,7 @@ class _Registered:
         ctable: CTable,
         stats: TableStats,
         accumulator: StatsAccumulator,
-        distributions: Optional[Mapping[str, Mapping[Hashable, Fraction]]],
+        distributions: Optional[ValidatedDistributions],
     ) -> None:
         self.source = source
         self.ctable = ctable
@@ -350,25 +330,20 @@ class Engine:
         counts once, and then answers from memory.  *scope* and
         *dependencies* (a session id and relation names) let
         ``Session.register`` evict exactly the lineages whose inputs
-        changed.
+        changed.  A plain distribution map is validated in full; a
+        :class:`~repro.logic.counting.ValidatedDistributions` (what
+        sessions pass) is taken as it is.
         """
         from repro.logic.counting import (
-            PROB_STRATEGIES,
-            PROB_VARIABLE_BUDGET,
+            check_distributions,
             probability,
+            resolve_strategy,
         )
 
-        resolved = (strategy or self._config.prob_strategy).lower()
-        if resolved not in PROB_STRATEGIES:
-            raise ProbabilityError(
-                f"unknown probability strategy {resolved!r}; "
-                f"expected one of {PROB_STRATEGIES}"
-            )
-        if resolved == "auto":
-            if len(condition.variables()) <= PROB_VARIABLE_BUDGET:
-                resolved = "shannon"
-            else:
-                resolved = "wmc"
+        distributions = check_distributions(distributions)
+        resolved = resolve_strategy(
+            strategy or self._config.prob_strategy, condition
+        )
         if resolved != "wmc" or self._config.circuit_cache_size == 0:
             return probability(condition, distributions, strategy=resolved)
         from repro.prob.wmc import compile_probability
@@ -532,8 +507,10 @@ class Session:
     def __init__(self, engine: Engine) -> None:
         self._engine = engine
         self._registry: Dict[str, _Registered] = {}
-        self._merged_distributions: Optional[
-            Dict[str, Dict[Hashable, Fraction]]
+        # The last merge of pc-table distributions and the snapshot it
+        # merged (see ``_merge_distributions``).
+        self._merged: Optional[
+            Tuple[Tuple[ValidatedDistributions, ...], ValidatedDistributions]
         ] = None
         self._id = next(Session._ids)
         # guarded-by: single-threaded like the registry itself; views
@@ -618,7 +595,6 @@ class Session:
             accumulator,
             distributions,
         )
-        self._merged_distributions = None
         self._engine._plan_cache.invalidate(self._id, (name,))
         self._engine._result_cache.invalidate(self._id, (name,))
         self._engine._circuit_cache.invalidate(self._id, (name,))
@@ -825,22 +801,16 @@ class Session:
         """The cached :class:`TableStats` of one registered table."""
         return self._entry(name).stats
 
-    def distributions(self) -> Dict[str, Dict[Hashable, Fraction]]:
+    def distributions(self) -> ValidatedDistributions:
         """Variable distributions merged across registered pc-tables.
 
         Conflicting distributions for one variable name raise: variables
         are global to a session, as they are to a c-table's valuations.
-        The merge is cached and recomputed only after ``register``.
+        The merge is cached per registry state.
         """
-        if self._merged_distributions is not None:
-            return self._merged_distributions
-        merged = _merge_distribution_sources(self._distribution_sources())
-        self._merged_distributions = merged
-        return merged
+        return self._merge_distributions(self._distribution_sources())
 
-    def _distribution_sources(
-        self,
-    ) -> Tuple[Mapping[str, Mapping[Hashable, Fraction]], ...]:
+    def _distribution_sources(self) -> Tuple[ValidatedDistributions, ...]:
         """The registered pc-tables' distribution maps, in name order."""
         return tuple(
             distributions
@@ -848,6 +818,18 @@ class Session:
             if (distributions := self._registry[name].distributions)
             is not None
         )
+
+    def _merge_distributions(
+        self, sources: Tuple[ValidatedDistributions, ...]
+    ) -> ValidatedDistributions:
+        """Merge a distribution snapshot, reusing the last merge if it
+        was of the same maps (registered maps are read-only, so equal
+        snapshots merge to equal results)."""
+        merged = self._merged
+        if merged is None or merged[0] != sources:
+            merged = (sources, merge_distributions(sources))
+            self._merged = merged
+        return merged[1]
 
     # ------------------------------------------------------------------
     # Queries
@@ -1318,9 +1300,9 @@ class Dataset:
         self._prepared = prepared
         self._collected: Optional[CTable] = None
         self._distribution_sources: Optional[
-            Tuple[Mapping[str, Mapping[Hashable, Fraction]], ...]
+            Tuple[ValidatedDistributions, ...]
         ] = None
-        self._distributions: Optional[_Distributions] = None
+        self._distributions: Optional[ValidatedDistributions] = None
         self._plan: Optional[PlanNode] = None
         self._stats: Optional[Dict[str, TableStats]] = None
 
@@ -1490,7 +1472,9 @@ class Dataset:
         """
         lineage = self.lineage(row)  # collects, snapshotting distributions
         distributions = self._merged_distributions()
-        missing = sorted(lineage.variables() - set(distributions))
+        missing = sorted(
+            name for name in lineage.variables() if name not in distributions
+        )
         if missing:
             raise ProbabilityError(
                 f"lineage mentions variables {missing} with no registered "
@@ -1531,17 +1515,19 @@ class Dataset:
                 "worlds enumeration has no candidate pool"
             )
 
-    def _merged_distributions(self) -> Dict[str, Dict[Hashable, Fraction]]:
+    def _merged_distributions(self) -> ValidatedDistributions:
         """Merge the snapshotted distributions, lazily.
 
         The merge (and its conflict check) runs only when a
         probabilistic reading is actually requested, so sessions whose
         pc-tables have clashing variable names can still serve every
-        non-probabilistic query.
+        non-probabilistic query.  A snapshot of the current registry
+        state reuses the session's cached merge.
         """
         if self._distributions is None:
             self.collect()  # ensure the sources snapshot exists
-            self._distributions = _merge_distribution_sources(
+            assert self._distribution_sources is not None
+            self._distributions = self._prepared.session._merge_distributions(
                 self._distribution_sources
             )
         return self._distributions

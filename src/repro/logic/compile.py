@@ -37,6 +37,17 @@ Pipeline
    elimination, which :mod:`repro.logic.sat` uses, is deliberately
    **absent**: it preserves satisfiability but not model counts.
 
+Each compilation interns every clause it meets, original or shrunk by
+an assignment, in a per-compile table and files it in an *occurrence
+index* from each variable to the clauses mentioning it.  Assigning a
+literal then visits only ``occurrences[v] ∩ residual`` instead of the
+whole residual, and the component split walks the same index and returns
+each component's branch variable from that one pass.  A component is
+connected by construction, so compiling it skips the split.  The index
+changes how fast a node is found, never which node: residual-keyed
+caching and min-index branching are unchanged, so the circuits are the
+same node for node.
+
 The resulting trace is *not smooth* (an OR child may mention fewer
 variables than its sibling); :meth:`DDNNF.weighted_count` repairs this on
 the fly with gap factors ``w(v) + w(¬v)`` per missing variable, which is
@@ -331,128 +342,178 @@ def _dand(children: Sequence[DNode]) -> DNode:
 # ---------------------------------------------------------------------------
 
 
-def _propagate(
-    clauses: FrozenSet[Clause],
-) -> Tuple[Optional[FrozenSet[Clause]], List[int]]:
-    """Run unit propagation to fixpoint.
+class _Compiler:
+    """One compilation: the clause table, its occurrence index, the cache.
 
-    Returns ``(residual, implied_literals)``; residual is ``None`` on
-    conflict.  Every implied variable is eliminated from the residual,
-    which is what makes the caller's AND of literal nodes decomposable.
+    Every clause the search meets — original or shrunk by an assignment —
+    is interned once in ``clauses`` and filed under each of its variables
+    in ``occurrences``.  A residual is a frozenset of interned clauses, so
+    unit propagation touches only ``occurrences[v] & residual`` for each
+    assigned variable ``v``, and the component walk follows the index
+    instead of rebuilding a variable map from every literal at every
+    node.  The index only grows: a variable's entry also lists clauses
+    that other branches left behind, which the intersections skip.
     """
-    current: Set[Clause] = set(clauses)
-    implied: List[int] = []
-    if frozenset() in current:
-        return None, implied
-    while True:
-        unit = next((clause for clause in current if len(clause) == 1), None)
-        if unit is None:
-            return frozenset(current), implied
-        literal = next(iter(unit))
-        implied.append(literal)
-        reduced: Set[Clause] = set()
-        for clause in current:
-            if literal in clause:
+
+    __slots__ = ("clauses", "variables", "occurrences", "cache")
+
+    def __init__(self) -> None:
+        self.clauses: Dict[Clause, Clause] = {}
+        #: The variable set of every interned clause.
+        self.variables: Dict[Clause, FrozenSet[int]] = {}
+        self.occurrences: Dict[int, Set[Clause]] = {}
+        self.cache: Dict[FrozenSet[Clause], DNode] = {}
+
+    def intern(self, clause: Clause) -> Clause:
+        """Return the table's copy of *clause*, filing a new one first."""
+        known = self.clauses.get(clause)
+        if known is not None:
+            return known
+        self.clauses[clause] = clause
+        variables = frozenset(abs(literal) for literal in clause)
+        self.variables[clause] = variables
+        for variable in variables:
+            self.occurrences.setdefault(variable, set()).add(clause)
+        return clause
+
+    def propagate(
+        self, residual: FrozenSet[Clause], pending: List[int]
+    ) -> Tuple[Optional[FrozenSet[Clause]], List[int]]:
+        """Assign the *pending* literals and run unit propagation to fixpoint.
+
+        *pending* are the literals to assign: a decision, or the root's
+        unit clauses.  Every unit clause of *residual* must have its
+        literal in *pending*.  Returns
+        ``(residual, implied_literals)``; residual is ``None`` on
+        conflict.  Every implied variable is eliminated from the
+        residual, which is what makes the caller's AND of literal nodes
+        decomposable.
+        """
+        current: Set[Clause] = set(residual)
+        implied: List[int] = []
+        assigned: Set[int] = set()
+        occurrences = self.occurrences
+        while pending:
+            literal = pending.pop()
+            variable = abs(literal)
+            if variable in assigned:
+                # A repeated unit: every clause of the variable is gone
+                # already, so a complementary one would have emptied.
                 continue
-            if -literal in clause:
-                clause = clause - {-literal}
-                if not clause:
+            assigned.add(variable)
+            implied.append(literal)
+            for clause in occurrences[variable] & current:
+                current.discard(clause)
+                if literal in clause:
+                    continue
+                shrunk = self.intern(clause - {-literal})
+                if not shrunk:
                     return None, implied
-            reduced.add(clause)
-        current = reduced
+                if len(shrunk) == 1:
+                    pending.extend(shrunk)
+                current.add(shrunk)
+        return frozenset(current), implied
 
+    def components(
+        self, residual: FrozenSet[Clause]
+    ) -> List[Tuple[FrozenSet[Clause], int]]:
+        """Split *residual* into connected components (shared variables).
 
-def _components(clauses: FrozenSet[Clause]) -> List[FrozenSet[Clause]]:
-    """Partition *clauses* into connected components (shared variables)."""
-    remaining = list(clauses)
-    by_variable: Dict[int, List[int]] = {}
-    for position, clause in enumerate(remaining):
-        for literal in clause:
-            by_variable.setdefault(abs(literal), []).append(position)
-    seen: Set[int] = set()
-    components: List[FrozenSet[Clause]] = []
-    for start in range(len(remaining)):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        member_positions: List[int] = []
-        while stack:
-            position = stack.pop()
-            member_positions.append(position)
-            for literal in remaining[position]:
-                for neighbor in by_variable[abs(literal)]:
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        stack.append(neighbor)
-        components.append(frozenset(remaining[p] for p in member_positions))
-    return components
+        Each component comes with its branch variable, the lowest
+        variable index it mentions.  The static order matters more than
+        any dynamic score here: CNF variables are numbered in formula
+        order by Tseitin clausification, so min-index branching sweeps
+        the condition structurally — and residuals left behind by
+        different branches of the sweep *coincide* whenever the formula
+        has bounded interaction width (chains, rings, lineages of
+        localized queries).  The residual-keyed cache then turns the
+        trace into a transfer-matrix pass: linear in the sweep, not
+        ``2^variables``.  A dynamic most-frequent-variable score was
+        measurably catastrophic on exactly the shapes this compiler
+        exists for — it jumps around the formula, every jump fragments
+        the ring into differently-keyed arc residuals, and the cache
+        never hits (>100s for the 60-variable ring of benchmark E37 vs
+        ~0.1s with the static order).
+        """
+        unvisited = set(residual)
+        clause_variables = self.variables
+        occurrences = self.occurrences
+        components: List[Tuple[FrozenSet[Clause], int]] = []
+        while unvisited:
+            start = unvisited.pop()
+            members = [start]
+            reached: Set[int] = set()
+            # ``members`` grows while it is walked: a breadth-first search.
+            for clause in members:
+                fresh = clause_variables[clause] - reached
+                if not fresh:
+                    continue
+                reached |= fresh
+                for variable in fresh:
+                    found = occurrences[variable] & unvisited
+                    if found:
+                        unvisited -= found
+                        members.extend(found)
+            components.append((frozenset(members), min(reached)))
+        return components
 
-
-def _branch_variable(clauses: FrozenSet[Clause]) -> int:
-    """Pick the lowest-index variable occurring in the residual.
-
-    The static order matters more than any dynamic score here: CNF
-    variables are numbered in formula order by Tseitin clausification,
-    so min-index branching sweeps the condition structurally — and
-    residuals left behind by different branches of the sweep *coincide*
-    whenever the formula has bounded interaction width (chains, rings,
-    lineages of localized queries).  The residual-keyed cache then turns
-    the trace into a transfer-matrix pass: linear in the sweep, not
-    ``2^variables``.  A dynamic most-frequent-variable score was
-    measurably catastrophic on exactly the shapes this compiler exists
-    for — it jumps around the formula, every jump fragments the ring
-    into differently-keyed arc residuals, and the cache never hits
-    (>100s for the 60-variable ring of benchmark E37 vs ~0.1s with the
-    static order).
-    """
-    return min(abs(literal) for clause in clauses for literal in clause)
-
-
-def _compile(
-    clauses: FrozenSet[Clause], cache: Dict[FrozenSet[Clause], DNode]
-) -> DNode:
-    residual, implied = _propagate(clauses)
-    if residual is None:
-        return D_FALSE
-    prefix: List[DNode] = [DLit(literal) for literal in implied]
-    if not residual:
-        return _dand(prefix)
-    node = cache.get(residual)
-    if node is None:
-        components = _components(residual)
-        if len(components) > 1:
-            node = _dand([_compile(component, cache) for component in components])
-        else:
-            variable = _branch_variable(residual)
-            positive = _compile(
-                residual | {frozenset({variable})}, cache
-            )
-            negative = _compile(
-                residual | {frozenset({-variable})}, cache
-            )
-            branches = tuple(
-                branch
-                for branch in (positive, negative)
-                if not isinstance(branch, DFalse)
-            )
-            if not branches:
-                node = D_FALSE
-            elif len(branches) == 1:
-                node = branches[0]
+    def solve(
+        self, residual: Optional[FrozenSet[Clause]], implied: List[int]
+    ) -> DNode:
+        """The circuit for a propagated residual and the literals implied."""
+        if residual is None:
+            return D_FALSE
+        prefix: List[DNode] = [DLit(literal) for literal in implied]
+        if not residual:
+            return _dand(prefix)
+        node = self.cache.get(residual)
+        if node is None:
+            components = self.components(residual)
+            if len(components) > 1:
+                node = _dand(
+                    [self.component(part, branch) for part, branch in components]
+                )
             else:
-                node = DOr(branches)
-        cache[residual] = node
-    if isinstance(node, DFalse):
-        return D_FALSE
-    return _dand(prefix + [node])
+                node = self.branch(residual, components[0][1])
+            self.cache[residual] = node
+        if isinstance(node, DFalse):
+            return D_FALSE
+        return _dand(prefix + [node])
+
+    def component(self, residual: FrozenSet[Clause], variable: int) -> DNode:
+        """The circuit for a connected, unit-free residual (cached)."""
+        node = self.cache.get(residual)
+        if node is None:
+            node = self.branch(residual, variable)
+            self.cache[residual] = node
+        return node
+
+    def branch(self, residual: FrozenSet[Clause], variable: int) -> DNode:
+        """Decide *variable* both ways: a deterministic OR of the branches."""
+        branches = tuple(
+            child
+            for child in (
+                self.solve(*self.propagate(residual, [variable])),
+                self.solve(*self.propagate(residual, [-variable])),
+            )
+            if not isinstance(child, DFalse)
+        )
+        if not branches:
+            return D_FALSE
+        if len(branches) == 1:
+            return branches[0]
+        return DOr(branches)
 
 
 def compile_cnf(clauses: Iterable[Clause], num_vars: int) -> "DDNNF":
     """Compile a CNF into a d-DNNF circuit counting over *num_vars* variables."""
     counter(DDNNF_COMPILE_TOTAL)
-    cache: Dict[FrozenSet[Clause], DNode] = {}
-    root = _compile(frozenset(clauses), cache)
+    compiler = _Compiler()
+    residual = frozenset(compiler.intern(clause) for clause in clauses)
+    if frozenset() in residual:
+        return DDNNF(D_FALSE, num_vars)
+    units = [literal for clause in residual if len(clause) == 1 for literal in clause]
+    root = compiler.solve(*compiler.propagate(residual, units))
     return DDNNF(root, num_vars)
 
 

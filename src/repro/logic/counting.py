@@ -3,8 +3,7 @@
 pc-tables (Definition 13 of the paper) attach to every variable ``x`` a
 finite probability space ``dom(x)``; variables are independent.  The
 probability that a condition holds is then a weighted count over the
-product space.  Three evaluation strategies are provided, benchmarked
-against each other in E18:
+product space.  Four evaluation strategies are provided:
 
 - :func:`probability_enumerate` — fold over *all* valuations (exact,
   exponential, the baseline),
@@ -21,17 +20,35 @@ against each other in E18:
 - :meth:`repro.logic.bdd.Bdd.probability` — for purely boolean
   conditions, compile to an OBDD first.
 
-:func:`probability` dispatches between them, compiled-first past the
-variable budget (mirroring how ``ctables_equivalent`` in
-:mod:`repro.worlds.compare` dispatches symbolic-first).  All strategies
-return identical exact :class:`fractions.Fraction` values.
+:func:`probability` dispatches between the first three
+(:func:`resolve_strategy`), compiled-first past the variable budget
+(mirroring how ``ctables_equivalent`` in :mod:`repro.worlds.compare`
+dispatches symbolic-first).  All strategies return identical exact
+:class:`fractions.Fraction` values.
+
+Distributions are validated once.  :func:`check_distributions` returns
+a read-only :class:`ValidatedDistributions`, and returns at once when
+handed one, so a map that a :class:`~repro.prob.pctable.PCTable` (or a
+session merge of them) carries is never walked again: the per-call work
+of every strategy follows the condition's variables, not the size of
+the map.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Mapping,
+    NoReturn,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ProbabilityError
 from repro.logic.evaluation import evaluate, partial_evaluate
@@ -86,17 +103,87 @@ def check_distribution(name: str, distribution: Distribution) -> None:
         )
 
 
-def check_distributions(distributions: Distributions) -> None:
-    """Validate every distribution in the map."""
-    for name, distribution in distributions.items():
-        check_distribution(name, distribution)
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise ``TypeError``."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args: object, **kwargs: object) -> NoReturn:
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = clear = pop = popitem = _read_only
+    setdefault = update = __ior__ = _read_only
+
+    def __reduce__(self) -> Tuple[type, Tuple[Dict[Hashable, object]]]:
+        return (type(self), (dict(self),))
+
+
+class ValidatedDistributions(_ReadOnlyDict):
+    """A read-only distribution map that has passed validation.
+
+    Constructing one runs :func:`check_distribution` on every entry and
+    stores each distribution as a read-only map of exact
+    :class:`~fractions.Fraction` weights.  Holding an instance is the
+    proof of validity: :func:`check_distributions` returns it unchanged.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, distributions: Distributions) -> None:
+        normalized = {
+            name: _ReadOnlyDict(
+                {value: Fraction(weight) for value, weight in distribution.items()}
+            )
+            for name, distribution in distributions.items()
+        }
+        for name, distribution in normalized.items():
+            check_distribution(name, distribution)
+        super().__init__(normalized)
+
+
+def check_distributions(distributions: Distributions) -> ValidatedDistributions:
+    """Validate every distribution in the map; return it validated.
+
+    A :class:`ValidatedDistributions` passed its checks when it was
+    built and is returned at once; any other map is checked in full.
+    """
+    if isinstance(distributions, ValidatedDistributions):
+        return distributions
+    return ValidatedDistributions(distributions)
+
+
+def merge_distributions(
+    sources: Iterable[ValidatedDistributions],
+) -> ValidatedDistributions:
+    """Union validated maps; one variable with two distributions raises.
+
+    Only the conflict check runs: every source is validated already, and
+    a single source is returned as it is.
+    """
+    sources = tuple(sources)
+    if len(sources) == 1:
+        return sources[0]
+    merged: Dict[str, Distribution] = {}
+    for distributions in sources:
+        for name, distribution in distributions.items():
+            existing = merged.setdefault(name, distribution)
+            if existing is not distribution and existing != distribution:
+                raise ProbabilityError(
+                    f"variable {name!r} has conflicting distributions "
+                    f"across registered pc-tables"
+                )
+    # Every entry was validated with its source: fill the map without
+    # running the checks again.
+    result = ValidatedDistributions.__new__(ValidatedDistributions)
+    dict.update(result, merged)
+    return result
 
 
 def probability_enumerate(
     formula: Formula, distributions: Distributions
 ) -> Fraction:
     """Exact probability by full enumeration of the product space."""
-    check_distributions(distributions)
+    distributions = check_distributions(distributions)
     _require_coverage(formula, distributions)
     names = sorted(distributions)
 
@@ -130,7 +217,7 @@ def probability(
     beyond it.  Every strategy returns the same exact
     :class:`fractions.Fraction`.
     """
-    resolved = _resolve_strategy(strategy, formula)
+    resolved = resolve_strategy(strategy, formula)
     if resolved == "enumerate":
         return probability_enumerate(formula, distributions)
     if resolved == "wmc":
@@ -142,7 +229,14 @@ def probability(
     return probability_shannon(formula, distributions)
 
 
-def _resolve_strategy(strategy: Optional[str], formula: Formula) -> str:
+def resolve_strategy(strategy: Optional[str], formula: Formula) -> str:
+    """Return the route *strategy* takes for *formula*.
+
+    ``None`` defers to :func:`default_prob_strategy`; ``"auto"`` becomes
+    ``"shannon"`` within :data:`PROB_VARIABLE_BUDGET` condition
+    variables and ``"wmc"`` beyond it; any other known strategy is
+    returned as it is.
+    """
     if strategy is None:
         strategy = default_prob_strategy()
     strategy = strategy.lower()
@@ -163,12 +257,12 @@ def probability_shannon(
 ) -> Fraction:
     """Exact probability by memoized Shannon expansion.
 
-    Variables are expanded in sorted-name order restricted to the
-    variables the residual formula still mentions; branches whose partial
-    evaluation folds to a constant stop immediately, and residuals are
-    cached so isomorphic sub-problems are solved once.
+    The formula's variables are expanded in sorted-name order,
+    restricted to the ones the residual formula still mentions; branches
+    whose partial evaluation folds to a constant stop immediately, and
+    residuals are cached so isomorphic sub-problems are solved once.
     """
-    check_distributions(distributions)
+    distributions = check_distributions(distributions)
     _require_coverage(formula, distributions)
     cache: Dict[Tuple[Formula, Tuple[str, ...]], Fraction] = {}
 
@@ -205,11 +299,12 @@ def probability_shannon(
         cache[key] = total
         return total
 
-    return recurse(partial_evaluate(formula, {}), tuple(sorted(distributions)))
+    order = tuple(sorted(formula.variables()))
+    return recurse(partial_evaluate(formula, {}), order)
 
 
 def _require_coverage(formula: Formula, distributions: Distributions) -> None:
-    missing = formula.variables() - set(distributions)
+    missing = [name for name in formula.variables() if name not in distributions]
     if missing:
         raise ProbabilityError(
             f"no distributions for variables: {sorted(missing)}"

@@ -27,6 +27,7 @@ from repro.core.instance import Instance, Row
 from repro.core.idatabase import IDatabase
 from repro.logic.atoms import Const, eq
 from repro.logic.counting import (
+    ValidatedDistributions,
     check_distributions,
     probability as formula_probability,
 )
@@ -50,12 +51,8 @@ class PCTable:
             table = rows_or_table
         else:
             table = self._build_table(rows_or_table, arity)
-        normalized: Dict[str, Dict[Hashable, Fraction]] = {
-            name: {value: Fraction(weight) for value, weight in dist.items()}
-            for name, dist in distributions.items()
-        }
-        check_distributions(normalized)
-        missing = table.variables() - set(normalized)
+        normalized = check_distributions(distributions)
+        missing = [name for name in table.variables() if name not in normalized]
         if missing:
             raise ProbabilityError(
                 f"no distributions for variables {sorted(missing)}"
@@ -88,9 +85,9 @@ class PCTable:
         return self._table.arity
 
     @property
-    def distributions(self) -> Dict[str, Dict[Hashable, Fraction]]:
-        """Return the per-variable distributions (a copy)."""
-        return {name: dict(dist) for name, dist in self._distributions.items()}
+    def distributions(self) -> ValidatedDistributions:
+        """Return the per-variable distributions (validated, read-only)."""
+        return self._distributions
 
     def variables(self):
         """Return the table's variable names."""

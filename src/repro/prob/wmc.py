@@ -58,7 +58,7 @@ def condition_supports(
     Raises :class:`ProbabilityError` when a condition variable has no
     distribution.
     """
-    missing = formula.variables() - set(distributions)
+    missing = [name for name in formula.variables() if name not in distributions]
     if missing:
         raise ProbabilityError(
             f"no distributions for variables: {sorted(missing)}"
@@ -121,7 +121,7 @@ def compile_probability(
     formula: Formula, distributions: Distributions
 ) -> CompiledCondition:
     """Compile *formula* under *distributions* into a weighted circuit."""
-    check_distributions(distributions)
+    distributions = check_distributions(distributions)
     supports: Supports = condition_supports(formula, distributions)
     compiled = compile_condition(formula, supports)
     pos: Dict[int, Fraction] = {}

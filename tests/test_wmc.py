@@ -44,8 +44,11 @@ from repro.engine import Engine, ExecutionConfig
 from repro.errors import ProbabilityError
 from repro.logic.atoms import Var, boolvar, eq, ne
 from repro.logic.bdd import Bdd
+import repro.logic.counting as counting_module
+from repro.logic.cnf import tseitin_clauses
 from repro.logic.compile import (
     booleanize,
+    compile_cnf,
     compile_condition,
     compile_formula,
     indicator,
@@ -54,10 +57,13 @@ from repro.logic.compile import (
 from repro.logic.counting import (
     PROB_STRATEGIES,
     PROB_VARIABLE_BUDGET,
+    ValidatedDistributions,
+    check_distributions,
     default_prob_strategy,
     probability,
     probability_enumerate,
     probability_shannon,
+    resolve_strategy,
 )
 from repro.logic.syntax import BOTTOM, TOP, conj, disj, neg
 from repro.prob import (
@@ -74,6 +80,42 @@ from repro.algebra import col_eq_const, rel, sel
 
 X = Var("x")
 Y = Var("y")
+
+
+def shape_edges(kind: str, size: int):
+    """(vertex count, edges) of a chain, ring, or size × size grid."""
+    if kind == "chain":
+        return size, [(i, i + 1) for i in range(size - 1)]
+    if kind == "ring":
+        return size, [(i, (i + 1) % size) for i in range(size)]
+    edges = []
+    for row in range(size):
+        for column in range(size):
+            vertex = row * size + column
+            if column + 1 < size:
+                edges.append((vertex, vertex + 1))
+            if row + 1 < size:
+                edges.append((vertex, vertex + size))
+    return size * size, edges
+
+
+def brute_force_count(clauses, num_vars: int, weights=None):
+    """Count the assignments over variables 1..num_vars that satisfy
+    every clause, weighted by ``weights = (pos, neg)`` when given."""
+    count = 0
+    for bits in range(2**num_vars):
+        true = {v for v in range(1, num_vars + 1) if bits >> (v - 1) & 1}
+        if all(
+            any((abs(lit) in true) == (lit > 0) for lit in clause)
+            for clause in clauses
+        ):
+            weight = 1
+            if weights is not None:
+                pos, negative = weights
+                for v in range(1, num_vars + 1):
+                    weight *= pos[v] if v in true else negative[v]
+            count += weight
+    return count
 
 
 def random_boolean_formula(rng: random.Random, names, depth: int = 3):
@@ -178,6 +220,67 @@ class TestModelCounts:
             assert compiled.circuit.model_count() == bdd_count, (
                 f"trial={trial} formula={formula!r}"
             )
+
+    #: Circuit sizes of the ``OR (x_u AND x_v)`` edge lineages of the
+    #: tuple-probability benchmark shapes.  The compiler's search order
+    #: and residual cache fix them exactly; a change of any figure is a
+    #: change of the circuits the compiler builds.
+    BLOCK_SIZES = [
+        ("chain", 6, 101), ("ring", 8, 293), ("grid", 2, 70),
+        ("chain", 8, 157), ("chain", 40, 1053), ("ring", 30, 1525),
+        ("grid", 4, 2093), ("chain", 44, 1165), ("ring", 34, 1749),
+        ("chain", 100, 2733), ("ring", 70, 3765), ("grid", 5, 6547),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,size,nodes", BLOCK_SIZES,
+        ids=[f"{kind}{size}" for kind, size, _ in BLOCK_SIZES],
+    )
+    def test_edge_lineage_circuit_sizes(self, kind, size, nodes):
+        vertices, edges = shape_edges(kind, size)
+        names = [f"e{vertex}" for vertex in range(vertices)]
+        flags = [boolvar(name) for name in names]
+        lineage = disj(*(conj(flags[u], flags[v]) for u, v in edges))
+        boolean = booleanize(lineage, {name: (False, True) for name in names})
+        clauses, atom_map, _root = tseitin_clauses(boolean)
+        circuit = compile_cnf(clauses, len(atom_map))
+        assert circuit.size() == nodes
+
+    @pytest.mark.parametrize(
+        "clauses,num_vars",
+        [
+            ([frozenset(), frozenset({1, 2})], 2),
+            ([frozenset({1}), frozenset({-1})], 1),
+            (
+                [frozenset({1}), frozenset({1}), frozenset({-1, 2}),
+                 frozenset({2})],
+                3,
+            ),
+            ([frozenset({1, 2}), frozenset({3, -4}), frozenset({-5, 6})], 6),
+            ([frozenset({1, -2}), frozenset({2, 3})], 7),
+            (
+                [frozenset({1}), frozenset({-1, 2}), frozenset({-2, 3}),
+                 frozenset({-3, -1, 4})],
+                5,
+            ),
+        ],
+        ids=[
+            "empty-clause", "complementary-units", "repeated-units",
+            "root-components", "unused-variables", "unit-chain",
+        ],
+    )
+    def test_raw_cnf_counts(self, clauses, num_vars):
+        circuit = compile_cnf(clauses, num_vars)
+        assert circuit.model_count() == brute_force_count(clauses, num_vars)
+        # Weights that are neither 1 nor complementary expose a literal
+        # the circuit asserts twice or a variable it drops.
+        weights = (
+            {v: Fraction(v, v + 2) for v in range(1, num_vars + 1)},
+            {v: Fraction(3, v + 1) for v in range(1, num_vars + 1)},
+        )
+        assert circuit.weighted_count(*weights) == brute_force_count(
+            clauses, num_vars, weights
+        )
 
     def test_constants(self):
         assert compile_formula(TOP).circuit.model_count() == 1
@@ -409,6 +512,137 @@ class TestEngineCircuitCache:
             engine.condition_probability(
                 eq(X, 1), distributions, strategy="nope"
             )
+
+
+class TestValidatedDistributions:
+    """Distributions are validated once, and every raw map still is."""
+
+    HALF_MASS = {"x": {1: Fraction(1, 4), 2: Fraction(1, 4)}}
+    NEGATIVE = {"x": {1: Fraction(3, 2), 2: Fraction(-1, 2)}}
+    # The bad variable is outside the condition: validation is of the
+    # whole map, not of the condition's variables.
+    BAD_BYSTANDER = {
+        "x": {1: Fraction(1, 2), 2: Fraction(1, 2)},
+        "y": {1: Fraction(1, 2)},
+    }
+    INVALID = [HALF_MASS, NEGATIVE, BAD_BYSTANDER]
+
+    @pytest.mark.parametrize("strategy", PROB_STRATEGIES)
+    @pytest.mark.parametrize("distributions", INVALID)
+    def test_raw_invalid_map_raises_under_every_strategy(
+        self, strategy, distributions
+    ):
+        with pytest.raises(ProbabilityError):
+            probability(eq(X, 1), distributions, strategy=strategy)
+
+    @pytest.mark.parametrize("distributions", INVALID)
+    def test_raw_invalid_map_raises_through_wmc(self, distributions):
+        with pytest.raises(ProbabilityError):
+            wmc_probability(eq(X, 1), distributions)
+
+    @pytest.mark.parametrize("strategy", PROB_STRATEGIES)
+    @pytest.mark.parametrize("distributions", INVALID)
+    def test_raw_invalid_map_raises_through_engine(
+        self, strategy, distributions
+    ):
+        engine = Engine()
+        with pytest.raises(ProbabilityError):
+            engine.condition_probability(
+                eq(X, 1), distributions, strategy=strategy
+            )
+
+    def test_engine_validates_raw_map_on_a_circuit_cache_hit(self):
+        engine = Engine()
+        condition = eq(X, 1)
+        valid = {"x": {1: Fraction(1, 2), 2: Fraction(1, 2)}}
+        assert engine.condition_probability(
+            condition, valid, strategy="wmc"
+        ) == Fraction(1, 2)
+        # Same condition, same restriction to its variables: the circuit
+        # cache key matches, but the map as a whole is invalid.
+        with pytest.raises(ProbabilityError):
+            engine.condition_probability(
+                condition, self.BAD_BYSTANDER, strategy="wmc"
+            )
+
+    def test_validated_map_is_read_only(self):
+        pctable = PCTable(
+            [((X,), TOP)], {"x": {1: Fraction(1, 3), 2: Fraction(2, 3)}}
+        )
+        distributions = pctable.distributions
+        assert isinstance(distributions, ValidatedDistributions)
+        assert check_distributions(distributions) is distributions
+        with pytest.raises(TypeError):
+            distributions["z"] = {1: Fraction(1)}
+        with pytest.raises(TypeError):
+            distributions["x"][1] = Fraction(1)
+        with pytest.raises(TypeError):
+            distributions.update({})
+        with pytest.raises(TypeError):
+            del distributions["x"]
+        assert distributions == {"x": {1: Fraction(1, 3), 2: Fraction(2, 3)}}
+
+    @pytest.mark.parametrize("width", [4, PROB_VARIABLE_BUDGET + 4])
+    def test_session_probability_does_not_revalidate(self, monkeypatch, width):
+        """A probability op validates nothing: its cost follows the
+        lineage, not the size of the session's distribution map."""
+        calls = []
+        original = counting_module.check_distribution
+
+        def counted(name, distribution):
+            calls.append(name)
+            original(name, distribution)
+
+        monkeypatch.setattr(counting_module, "check_distribution", counted)
+        flags = [boolvar(f"p{index}") for index in range(width)]
+        bystanders = {
+            f"q{index}": {True: Fraction(1, 2), False: Fraction(1, 2)}
+            for index in range(50)
+        }
+        distributions = {
+            **{f"p{index}": {True: Fraction(1, 3), False: Fraction(2, 3)}
+               for index in range(width)},
+            **bystanders,
+        }
+        engine = Engine()
+        session = engine.session(
+            P=PCTable([(("a",), disj(*flags))], distributions, arity=1)
+        )
+        assert len(calls) == width + 50  # construction validates each once
+        assert resolve_strategy("auto", disj(*flags)) == (
+            "shannon" if width <= PROB_VARIABLE_BUDGET else "wmc"
+        )
+        calls.clear()
+        answer = session.query("sigma[1='a'](P)").probability(("a",))
+        assert answer == 1 - Fraction(2, 3) ** width
+        assert calls == []
+
+
+    def test_session_merges_once_per_registry_state(self, monkeypatch):
+        import repro.engine.session as session_module
+
+        merges = []
+        original = session_module.merge_distributions
+
+        def counted(sources):
+            merges.append(len(sources))
+            return original(sources)
+
+        monkeypatch.setattr(session_module, "merge_distributions", counted)
+        half = {True: Fraction(1, 2), False: Fraction(1, 2)}
+        session = Engine().session(
+            P=PCTable([(("a",), boolvar("p"))], {"p": half}, arity=1),
+            Q=PCTable([(("b",), boolvar("q"))], {"q": half}, arity=1),
+        )
+        for _ in range(3):
+            assert session.query("P").probability(("a",)) == Fraction(1, 2)
+            assert session.query("Q").probability(("b",)) == Fraction(1, 2)
+        assert merges == [2]
+        session.register(
+            "Q", PCTable([(("b",), boolvar("r"))], {"r": half}, arity=1)
+        )
+        assert session.query("Q").probability(("b",)) == Fraction(1, 2)
+        assert merges == [2, 2]
 
 
 class TestHarnessProfile:

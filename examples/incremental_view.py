@@ -1,11 +1,12 @@
-"""Incremental view maintenance: signed deltas through the lifted algebra.
+"""Incremental view maintenance: the physical operators run on deltas.
 
 A standing prepared query is a *materialized view* once the engine runs
 with ``maintenance="incremental"``: the mutation API
 (:meth:`Session.insert` / :meth:`~Session.delete` /
 :meth:`~Session.update`) turns every data change into a signed delta
-batch, and ``PreparedQuery.refresh()`` folds those deltas through the
-view's per-operator state instead of re-executing the plan.  Lemma 1 is
+batch, and ``PreparedQuery.refresh()`` runs each physical operator of
+the view's plan over just the rows those deltas reach, instead of
+re-executing the plan.  Lemma 1 is
 what licenses this — each lifted operator composes conditions locally,
 so a delta's conditions compose exactly as a full rerun would — and the
 engine's contract is correspondingly strict: the maintained answer is

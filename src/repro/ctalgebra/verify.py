@@ -58,7 +58,7 @@ raised :class:`~repro.errors.PlanVerificationError`.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, NoReturn, Optional, Set, Tuple
 
 from repro.errors import PlanVerificationError, QueryError, nearest_name
 from repro.logic.atoms import Const, Eq, Term, Var, boolvar
@@ -74,7 +74,6 @@ from repro.ctalgebra.plan import (
     IntersectionNode,
     JoinNode,
     PlanNode,
-    ProductNode,
     ProjectNode,
     Scan,
     SelectNode,
@@ -239,115 +238,51 @@ class PlanVerifier:
     # Maintained views (delta-plan shapes)
     # ------------------------------------------------------------------
 
-    def verify_view(self, plan: PlanNode, view: object) -> None:
-        """Check a maintained view's state tree against its plan.
+    def verify_view(self, view: object) -> None:
+        """Check a maintained view's row stores against its physical tree.
 
-        The incremental-maintenance layer (:mod:`repro.ivm.view`)
-        shadows each plan position with an operator state; this check
-        pins the shape invariants the delta rules rely on: the state
-        tree is node-for-node isomorphic to the plan, every state's
-        arity matches its plan node, and every state's maintained sort
-        order is strictly increasing over exactly its row keys (the
-        positional backbone of the rerun-order guarantee).
+        The incremental-maintenance layer (:mod:`repro.ivm.view`) keeps
+        one keyed row store per physical operator; this check pins the
+        invariants the delta rules rely on: the store tree is
+        node-for-node the operator tree, every stored row has its
+        operator's arity, and every store's key order is strictly
+        increasing over exactly its row keys (the positional backbone
+        of the rerun-order guarantee).
         """
-        from repro.ivm.view import (  # local: ivm sits above ctalgebra
-            MaterializedView,
-            _JoinState,
-            _ProjectState,
-            _ScanState,
-            _SelectState,
-            _SetOpState,
-            _State,
-            _StaticState,
-            _UnionState,
-        )
+        # Local: ivm sits above ctalgebra.
+        from repro.ivm.view import MaterializedView, ViewNode
 
         if not isinstance(view, MaterializedView):
             raise PlanVerificationError(
                 "view", f"expected a MaterializedView, got {type(view).__name__}"
             )
-        root = view.root
-        if root is None:
-            return  # Unsupported-plan fallback maintains no state tree.
-        expected = {
-            Scan: _ScanState,
-            ConstScan: _StaticState,
-            EmptyNode: _StaticState,
-            SelectNode: _SelectState,
-            ProjectNode: _ProjectState,
-            JoinNode: _JoinState,
-            ProductNode: _JoinState,
-            UnionNode: _UnionState,
-            DifferenceNode: _SetOpState,
-            IntersectionNode: _SetOpState,
-        }
 
-        def check(node: PlanNode, state: "_State") -> None:
-            wanted = expected.get(type(node))
-            if wanted is None or not isinstance(state, wanted):
-                raise PlanVerificationError(
-                    "view",
-                    f"plan node {node.label()} is shadowed by "
-                    f"{type(state).__name__}, expected "
-                    f"{wanted.__name__ if wanted else '?'}",
-                    node=node,
-                )
-            if state.arity != node.arity:
-                raise PlanVerificationError(
-                    "view",
-                    f"state arity {state.arity} != plan arity "
-                    f"{node.arity} at {node.label()}",
-                    node=node,
-                )
-            if isinstance(node, Scan) and state.name != node.name:  # type: ignore[attr-defined]
-                raise PlanVerificationError(
-                    "view",
-                    f"scan state reads {state.name!r}, plan scans "  # type: ignore[attr-defined]
-                    f"{node.name!r}",
-                    node=node,
-                )
-            order = state.sorted_keys()
-            if any(
-                order[index] >= order[index + 1]
-                for index in range(len(order) - 1)
-            ):
-                raise PlanVerificationError(
-                    "view",
-                    f"maintained order at {node.label()} is not strictly "
-                    "increasing",
-                    node=node,
-                )
-            if set(order) != set(state.rows):
-                raise PlanVerificationError(
-                    "view",
-                    f"maintained order at {node.label()} disagrees with "
-                    "the row keys",
-                    node=node,
-                )
-            ordered = state.ordered_rows()
+        def fail(op: "PhysicalOp", detail: str) -> NoReturn:
+            raise PlanVerificationError("view", f"at {op.label()}: {detail}")
+
+        def check(op: "PhysicalOp", node: ViewNode) -> None:
+            if node.op is not op:
+                fail(op, f"the store holds {node.op.label()}")
+            order = node.order
+            if any(order[i] >= order[i + 1] for i in range(len(order) - 1)):
+                fail(op, "the maintained order is not strictly increasing")
+            if set(order) != set(node.rows):
+                fail(op, "the maintained order disagrees with the row keys")
+            ordered = node.ordered_rows
             if len(ordered) != len(order) or any(
-                ordered[index] is not state.rows[key]
-                for index, key in enumerate(order)
+                row is not node.rows[key] for key, row in zip(order, ordered)
             ):
-                raise PlanVerificationError(
-                    "view",
-                    f"maintained row list at {node.label()} disagrees "
-                    "with the keyed rows",
-                    node=node,
-                )
-            children = state.children()
-            plan_children = node.children()
-            if len(children) != len(plan_children):
-                raise PlanVerificationError(
-                    "view",
-                    f"state at {node.label()} has {len(children)} children, "
-                    f"plan has {len(plan_children)}",
-                    node=node,
-                )
-            for child_node, child_state in zip(plan_children, children):
-                check(child_node, child_state)
+                fail(op, "the maintained row list disagrees with the keyed rows")
+            if any(len(row.values) != op.arity for row in ordered):
+                fail(op, f"a maintained row is not of arity {op.arity}")
+            children = op.children()
+            if len(node.children) != len(children):
+                fail(op, f"the store has {len(node.children)} children")
+            for child, child_node in zip(children, node.children):
+                check(child, child_node)
 
-        check(plan, root)
+        if view.root is not None:  # None: a fallback view keeps no stores.
+            check(view.physical, view.root)
 
     def _verify_node(self, node: PlanNode, rule: Optional[str]) -> None:
         if isinstance(node, Scan):

@@ -148,7 +148,7 @@ class ExecutionConfig:
       :meth:`~repro.engine.session.Session.update`).  ``"rerun"`` (the
       default) re-executes from scratch on the next read;
       ``"incremental"`` maintains a materialized view per standing query
-      by propagating signed delta batches through the lifted operators
+      by propagating signed delta batches through the physical operators
       (:mod:`repro.ivm`), and `PreparedQuery.execute()` serves the
       maintained table.  The maintained result is structurally identical
       to a full re-execution of the same plan — rows, interned condition

@@ -759,14 +759,13 @@ class Session:
         bindings: Dict[str, Binding] = {}
         for name in query.relation_names():
             entry = self._entry(name)
-            bindings[name] = (entry.ctable, tuple(entry.row_ids))
+            bindings[name] = (entry.ctable, entry.row_ids)
         return bindings
 
-    def _maintained_result(
-        self, prepared: "PreparedQuery"
-    ) -> Tuple[CTable, str]:
+    def _maintained_result(self, prepared: "PreparedQuery") -> CTable:
         """Serve *prepared* from its maintained view, (re)building it
-        on the current plan when dirty; returns ``(table, mode)``."""
+        on the current plan when dirty, and record the refresh."""
+        started = perf_counter()
         config = prepared.config
         key = (
             prepared.query,
@@ -776,18 +775,27 @@ class Session:
         view = self._views.get(key)
         if view is None or view.dirty:
             view = MaterializedView(
-                prepared.plan(), config.simplify_conditions
+                prepared.plan(),
+                prepared.physical_plan(),
+                config.simplify_conditions,
             )
             self._views[key] = view
             while len(self._views) > Session._MAX_VIEWS:
                 self._views.popitem(last=False)
         self._views.move_to_end(key)
-        result, mode = view.refresh(self._ivm_bindings(prepared.query))
+        with trace_span(SPAN_REFRESH) as span:
+            result, mode = view.refresh(self._ivm_bindings(prepared.query))
+            if span is not None:
+                span.attrs["mode"] = mode
         if config.verify_plans and mode in ("build", "delta"):
-            PlanVerifier(mode=config.verify_mode).verify_view(
-                view.plan, view
-            )
-        return result, mode
+            PlanVerifier(mode=config.verify_mode).verify_view(view)
+        metrics = self._engine._metrics
+        metrics.counter(IVM_REFRESH_TOTAL, labels={"mode": mode})
+        metrics.histogram(
+            IVM_REFRESH_SECONDS, perf_counter() - started,
+            labels={"mode": mode},
+        )
+        return result
 
     def table(self, name: str) -> CTable:
         """The registered table's (cached) c-table embedding."""
@@ -1042,31 +1050,20 @@ class PreparedQuery:
         Under ``maintenance="incremental"`` this consumes the signed
         delta batches pending from :meth:`Session.insert` /
         :meth:`~Session.delete` / :meth:`~Session.update` calls since
-        the last refresh, folds them through the view's operator
-        states, and re-caches the maintained table under the current
-        result-cache key — the next :meth:`execute` is a cache hit on a
-        never-stale entry.  The returned table is structurally
+        the last refresh, folds them through the delta rules of the
+        view's physical operators, and re-caches the maintained table
+        under the current result-cache key — the next :meth:`execute` is
+        a cache hit on a never-stale entry.  The returned table is structurally
         identical (rows, interned condition objects, order) to fully
         re-executing the view's plan on the mutated tables.
 
         Under ``maintenance="rerun"`` it simply re-executes.
         """
-        config = self._config
-        if config.maintenance != "incremental":
+        if self._config.maintenance != "incremental":
             return self._execute()
         session = self._session
-        engine = session.engine
-        started = perf_counter()
-        with trace_span(SPAN_REFRESH) as span:
-            result, mode = session._maintained_result(self)
-            if span is not None:
-                span.attrs["mode"] = mode
-        engine._metrics.counter(IVM_REFRESH_TOTAL, labels={"mode": mode})
-        engine._metrics.histogram(
-            IVM_REFRESH_SECONDS, perf_counter() - started,
-            labels={"mode": mode},
-        )
-        engine._result_cache.put(
+        result = session._maintained_result(self)
+        session.engine._result_cache.put(
             self._result_key(),
             result,
             session._id,
@@ -1098,68 +1095,54 @@ class PreparedQuery:
         engine._store_trace(tracer.to_dict())
         return answered
 
-    def _execute(
-        self,
-        collector: Optional[TraceCollector] = None,
-        use_result_cache: bool = True,
-    ) -> CTable:
+    def _execute(self) -> CTable:
         """The execution body; runs under whatever tracer is active."""
         engine = self._session.engine
         config = self._config
         results = engine._result_cache
         key = self._result_key()
-        if use_result_cache:
-            answered = results.get(key)
-            if answered is not None:
-                engine._metrics.counter(
-                    QUERIES_TOTAL,
-                    labels={"cached": "true", "executor": config.executor},
-                )
-                tracer = current_tracer()
-                if tracer is not None:
-                    tracer.event(
-                        SPAN_EXECUTE, cached=True, executor=config.executor
-                    )
-                return answered
-        if (
-            config.maintenance == "incremental"
-            and use_result_cache
-            and collector is None
-            and current_tracer() is None
-        ):
-            # Serve the read from the maintained materialized view.  An
-            # active tracer (or an analyze collector) falls through to
-            # the executor path instead: span traces document an actual
-            # plan execution, and the maintained state has none to show.
-            started = perf_counter()
-            answered, mode = self._session._maintained_result(self)
-            engine._metrics.counter(IVM_REFRESH_TOTAL, labels={"mode": mode})
-            engine._metrics.histogram(
-                IVM_REFRESH_SECONDS, perf_counter() - started,
-                labels={"mode": mode},
-            )
+        answered = results.get(key)
+        if answered is not None:
             engine._metrics.counter(
                 QUERIES_TOTAL,
-                labels={"cached": "false", "executor": config.executor},
+                labels={"cached": "true", "executor": config.executor},
             )
-            engine._metrics.histogram(
-                QUERY_SECONDS,
-                perf_counter() - started,
-                labels={"executor": config.executor},
-            )
-            results.put(
-                key,
-                answered,
-                self._session._id,
-                frozenset(self._query.relation_names()),
-            )
+            tracer = current_tracer()
+            if tracer is not None:
+                tracer.event(
+                    SPAN_EXECUTE, cached=True, executor=config.executor
+                )
             return answered
+        if config.maintenance == "incremental":
+            # Serve the read from the maintained materialized view —
+            # traced or not, so tracing never changes what runs.
+            started = perf_counter()
+            answered = self._session._maintained_result(self)
+        else:
+            answered, started = self._run_plan()
+        engine._metrics.counter(
+            QUERIES_TOTAL,
+            labels={"cached": "false", "executor": config.executor},
+        )
+        engine._metrics.histogram(
+            QUERY_SECONDS,
+            perf_counter() - started,
+            labels={"executor": config.executor},
+        )
+        results.put(
+            key,
+            answered,
+            self._session._id,
+            frozenset(self._query.relation_names()),
+        )
+        return answered
+
+    def _run_plan(self) -> Tuple[CTable, float]:
+        """Execute the plan; returns the answer and when execution began."""
+        config = self._config
         bindings = self._session._bindings(self._query)
-        if (
-            collector is None
-            and config.executor != "interpreted"
-            and current_tracer() is not None
-        ):
+        collector: Optional[TraceCollector] = None
+        if config.executor != "interpreted" and current_tracer() is not None:
             collector = TraceCollector()
         # Resolve planning and lowering before the execute span opens so
         # the plan/lower spans render as siblings of execute, not inside
@@ -1188,23 +1171,7 @@ class PreparedQuery:
                 )
             if span is not None and collector is not None:
                 span.attrs["operators"] = collector.summary(physical)
-        engine._metrics.counter(
-            QUERIES_TOTAL,
-            labels={"cached": "false", "executor": config.executor},
-        )
-        engine._metrics.histogram(
-            QUERY_SECONDS,
-            perf_counter() - started,
-            labels={"executor": config.executor},
-        )
-        if use_result_cache:
-            results.put(
-                key,
-                answered,
-                self._session._id,
-                frozenset(self._query.relation_names()),
-            )
-        return answered
+        return answered, started
 
     def explain(self, physical: bool = False, analyze: bool = False) -> str:
         """Render the cached plan with cardinality/condition estimates.

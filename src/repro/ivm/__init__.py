@@ -1,17 +1,19 @@
-"""Incremental view maintenance: signed deltas through the lifted algebra.
+"""Incremental view maintenance: the physical operators run on deltas.
 
 The mutation API (:meth:`repro.engine.session.Session.insert` /
 ``delete`` / ``update``) turns each data change into a
 :class:`~repro.ivm.delta.DeltaBatch` — columnar signed row batches with
 interned per-row conditions — and every standing prepared query's
-:class:`~repro.ivm.view.MaterializedView` folds those batches into its
-per-operator state, keeping the materialized answer structurally
-identical to a full re-execution of the same plan (Lemma 1 makes the
+:class:`~repro.ivm.view.MaterializedView` folds those batches into one
+keyed row store per operator of its lowered plan.  Each operator's
+delta rule runs that operator's own ``compute`` body over the rows a
+change reaches, so the maintained answer stays structurally identical
+to a full re-execution of the same plan (Lemma 1 makes the
 per-operator condition composition exact; position keys make the row
 order exact).
 """
 
 from repro.ivm.delta import DeltaBatch
-from repro.ivm.view import MaterializedView, NodeDelta
+from repro.ivm.view import MaterializedView
 
-__all__ = ["DeltaBatch", "MaterializedView", "NodeDelta"]
+__all__ = ["DeltaBatch", "MaterializedView"]

@@ -15,7 +15,7 @@ in the same order a rerun would produce.
 
 Conditions inside the batches are the interned formula objects of
 :mod:`repro.logic.syntax` — the delta carries the *identical* condition
-objects the mutated table holds, so composing them through the lifted
+objects the mutated table holds, so composing them through the physical
 operators yields the identical interned results a rerun composes.
 """
 
@@ -96,13 +96,6 @@ class DeltaBatch:
 
     def __len__(self) -> int:
         return len(self.delete_ids) + len(self.insert_ids)
-
-    def deleted_rows(self) -> Iterator[Tuple[int, CRow]]:
-        """Yield ``(row_id, row)`` for the ``−`` half, in batch order."""
-        for row_id, values, condition in zip(
-            self.delete_ids, self.deletes.rows(), self.deletes.conditions
-        ):
-            yield row_id, CRow(values, condition)
 
     def inserted_rows(self) -> Iterator[Tuple[int, CRow]]:
         """Yield ``(row_id, row)`` for the ``+`` half, in batch order."""

@@ -11,8 +11,8 @@ interpreted lifted operators do.
 
 A batch also carries the representation-level metadata a c-table owns —
 finite variable domains and the global condition — merged pairwise by
-the binary operators exactly like
-:func:`repro.ctalgebra.lifted._combine` does, so the final
+the binary operators (:func:`merge_metadata`) exactly as the
+interpreted lifted operators merge them, so the final
 :meth:`Batch.to_ctable` is structurally identical to what the
 interpreted evaluation would have produced.
 """
@@ -135,18 +135,19 @@ class Batch:
     ) -> "Batch":
         """Columnar-ize a bare row sequence under the given metadata.
 
-        Used by the IVM layer (:mod:`repro.ivm.delta`) to carry the
-        signed halves of a delta batch — fragments of a registered table
-        rather than whole tables, so the metadata is supplied by the
-        caller instead of read off a :class:`CTable`.
+        Used for fragments rather than whole tables — the signed halves
+        of a :class:`~repro.ivm.delta.DeltaBatch`, and the rows of a
+        maintained operand an operator's delta rule runs over — so the
+        metadata is supplied by the caller instead of read off a
+        :class:`CTable`.
         """
         if rows:
-            columns = tuple(zip(*(row.values for row in rows)))
+            columns = tuple(zip(*[row.values for row in rows]))
         else:
             columns = tuple(() for _ in range(arity))
         return cls(
             columns,
-            tuple(row.condition for row in rows),
+            tuple([row.condition for row in rows]),
             arity=arity,
             domains=domains,
             global_condition=global_condition,
@@ -173,10 +174,10 @@ class Batch:
 def merge_metadata(left: Batch, right: Batch) -> Tuple[Optional[Dict[str, tuple]], Formula]:
     """Merged (domains, global condition) of two operand batches.
 
-    Mirrors :func:`repro.ctalgebra.lifted._merge_domains` and the global
-    conjunction of ``_combine``: shared variables must agree on their
-    finite domains, and mixing a finite-domain operand with an
-    infinite-domain one that actually has variables is rejected.
+    The lifted operators' rule: shared variables must agree on their
+    finite domains, mixing a finite-domain operand with an
+    infinite-domain one that actually has variables is rejected, and
+    the global conditions are conjoined.
     """
     left_infinite = left.domains is None and left.variables()
     right_infinite = right.domains is None and right.variables()

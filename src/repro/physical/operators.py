@@ -26,10 +26,21 @@ Where the speed comes from:
   hash-bucket scheme of the lifted operators and memoize the whole
   membership condition per distinct left value-tuple.
 
-Each operator does its work in one ``compute`` method over
-already-materialized input batches; ``execute`` only adds the
-pull-based recursion over children (and the optional per-operator
-trace record).  Helpers remain only where they hide an algorithm: the
+Each operator does its work in one ``compute_tracked`` method over
+already-materialized input batches.  Besides the output batch it
+returns each output row's *position*: the input row(s) it came from.
+``compute`` keeps just the batch; ``execute`` only adds the pull-based
+recursion over children (and the optional per-operator trace record).
+
+The same body maintains views (:mod:`repro.ivm.view`).  ``keys`` turns
+positions into row keys whose ascending order is the output order, and
+``delta`` is an operator's rule for a signed change of its inputs: it
+keeps the operator's index over its maintained inputs up to date, picks
+the input rows a change can reach, and runs ``compute_tracked`` over
+just those rows.  Lemma 1 is what makes that exact — each lifted
+operator composes a row's condition from the rows it pairs, so a delta
+row comes out as the very object a rerun would build.  Helpers remain
+only where they hide an algorithm: the constant-key index, the
 pair-condition composer of joins and products, the membership index of
 difference and intersection, and the output sealing of ``_finish`` and
 ``_pairs_batch``.
@@ -37,10 +48,13 @@ difference and intersection, and the output sealing of ``_finish`` and
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -52,17 +66,33 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.instance import Instance
     from repro.ctalgebra.plan import PlanNode
+    from repro.ivm.view import ViewNode
     from repro.obs.trace import TraceCollector
 
 from repro.errors import ArityError, QueryError, nearest_name
 from repro.logic.atoms import Const, Term, eq
 from repro.logic.syntax import BOTTOM, TOP, Formula, conj, disj, neg
 from repro.logic.evaluation import substitute
-from repro.tables.ctable import CTable
+from repro.tables.ctable import CRow, CTable
 from repro.physical.batch import Batch, merge_metadata
 
-#: (left row, right row, composed condition) emitted by join/product loops.
-_Pair = Tuple[int, int, Formula]
+#: (left row, group bit, right row, composed condition) emitted by
+#: join/product loops; the group bit orders a left row's pairs (see
+#: :class:`HashJoinOp`).
+_Pair = Tuple[int, int, int, Formula]
+
+#: A maintained row's key: ascending keys are the rerun's row order.
+Key = Tuple[int, ...]
+
+#: Keyed rows of a maintained operator, deleted or inserted.
+Keyed = List[Tuple[Key, CRow]]
+
+#: One input's signed change: its deleted rows, then its inserted rows.
+Delta = Tuple[Keyed, Keyed]
+
+#: Some rows of a maintained input, with their keys, for a delta rule
+#: to run the operator over.
+Operand = Tuple["ViewNode", Sequence[Key], Sequence[CRow]]
 
 
 class ExecContext:
@@ -129,9 +159,13 @@ def _finish(
     arity: int,
     domains: Optional[Dict[str, tuple]],
     global_condition: Formula,
-) -> Batch:
+    positions: Sequence[Any],
+) -> Tuple[Batch, Sequence[Any]]:
     """Seal an operator's output, mirroring ``execute_plan``'s optional
-    per-operator ``simplified()`` pass (leaf scans are exempt there too)."""
+    per-operator ``simplified()`` pass (leaf scans are exempt there too).
+
+    *positions* runs parallel to the rows and loses the dropped ones.
+    """
     if ctx.simplify_conditions:
         keep: List[int] = []
         simplified: List[Formula] = []
@@ -144,15 +178,124 @@ def _finish(
             columns = [
                 tuple(column[index] for index in keep) for column in columns
             ]
+            positions = [positions[index] for index in keep]
         conditions = simplified
         global_condition = ctx.simplified(global_condition)
-    return Batch(
+    batch = Batch(
         tuple(tuple(column) for column in columns),
         tuple(conditions),
         arity=arity,
         domains=domains,
         global_condition=global_condition,
     )
+    return batch, positions
+
+
+def _row_tuples(
+    columns: Sequence[Sequence[Term]], count: int
+) -> Iterable[Tuple[Term, ...]]:
+    """The *count* rows of *columns* as tuples (empty without columns)."""
+    return zip(*columns) if columns else [()] * count
+
+
+def _constant_key(terms: Iterable[Term]) -> Optional[tuple]:
+    """The constant values of *terms*, or None if any is a Var."""
+    key = []
+    for term in terms:
+        if not isinstance(term, Const):
+            return None
+        key.append(term.value)
+    return tuple(key)
+
+
+class _KeyIndex:
+    """Row references bucketed by their constants at ``columns``.
+
+    A row with a variable in one of the columns is *symbolic*: it may
+    pair with any opposite row, so it is listed apart.  References stay
+    ascending — row positions in ``compute``, row keys in a maintained
+    view — so candidates come back in operand order.
+    """
+
+    __slots__ = ("columns", "buckets", "symbolic")
+
+    def __init__(self, columns: Sequence[int]) -> None:
+        self.columns = tuple(columns)
+        self.buckets: Dict[tuple, list] = {}
+        self.symbolic: list = []
+
+    @classmethod
+    def of_batch(cls, batch: Batch, columns: Sequence[int]) -> "_KeyIndex":
+        index = cls(columns)
+        key_columns = [batch.columns[c] for c in index.columns]
+        for row, terms in enumerate(_row_tuples(key_columns, len(batch))):
+            key = _constant_key(terms)
+            if key is None:
+                index.symbolic.append(row)
+            else:
+                index.buckets.setdefault(key, []).append(row)
+        return index
+
+    @classmethod
+    def of_node(cls, node: "ViewNode", columns: Sequence[int]) -> "_KeyIndex":
+        index = cls(columns)
+        for key, row in zip(node.order, node.ordered_rows):
+            index.add(key, row.values)
+        return index
+
+    def key(self, values: Sequence[Term]) -> Optional[tuple]:
+        """The bucket of a row with *values* (None: symbolic)."""
+        return _constant_key(values[c] for c in self.columns)
+
+    def add(self, ref: Key, values: Sequence[Term]) -> None:
+        key = self.key(values)
+        insort(
+            self.symbolic if key is None else self.buckets.setdefault(key, []),
+            ref,
+        )
+
+    def remove(self, ref: Key, values: Sequence[Term]) -> None:
+        key = self.key(values)
+        refs = self.symbolic if key is None else self.buckets[key]
+        del refs[bisect_left(refs, ref)]
+        if key is not None and not refs:
+            del self.buckets[key]
+
+    def matching(self, keys: Iterable[Optional[tuple]]) -> list:
+        """The references some probe with one of *keys* can pair with,
+        ascending: its bucket plus the symbolic rows, or every row for a
+        symbolic (None) probe."""
+        found = set(self.symbolic)
+        for key in keys:
+            if key is None:
+                found = found.union(*self.buckets.values())
+                break
+            found.update(self.buckets.get(key, ()))
+        return sorted(found)
+
+
+def _rows_batch(node: "ViewNode", rows: Sequence[CRow]) -> Batch:
+    """Rows of a maintained operand, columnar, under its metadata."""
+    return Batch.from_rows(
+        tuple(rows),
+        node.op.arity,
+        domains=node.domains,
+        global_condition=node.global_condition,
+    )
+
+
+def _operand(node: "ViewNode", items: Keyed) -> Operand:
+    return node, [key for key, _ in items], [row for _, row in items]
+
+
+def _opposite(
+    index: _KeyIndex, node: "ViewNode", probe: _KeyIndex, items: Keyed
+) -> Operand:
+    """The rows of *node* (indexed by *index*) that some row of *items*
+    (keyed by *probe*'s columns) can pair with."""
+    rows = node.rows
+    refs = index.matching(probe.key(row.values) for _, row in items)
+    return node, refs, [rows[ref] for ref in refs]
 
 
 class PhysicalOp:
@@ -185,7 +328,42 @@ class PhysicalOp:
 
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         """Process already-materialized input batches."""
+        return self.compute_tracked(ctx, inputs)[0]
+
+    def compute_tracked(
+        self, ctx: ExecContext, inputs: Tuple[Batch, ...]
+    ) -> Tuple[Batch, Sequence[Any]]:
+        """The output batch plus each output row's input position."""
         raise NotImplementedError
+
+    def keys(
+        self, positions: Sequence[Any], input_keys: Sequence[Sequence[Key]]
+    ) -> List[Key]:
+        """Output row keys from positions: by default a row keeps the
+        key of the (left) input row it came from."""
+        first = input_keys[0]
+        return [first[position] for position in positions]
+
+    def maintenance_index(self, children: Sequence["ViewNode"]) -> Any:
+        """The index ``delta`` keeps over the maintained inputs."""
+        return None
+
+    def delta(
+        self, ctx: ExecContext, node: "ViewNode", deltas: Sequence[Delta]
+    ) -> Tuple[List[Key], Keyed]:
+        """Keys to delete and keyed rows to insert after *deltas*.
+
+        The children of *node* already hold their new rows; the keys to
+        delete may name rows *node* does not hold."""
+        raise NotImplementedError
+
+    def _apply(self, ctx: ExecContext, operands: Sequence[Operand]) -> Keyed:
+        """Run this operator over some rows of each maintained input."""
+        batch, positions = self.compute_tracked(
+            ctx, tuple(_rows_batch(node, rows) for node, _, rows in operands)
+        )
+        keys = self.keys(positions, [keys for _, keys, _ in operands])
+        return list(zip(keys, map(CRow, batch.rows(), batch.conditions)))
 
     def label(self) -> str:
         raise NotImplementedError
@@ -287,6 +465,9 @@ class FilterOp(PhysicalOp):
     ``memoize=False`` (chosen by ``lower()`` when the estimates say
     nearly every row has a distinct signature) skips the memo and
     instantiates per row — still with the hoisted column resolution.
+
+    A row's position is its input row; its delta filters the inserted
+    input rows.
     """
 
     __slots__ = ("child", "predicate", "memoize", "_pred_columns", "_names")
@@ -310,7 +491,9 @@ class FilterOp(PhysicalOp):
     def children(self) -> Tuple[PhysicalOp, ...]:
         return (self.child,)
 
-    def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
+    def compute_tracked(
+        self, ctx: ExecContext, inputs: Tuple[Batch, ...]
+    ) -> Tuple[Batch, Sequence[Any]]:
         (child,) = inputs
         signature_columns = [child.columns[c] for c in self._pred_columns]
         conditions = child.conditions
@@ -345,7 +528,7 @@ class FilterOp(PhysicalOp):
         # as the child object itself.
         if unchanged and len(keep) == len(conditions):
             if not ctx.simplify_conditions:
-                return child
+                return child, keep
             columns: Sequence[Sequence[Term]] = child.columns
         elif len(keep) == len(conditions):
             columns = child.columns
@@ -355,8 +538,17 @@ class FilterOp(PhysicalOp):
             ]
         return _finish(
             ctx, columns, kept_conditions, self.arity,
-            child.domains, child.global_condition,
+            child.domains, child.global_condition, keep,
         )
+
+    def delta(
+        self, ctx: ExecContext, node: "ViewNode", deltas: Sequence[Delta]
+    ) -> Tuple[List[Key], Keyed]:
+        ((deleted, inserted),) = deltas
+        doomed = [key for key, _ in deleted]
+        if not inserted:
+            return doomed, []
+        return doomed, self._apply(ctx, [_operand(node.children[0], inserted)])
 
     def label(self) -> str:
         suffix = "" if self.memoize else " per-row"
@@ -373,6 +565,9 @@ class ProjectOp(PhysicalOp):
     One hash pass groups rows whose projected value-tuples became
     identical and disjoins their conditions in row order — exactly
     ``project_bar``'s merge, without building intermediate rows.
+
+    A group's position is its first member.  Its delta keeps each
+    group's member keys and re-projects just the changed groups.
     """
 
     __slots__ = ("child", "columns")
@@ -389,18 +584,23 @@ class ProjectOp(PhysicalOp):
     def children(self) -> Tuple[PhysicalOp, ...]:
         return (self.child,)
 
-    def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
+    def compute_tracked(
+        self, ctx: ExecContext, inputs: Tuple[Batch, ...]
+    ) -> Tuple[Batch, Sequence[Any]]:
         (child,) = inputs
-        projected = [child.columns[index] for index in self.columns]
+        conditions = child.conditions
+        projected = _row_tuples(
+            [child.columns[index] for index in self.columns], len(conditions)
+        )
         grouped: Dict[Tuple[Term, ...], List[Formula]] = {}
         order: List[Tuple[Term, ...]] = []
-        conditions = child.conditions
-        for row in range(len(conditions)):
-            key = tuple(column[row] for column in projected)
+        first: List[int] = []
+        for row, key in enumerate(projected):
             bucket = grouped.get(key)
             if bucket is None:
                 grouped[key] = [conditions[row]]
                 order.append(key)
+                first.append(row)
             else:
                 bucket.append(conditions[row])
         merged = [disj(*grouped[key]) for key in order]
@@ -411,7 +611,52 @@ class ProjectOp(PhysicalOp):
         )
         return _finish(
             ctx, columns, merged, self.arity,
-            child.domains, child.global_condition,
+            child.domains, child.global_condition, first,
+        )
+
+    def _group(self, values: Sequence[Term]) -> Tuple[Term, ...]:
+        return tuple([values[index] for index in self.columns])
+
+    def maintenance_index(
+        self, children: Sequence["ViewNode"]
+    ) -> Dict[Tuple[Term, ...], List[Key]]:
+        (child,) = children
+        groups: Dict[Tuple[Term, ...], List[Key]] = {}
+        for key, row in zip(child.order, child.ordered_rows):
+            groups.setdefault(self._group(row.values), []).append(key)
+        return groups
+
+    def delta(
+        self, ctx: ExecContext, node: "ViewNode", deltas: Sequence[Delta]
+    ) -> Tuple[List[Key], Keyed]:
+        ((deleted, inserted),) = deltas
+        (child,) = node.children
+        groups: Dict[Tuple[Term, ...], List[Key]] = node.index
+        # Each touched group's key before the change (its first member).
+        before: Dict[Tuple[Term, ...], Optional[Key]] = {}
+        for key, row in deleted:
+            group = self._group(row.values)
+            members = groups[group]
+            before.setdefault(group, members[0])
+            del members[bisect_left(members, key)]
+        for key, row in inserted:
+            group = self._group(row.values)
+            members = groups.setdefault(group, [])
+            before.setdefault(group, members[0] if members else None)
+            insort(members, key)
+        touched: List[Key] = []
+        for group in before:
+            members = groups[group]
+            if members:
+                touched.extend(members)
+            else:
+                del groups[group]
+        doomed = [key for key in before.values() if key is not None]
+        if not touched:
+            return doomed, []
+        rows = child.rows
+        return doomed, self._apply(
+            ctx, [(child, touched, [rows[key] for key in touched])]
         )
 
     def label(self) -> str:
@@ -421,19 +666,6 @@ class ProjectOp(PhysicalOp):
 # ----------------------------------------------------------------------
 # Joins and products
 # ----------------------------------------------------------------------
-
-def _constant_key(
-    columns: Sequence[Sequence[Term]], key_columns: Sequence[int], row: int
-) -> Optional[tuple]:
-    """The row's constant values at *key_columns*, or None if any is a Var."""
-    key = []
-    for index in key_columns:
-        term = columns[index][row]
-        if not isinstance(term, Const):
-            return None
-        key.append(term.value)
-    return tuple(key)
-
 
 class _PairComposer:
     """Shared condition composition for pairing operators.
@@ -531,11 +763,11 @@ class _PairComposer:
 
 
 def _pairs_batch(
-    ctx: ExecContext, left: Batch, right: Batch, pairs: Sequence[_Pair]
-) -> Batch:
-    """The output batch of the surviving (i, j, condition) pairs."""
-    left_index = [i for i, _, _ in pairs]
-    right_index = [j for _, j, _ in pairs]
+    ctx: ExecContext, left: Batch, right: Batch, pairs: List[_Pair]
+) -> Tuple[Batch, Sequence[Any]]:
+    """The output batch of the surviving (i, g, j, condition) pairs."""
+    left_index = [i for i, _, _, _ in pairs]
+    right_index = [j for _, _, j, _ in pairs]
     columns: List[Sequence[Term]] = [
         tuple(column[i] for i in left_index) for column in left.columns
     ]
@@ -544,12 +776,107 @@ def _pairs_batch(
     )
     domains, global_condition = merge_metadata(left, right)
     return _finish(
-        ctx, columns, [condition for _, _, condition in pairs],
-        left.arity + right.arity, domains, global_condition,
+        ctx, columns, [condition for _, _, _, condition in pairs],
+        left.arity + right.arity, domains, global_condition, pairs,
     )
 
 
-class HashJoinOp(PhysicalOp):
+class _PairOp(PhysicalOp):
+    """Common upkeep of ``×̄`` and ``⋈̄``: positions are the emitted
+    ``(i, g, j, condition)`` pairs, keyed ``left + (g,) + right``.
+
+    The delta rule indexes both maintained inputs on the join keys (a
+    product has none, so every row shares one bucket) and pairs each
+    changed row with the opposite rows its key can reach:
+
+    - deleted left rows take every pair they head — one key range;
+    - deleted right rows are paired with the surviving left rows to name
+      the pairs they were in;
+    - inserted right rows pair with the surviving left rows, and then
+      inserted left rows with the whole new right side, so a pair of two
+      inserted rows is built exactly once.
+    """
+
+    __slots__ = ("left", "right", "left_keys", "right_keys")
+
+    def __init__(
+        self,
+        left: PhysicalOp,
+        right: PhysicalOp,
+        left_keys: Tuple[int, ...] = (),
+        right_keys: Tuple[int, ...] = (),
+    ) -> None:
+        super().__init__()
+        self.left = left
+        self.right = right
+        self.left_keys = tuple(left_keys)
+        self.right_keys = tuple(right_keys)
+
+    @property
+    def arity(self) -> int:
+        return self.left.arity + self.right.arity
+
+    def children(self) -> Tuple[PhysicalOp, ...]:
+        return (self.left, self.right)
+
+    def keys(
+        self, positions: Sequence[Any], input_keys: Sequence[Sequence[Key]]
+    ) -> List[Key]:
+        left, right = input_keys
+        return [left[i] + (g,) + right[j] for i, g, j, _ in positions]
+
+    def maintenance_index(
+        self, children: Sequence["ViewNode"]
+    ) -> Tuple[_KeyIndex, _KeyIndex]:
+        left, right = children
+        return (
+            _KeyIndex.of_node(left, self.left_keys),
+            _KeyIndex.of_node(right, self.right_keys),
+        )
+
+    def delta(
+        self, ctx: ExecContext, node: "ViewNode", deltas: Sequence[Delta]
+    ) -> Tuple[List[Key], Keyed]:
+        (left_deleted, left_inserted), (right_deleted, right_inserted) = deltas
+        left, right = node.children
+        left_index, right_index = node.index
+        order = node.order
+        doomed: List[Key] = []
+        for key, row in left_deleted:
+            left_index.remove(key, row.values)
+            # No left key prefixes another and the group bit after one
+            # is 0 or 1, so its pairs are the keys in [key, key + (2,)).
+            doomed.extend(
+                order[bisect_left(order, key):bisect_left(order, key + (2,))]
+            )
+        for key, row in right_deleted:
+            right_index.remove(key, row.values)
+        if right_deleted:
+            survivors = _opposite(left_index, left, right_index, right_deleted)
+            doomed.extend(
+                key for key, _ in self._apply(
+                    ctx, [survivors, _operand(right, right_deleted)]
+                )
+            )
+        inserted: Keyed = []
+        for key, row in right_inserted:
+            right_index.add(key, row.values)
+        if right_inserted:
+            survivors = _opposite(left_index, left, right_index, right_inserted)
+            inserted.extend(
+                self._apply(ctx, [survivors, _operand(right, right_inserted)])
+            )
+        for key, row in left_inserted:
+            left_index.add(key, row.values)
+        if left_inserted:
+            partners = _opposite(right_index, right, left_index, left_inserted)
+            inserted.extend(
+                self._apply(ctx, [_operand(left, left_inserted), partners])
+            )
+        return doomed, inserted
+
+
+class HashJoinOp(_PairOp):
     """``σ̄_c(T₁ ×̄ T₂)`` fused, hash-partitioned on arbitrary equijoin keys.
 
     Rows whose key columns are all constants are bucketed; a pair whose
@@ -561,13 +888,13 @@ class HashJoinOp(PhysicalOp):
     estimates.  Building on the left streams the (usually larger) right
     side through the hash table; the emitted pairs are then re-ranked to
     the probe-left order so the output stays structurally identical to
-    ``join_bar``'s for downstream condition-dedup.
+    ``join_bar``'s for downstream condition-dedup.  That order ranks a
+    pair ``(i, g, j)``: a keyed left row's bucket matches (``g = 0``)
+    come before the symbolic right rows (``g = 1``); every other pairing
+    enumerates the right side in its own order (``g = 0``).
     """
 
-    __slots__ = (
-        "left", "right", "predicate", "residual",
-        "left_keys", "right_keys", "build_side",
-    )
+    __slots__ = ("predicate", "residual", "build_side")
 
     def __init__(
         self,
@@ -579,55 +906,40 @@ class HashJoinOp(PhysicalOp):
         right_keys: Tuple[int, ...],
         build_side: str = "right",
     ) -> None:
-        super().__init__()
+        super().__init__(left, right, left_keys, right_keys)
         if build_side not in ("left", "right"):
             raise QueryError(f"unknown build side {build_side!r}")
-        self.left = left
-        self.right = right
         self.predicate = predicate
         self.residual = residual
-        self.left_keys = tuple(left_keys)
-        self.right_keys = tuple(right_keys)
         self.build_side = build_side
 
-    @property
-    def arity(self) -> int:
-        return self.left.arity + self.right.arity
-
-    def children(self) -> Tuple[PhysicalOp, ...]:
-        return (self.left, self.right)
-
-    def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
+    def compute_tracked(
+        self, ctx: ExecContext, inputs: Tuple[Batch, ...]
+    ) -> Tuple[Batch, Sequence[Any]]:
         left, right = inputs
         composer = _PairComposer(self.predicate, self.residual, left, right)
         build_left = self.build_side == "left"
-        build, build_keys = (
-            (left, self.left_keys) if build_left else (right, self.right_keys)
+        # Hash-partition the build side once.
+        index = (
+            _KeyIndex.of_batch(left, self.left_keys)
+            if build_left
+            else _KeyIndex.of_batch(right, self.right_keys)
         )
-        # Hash-partition the build side once; keyed[row] is False exactly
-        # for its symbolic rows.
-        buckets: Dict[tuple, List[int]] = {}
-        symbolic: List[int] = []
-        keyed = [True] * len(build)
-        for row in range(len(build)):
-            key = _constant_key(build.columns, build_keys, row)
-            if key is None:
-                symbolic.append(row)
-                keyed[row] = False
-            else:
-                buckets.setdefault(key, []).append(row)
+        buckets = index.buckets
+        symbolic = index.symbolic
         pairs: List[_Pair] = []
         if not build_left:
             # Probe left rows in order against the right build
             # (join_bar's loop).
             all_right = range(len(right))
-            for i in range(len(left)):
-                key = _constant_key(left.columns, self.left_keys, i)
+            probe_columns = [left.columns[c] for c in self.left_keys]
+            for i, terms in enumerate(_row_tuples(probe_columns, len(left))):
+                key = _constant_key(terms)
                 if key is None:
                     for j in all_right:
                         condition = composer.condition(i, j)
                         if condition is not BOTTOM:
-                            pairs.append((i, j, condition))
+                            pairs.append((i, 0, j, condition))
                     continue
                 matched = buckets.get(key)
                 if matched is not None:
@@ -636,64 +948,57 @@ class HashJoinOp(PhysicalOp):
                     for j in matched:
                         condition = composer.matched_condition(i, j)
                         if condition is not BOTTOM:
-                            pairs.append((i, j, condition))
+                            pairs.append((i, 0, j, condition))
                 for j in symbolic:
                     condition = composer.condition(i, j)
                     if condition is not BOTTOM:
-                        pairs.append((i, j, condition))
+                        pairs.append((i, 1, j, condition))
         else:
-            # Probe right rows against the left build, emitting *ranked*
+            # Probe right rows against the left build, emitting ranked
             # pairs.  A pair survives iff either key is symbolic or both
-            # constants agree — the same set as probing left.  The
-            # probe-left order ranks pair (i, j) by (i, flag, j), where
-            # flag puts a symbolic right row after a keyed left row's
-            # bucket matches; sorting by that unique rank restores it.
+            # constants agree — the same set as probing left — and
+            # sorting by the unique rank (i, g, j) restores that order.
             all_left = range(len(left))
-            ranked: List[Tuple[int, int, int, Formula]] = []
-            for j in range(len(right)):
-                key = _constant_key(right.columns, self.right_keys, j)
+            group = [1] * len(left)
+            for i in symbolic:
+                group[i] = 0
+            probe_columns = [right.columns[c] for c in self.right_keys]
+            for j, terms in enumerate(_row_tuples(probe_columns, len(right))):
+                key = _constant_key(terms)
                 if key is None:
                     for i in all_left:
                         condition = composer.condition(i, j)
                         if condition is not BOTTOM:
-                            ranked.append((i, 1 if keyed[i] else 0, j, condition))
+                            pairs.append((i, group[i], j, condition))
                     continue
                 matched = buckets.get(key)
                 if matched is not None:
                     for i in matched:
                         condition = composer.matched_condition(i, j)
                         if condition is not BOTTOM:
-                            ranked.append((i, 0, j, condition))
+                            pairs.append((i, 0, j, condition))
                 for i in symbolic:
                     condition = composer.condition(i, j)
                     if condition is not BOTTOM:
-                        ranked.append((i, 0, j, condition))
-            ranked.sort(key=lambda pair: pair[:3])
-            pairs = [(i, j, condition) for i, _, j, condition in ranked]
+                        pairs.append((i, 0, j, condition))
+            pairs.sort(key=lambda pair: pair[:3])
         return _pairs_batch(ctx, left, right, pairs)
 
     def label(self) -> str:
         return f"HashJoin[{self.predicate!r}] build={self.build_side}"
 
 
-class ProductOp(PhysicalOp):
+class ProductOp(_PairOp):
     """``×̄``: every pair, with a pairwise condition-conjunction memo."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ()
 
     def __init__(self, left: PhysicalOp, right: PhysicalOp) -> None:
-        super().__init__()
-        self.left = left
-        self.right = right
+        super().__init__(left, right)
 
-    @property
-    def arity(self) -> int:
-        return self.left.arity + self.right.arity
-
-    def children(self) -> Tuple[PhysicalOp, ...]:
-        return (self.left, self.right)
-
-    def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
+    def compute_tracked(
+        self, ctx: ExecContext, inputs: Tuple[Batch, ...]
+    ) -> Tuple[Batch, Sequence[Any]]:
         left, right = inputs
         memo: Dict[Tuple[Formula, Formula], Formula] = {}
         pairs: List[_Pair] = []
@@ -706,7 +1011,7 @@ class ProductOp(PhysicalOp):
                     condition = conj(left_condition, right_condition)
                     memo[key] = condition
                 if condition is not BOTTOM:
-                    pairs.append((i, j, condition))
+                    pairs.append((i, 0, j, condition))
         return _pairs_batch(ctx, left, right, pairs)
 
     def label(self) -> str:
@@ -725,7 +1030,7 @@ def _check_same_arity(left: PhysicalOp, right: PhysicalOp) -> None:
 
 
 class UnionOp(PhysicalOp):
-    """``∪̄``: columnar concatenation."""
+    """``∪̄``: columnar concatenation; a row is keyed by its side first."""
 
     __slots__ = ("left", "right")
 
@@ -742,7 +1047,9 @@ class UnionOp(PhysicalOp):
     def children(self) -> Tuple[PhysicalOp, ...]:
         return (self.left, self.right)
 
-    def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
+    def compute_tracked(
+        self, ctx: ExecContext, inputs: Tuple[Batch, ...]
+    ) -> Tuple[Batch, Sequence[Any]]:
         left, right = inputs
         columns = [
             left_column + right_column
@@ -751,7 +1058,32 @@ class UnionOp(PhysicalOp):
         conditions = list(left.conditions + right.conditions)
         domains, global_condition = merge_metadata(left, right)
         return _finish(
-            ctx, columns, conditions, self.arity, domains, global_condition
+            ctx, columns, conditions, self.arity, domains, global_condition,
+            range(len(conditions)),
+        )
+
+    def keys(
+        self, positions: Sequence[Any], input_keys: Sequence[Sequence[Key]]
+    ) -> List[Key]:
+        left, right = input_keys
+        split = len(left)
+        return [
+            (0,) + left[p] if p < split else (1,) + right[p - split]
+            for p in positions
+        ]
+
+    def delta(
+        self, ctx: ExecContext, node: "ViewNode", deltas: Sequence[Delta]
+    ) -> Tuple[List[Key], Keyed]:
+        (left_deleted, left_inserted), (right_deleted, right_inserted) = deltas
+        doomed = [(0,) + key for key, _ in left_deleted]
+        doomed.extend((1,) + key for key, _ in right_deleted)
+        if not (left_inserted or right_inserted):
+            return doomed, []
+        left, right = node.children
+        return doomed, self._apply(
+            ctx,
+            [_operand(left, left_inserted), _operand(right, right_inserted)],
         )
 
     def label(self) -> str:
@@ -770,30 +1102,24 @@ class _MembershipIndex:
     rows (common after projections) pay for it once.
     """
 
-    __slots__ = ("right", "_buckets", "_symbolic", "_eq", "_memo")
+    __slots__ = ("right", "_index", "_eq", "_memo")
 
     def __init__(self, right: Batch) -> None:
         self.right = right
-        self._buckets: Dict[tuple, List[int]] = {}
-        self._symbolic: List[int] = []
-        for j in range(len(right)):
-            key = _constant_key(right.columns, range(right.arity), j)
-            if key is None:
-                self._symbolic.append(j)
-            else:
-                self._buckets.setdefault(key, []).append(j)
+        self._index = _KeyIndex.of_batch(right, range(right.arity))
         self._eq: Dict[Tuple[tuple, int], Formula] = {}
         self._memo: Dict[tuple, Formula] = {}
 
     def _candidates(self, values: tuple) -> Sequence[int]:
-        if any(not isinstance(term, Const) for term in values):
+        key = _constant_key(values)
+        if key is None:
             return range(len(self.right))
-        key = tuple(term.value for term in values)
-        matched = self._buckets.get(key)
+        symbolic = self._index.symbolic
+        matched = self._index.buckets.get(key)
         if matched is None:
-            return self._symbolic
-        if self._symbolic:
-            return sorted(matched + self._symbolic)
+            return symbolic
+        if symbolic:
+            return sorted(matched + symbolic)
         return matched
 
     def _equal_condition(self, values: tuple, j: int) -> Formula:
@@ -828,7 +1154,14 @@ class _MembershipIndex:
 
 
 class _SetDifferenceBase(PhysicalOp):
-    """Common machinery of ``−̄`` and ``∩̄``."""
+    """Common machinery of ``−̄`` and ``∩̄``.
+
+    A row's position is its left row.  The delta rule is not a local
+    one — a right change rewrites the membership conditions of left
+    rows — so it indexes both maintained inputs by value tuple and
+    recomputes exactly the left rows a changed row can reach, against
+    the right rows those can reach.
+    """
 
     __slots__ = ("left", "right")
 
@@ -847,7 +1180,9 @@ class _SetDifferenceBase(PhysicalOp):
     def children(self) -> Tuple[PhysicalOp, ...]:
         return (self.left, self.right)
 
-    def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
+    def compute_tracked(
+        self, ctx: ExecContext, inputs: Tuple[Batch, ...]
+    ) -> Tuple[Batch, Sequence[Any]]:
         left, right = inputs
         index = _MembershipIndex(right)
         keep: List[int] = []
@@ -855,8 +1190,8 @@ class _SetDifferenceBase(PhysicalOp):
         left_columns = left.columns
         left_conditions = left.conditions
         negated = self._negated
-        for i in range(len(left_conditions)):
-            values = tuple(column[i] for column in left_columns)
+        rows = _row_tuples(left_columns, len(left_conditions))
+        for i, values in enumerate(rows):
             condition = conj(
                 left_conditions[i], index.membership(values, negated)
             )
@@ -869,8 +1204,46 @@ class _SetDifferenceBase(PhysicalOp):
             columns = [tuple(column[i] for i in keep) for column in left_columns]
         domains, global_condition = merge_metadata(left, right)
         return _finish(
-            ctx, columns, conditions, self.arity, domains, global_condition
+            ctx, columns, conditions, self.arity, domains, global_condition,
+            keep,
         )
+
+    def maintenance_index(
+        self, children: Sequence["ViewNode"]
+    ) -> Tuple[_KeyIndex, ...]:
+        columns = range(self.arity)
+        return tuple(_KeyIndex.of_node(child, columns) for child in children)
+
+    def delta(
+        self, ctx: ExecContext, node: "ViewNode", deltas: Sequence[Delta]
+    ) -> Tuple[List[Key], Keyed]:
+        (left_deleted, left_inserted), (right_deleted, right_inserted) = deltas
+        left, right = node.children
+        left_index, right_index = node.index
+        for key, row in left_deleted:
+            left_index.remove(key, row.values)
+        for key, row in left_inserted:
+            left_index.add(key, row.values)
+        for key, row in right_deleted:
+            right_index.remove(key, row.values)
+        for key, row in right_inserted:
+            right_index.add(key, row.values)
+        affected = {key for key, _ in left_inserted}
+        changed = right_deleted + right_inserted
+        if changed:
+            affected.update(
+                left_index.matching(
+                    right_index.key(row.values) for _, row in changed
+                )
+            )
+        doomed = [key for key, _ in left_deleted]
+        doomed.extend(affected)
+        if not affected:
+            return doomed, []
+        rows = left.rows
+        items = [(key, rows[key]) for key in sorted(affected)]
+        partners = _opposite(right_index, right, left_index, items)
+        return doomed, self._apply(ctx, [_operand(left, items), partners])
 
 
 class DifferenceOp(_SetDifferenceBase):

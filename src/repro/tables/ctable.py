@@ -190,18 +190,15 @@ class CTable(Table):
 
         Skips per-row coercion, arity inference, and domain-coverage
         validation — the caller vouches that every row is a ``CRow`` of
-        the declared arity with an interned condition, and that
+        the declared arity with an interned condition other than
+        ``false`` (the rows the constructor would keep), and that
         *domains* (tuple-valued, or ``None``) already covers the
-        variables.  Rows with a false condition are still dropped, by
-        identity: conditions are hash-consed, so any condition equal to
-        ``BOTTOM`` *is* the interned ``BOTTOM`` object.  Built for hot
-        producers like incremental view materialization whose row
-        sources are prior c-table machinery output.
+        variables.  Built for hot producers like incremental view
+        materialization whose row sources are prior c-table machinery
+        output.
         """
         table = cls.__new__(cls)
-        table._rows = tuple(
-            row for row in rows if row.condition is not BOTTOM
-        )
+        table._rows = tuple(rows)
         table._arity = arity
         table._global = global_condition
         table._vars_cache = None

@@ -30,13 +30,16 @@ import pytest
 
 from repro import (
     BooleanCTable,
+    ConstRel,
     CTable,
     Engine,
     TableError,
     Var,
     col_eq,
     col_eq_const,
+    diff,
     eq,
+    intersect,
     ne,
     prod,
     proj,
@@ -44,16 +47,29 @@ from repro import (
     sel,
     union,
 )
+from repro.core.instance import Instance
 from repro.ctalgebra.plan import StatsAccumulator, TableStats, collect_stats
 from repro.errors import PlanVerificationError
 from repro.logic.atoms import BoolVar
-from repro.logic.syntax import BOTTOM, TOP
+from repro.logic.syntax import BOTTOM, TOP, conj
 from repro.obs.names import (
     IVM_DELTA_ROWS_TOTAL,
     IVM_MUTATIONS_TOTAL,
     IVM_REFRESH_TOTAL,
 )
 from repro.physical import execute_plan_vectorized
+from repro.physical.operators import (
+    ConstScanOp,
+    DifferenceOp,
+    EmptyOp,
+    FilterOp,
+    HashJoinOp,
+    IntersectOp,
+    ProductOp,
+    ProjectOp,
+    ScanOp,
+    UnionOp,
+)
 
 from harness import (
     CHURN_UPDATES,
@@ -564,3 +580,94 @@ class TestFallbackAndVerification:
                     sel(rel("V", 2), col_eq_const(column, constant))
                 ).refresh()
         assert len(session._views) <= type(session)._MAX_VIEWS
+
+
+# ----------------------------------------------------------------------
+# Delta ≡ rerun per physical operator: each delta rule on its own
+# ----------------------------------------------------------------------
+
+V2, W2 = rel("V", 2), rel("W", 2)
+
+#: One query per physical operator class whose lowered tree holds it.
+OPERATOR_QUERIES = {
+    ScanOp: V2,
+    ConstScanOp: union(V2, ConstRel(Instance([(1, 5), (2, 6)], arity=2))),
+    EmptyOp: union(V2, sel(W2, conj(col_eq_const(0, 1), col_eq_const(0, 2)))),
+    FilterOp: sel(V2, col_eq_const(0, 1)),
+    ProjectOp: proj(V2, [1]),
+    ProductOp: prod(V2, W2),
+    UnionOp: union(V2, W2),
+    DifferenceOp: diff(V2, W2),
+    IntersectOp: intersect(V2, W2),
+}
+
+
+def standing_physical(prepared):
+    """The physical tree the prepared query's standing view runs."""
+    config = prepared.config
+    key = (prepared.query, config.optimize, config.simplify_conditions)
+    return prepared.session._views[key].physical
+
+
+class TestDeltaPerOperator:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "op_class", list(OPERATOR_QUERIES), ids=lambda cls: cls.__name__
+    )
+    def test_delta_equals_rerun(self, op_class, seed):
+        engine = incremental_engine()
+        session = engine.session(**small_tables())
+        prepared = session.prepare(OPERATOR_QUERIES[op_class])
+        prepared.refresh()
+        assert any(
+            isinstance(op, op_class)
+            for op in standing_physical(prepared).walk()
+        )
+        rng = random.Random(seed)
+        for step in range(4):
+            apply_random_updates(rng, session, CHURN_UPDATES)
+            assert_delta_equals_rerun(
+                prepared, context=f"{op_class.__name__} step={step}"
+            )
+        assert engine.metrics.counter_value(
+            IVM_REFRESH_TOTAL, {"mode": "delta"}
+        ) >= 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("build_side", ["left", "right"])
+    def test_hash_join_both_build_sides(self, build_side, seed):
+        # lower() builds on the smaller estimated side, so the table
+        # sizes pick the side; both sides carry rows whose join key is a
+        # variable, which exercises the symbolic (g = 1) pair order.
+        small = CTable(
+            [((0, 1), TOP), ((1, 2), eq(X, 1)), ((2, X), ne(Y, 2))], arity=2
+        )
+        large = CTable(
+            [((index % 3, index), TOP) for index in range(9)]
+            + [((Y, 7), eq(X, 2)), ((X, 8), TOP)],
+            arity=2,
+        )
+        small_right = CTable([((1, 5), TOP), ((Y, 6), ne(X, 1))], arity=2)
+        if build_side == "left":
+            tables = {"V": small, "W": large}
+        else:
+            tables = {"V": large, "W": small_right}
+        engine = incremental_engine()
+        session = engine.session(**tables)
+        prepared = session.prepare(JOIN)
+        prepared.refresh()
+        joins = [
+            op for op in standing_physical(prepared).walk()
+            if isinstance(op, HashJoinOp)
+        ]
+        assert [op.build_side for op in joins] == [build_side]
+        rng = random.Random(seed)
+        for step in range(3):
+            session.insert("V", [((3, Y), TOP), ((4, 2), eq(Y, 1))])
+            session.insert("W", [((X, 9), ne(Y, 0)), ((2, 10), TOP)])
+            assert_delta_equals_rerun(prepared, context=f"insert {step}")
+            session.delete("V", [((3, Y), TOP)])
+            session.delete("W", [((X, 9), ne(Y, 0))])
+            assert_delta_equals_rerun(prepared, context=f"delete {step}")
+            apply_random_updates(rng, session, CHURN_UPDATES)
+            assert_delta_equals_rerun(prepared, context=f"churn {step}")

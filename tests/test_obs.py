@@ -30,6 +30,7 @@ from repro.obs import (
     tracing_active,
 )
 from repro.obs.names import (
+    IVM_REFRESH_TOTAL,
     OPTIMIZER_RULES_TOTAL,
     QUERIES_TOTAL,
     REGISTERED_NAMES,
@@ -38,6 +39,7 @@ from repro.obs.names import (
     SPAN_OPTIMIZE,
     SPAN_PLAN,
     SPAN_QUERY,
+    SPAN_REFRESH,
 )
 
 # A join whose answer is identical across every executor.
@@ -250,8 +252,11 @@ class TestTracer:
 # ----------------------------------------------------------------------
 
 class TestTraceDeterminism:
+    # These pin maintenance="rerun": they document the spans of a plan
+    # execution, and under maintenance="incremental" (a CI lane) a read
+    # is a view refresh instead, traced or not (see TestMaintainedTracing).
     def executed_trace(self, *, executor: str = "vectorized"):
-        engine = Engine()
+        engine = Engine(maintenance="rerun")
         session = make_session(engine)
         prepared = session.prepare(JOIN, trace=True, executor=executor)
         answer = prepared.execute()
@@ -271,7 +276,7 @@ class TestTraceDeterminism:
         assert self.operator_view(strip_timings(first))
 
     def test_trace_shape_parse_plan_lower_execute(self):
-        engine = Engine()
+        engine = Engine(maintenance="rerun")
         session = make_session(engine)
         prepared = session.prepare("pi[1,4](sigma[2=3](L x R))", trace=True)
         prepared.execute()
@@ -286,7 +291,7 @@ class TestTraceDeterminism:
         assert SPAN_OPTIMIZE in plan_children
 
     def test_interpreted_executor_traces_without_operators(self):
-        engine = Engine()
+        engine = Engine(maintenance="rerun")
         session = make_session(engine)
         session.prepare(JOIN, trace=True, executor="interpreted").execute()
         trace = engine.last_trace()
@@ -302,6 +307,38 @@ class TestTraceDeterminism:
         trace = engine.last_trace()
         execute = [c for c in trace["children"] if c["name"] == SPAN_EXECUTE]
         assert execute[0]["attrs"]["cached"] is True
+
+
+class TestMaintainedTracing:
+    """Tracing never changes the path: a traced read of a maintained
+    view refreshes it exactly like an untraced one."""
+
+    def read_after_insert(self, traced: bool):
+        engine = Engine(maintenance="incremental")
+        session = make_session(engine)
+        prepared = session.prepare(JOIN, trace=traced)
+        prepared.execute()  # builds the view
+        session.insert("L", [((100, 1), TOP), ((101, 6), TOP)])
+        before = engine.metrics.counter_value(
+            IVM_REFRESH_TOTAL, {"mode": "delta"}
+        )
+        answer = prepared.execute()
+        after = engine.metrics.counter_value(
+            IVM_REFRESH_TOTAL, {"mode": "delta"}
+        )
+        return answer, after - before, engine.last_trace()
+
+    def test_traced_read_refreshes_like_untraced(self):
+        traced, traced_deltas, trace = self.read_after_insert(True)
+        untraced, untraced_deltas, _ = self.read_after_insert(False)
+        assert traced_deltas == untraced_deltas == 1.0
+        assert_structurally_identical(untraced, traced)
+        refreshes = [
+            child
+            for child in trace["children"]
+            if child["name"] == SPAN_REFRESH
+        ]
+        assert [span["attrs"]["mode"] for span in refreshes] == ["delta"]
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +546,8 @@ class TestTracedDifferential:
             traces = {}
             analyzed = None
             for executor in ("interpreted", "vectorized"):
-                engine = Engine()
+                # Plan-execution traces: see TestTraceDeterminism.
+                engine = Engine(maintenance="rerun")
                 session = engine.session()
                 for name, table in tables.items():
                     session.register(name, table)

@@ -1,12 +1,13 @@
 """TYP001 — fully annotated defs in the typed core packages.
 
 The typed core — :mod:`repro.logic`, :mod:`repro.ctalgebra`,
-:mod:`repro.engine`, :mod:`repro.physical` — carries complete signature
-annotations so CI's mypy run has real signatures to check against (and
-so the next reader does not have to reverse-engineer parameter types).
-This lint enforces the *presence* of annotations locally, without
-needing mypy installed: every parameter except ``self``/``cls`` must be
-annotated and every def must declare a return type.
+:mod:`repro.engine`, :mod:`repro.physical`, :mod:`repro.ivm` — carries
+complete signature annotations so CI's mypy run has real signatures to
+check against (and so the next reader does not have to reverse-engineer
+parameter types).  This lint enforces the *presence* of annotations
+locally, without needing mypy installed: every parameter except
+``self``/``cls`` must be annotated and every def must declare a return
+type.
 
 Nested functions (closures) are exempt — their types are local
 inference territory — as are lambdas.  A deliberate exception can be
@@ -26,6 +27,7 @@ CORE_PACKAGES = (
     "repro/ctalgebra/",
     "repro/engine/",
     "repro/physical/",
+    "repro/ivm/",
 )
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]

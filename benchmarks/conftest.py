@@ -1,14 +1,17 @@
-"""Shared builders for the experiment benchmarks (E01–E19).
+"""Shared builders for the paper-artifact benchmarks (E01–E20).
 
-Each ``bench_e*.py`` regenerates one paper artifact (example, theorem,
-or implied quantitative claim — see DESIGN.md's experiment index) and
-times the operations involved.  Run with::
+Each ``bench_e*.py`` regenerates one paper artifact (an example, a
+theorem, or a quantitative claim the paper implies; E20 covers the §9
+extensions) and times the operations involved.  The file names do not
+match pytest's default collection pattern, so pass them explicitly::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/bench_e*.py -q --benchmark-disable
+    PYTHONPATH=src python -m pytest benchmarks/bench_e*.py --benchmark-only
 
-Shape expectations, not absolute numbers, are what the reproduction
-commits to; the ``report_*`` helpers print the series EXPERIMENTS.md
-records.
+The first form runs every benchmarked callable once and checks that the
+artifacts still regenerate; the second times them.  Shape expectations,
+not absolute numbers, are what the reproduction commits to; the
+``test_report_*`` cases print the series behind each claim.
 """
 
 from __future__ import annotations

@@ -19,8 +19,6 @@ The execution knobs read their *defaults* from the environment so a
 whole test run (or deployment) can be flipped without touching code —
 CI uses this to run the entire tier-1 suite under several settings:
 
-- ``REPRO_EXECUTOR`` — default for ``executor``
-  (``interpreted`` / ``vectorized``);
 - ``REPRO_VERIFY_PLANS`` — default for ``verify_plans``
   (truthy values: ``1``, ``true``, ``yes``, ``on``);
 - ``REPRO_VERIFY_MODE`` — default for ``verify_mode``
@@ -44,11 +42,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields, replace
-
-
-def _env_executor() -> str:
-    # An empty value means "unset" so CI matrices can blank the knob.
-    return os.environ.get("REPRO_EXECUTOR") or "vectorized"
 
 
 def _env_choice(name: str, default: str, choices: tuple) -> str:
@@ -157,7 +150,7 @@ class ExecutionConfig:
 
     optimize: bool = True
     simplify_conditions: bool = False
-    executor: str = field(default_factory=_env_executor)
+    executor: str = "vectorized"
     plan_cache_size: int = 128
     result_cache_size: int = 64
     max_candidates: int = 100_000

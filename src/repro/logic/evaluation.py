@@ -23,8 +23,8 @@ valuation assigns to exactly the node's variables.  Two valuations that
 agree on a sub-formula's variables share one cache entry, so each shared
 sub-formula is evaluated once per distinct restriction instead of once
 per world.  The caches are bounded (flushed wholesale when full) and can
-be disabled with :func:`set_evaluation_cache` — benchmark
-``benchmarks/runner.py`` uses the toggle to time the seed behavior.
+be disabled with :func:`set_evaluation_cache`; the tests use the
+uncached evaluator as the reference the memoized one must agree with.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ def set_evaluation_cache(enabled: bool) -> None:
     """Enable or disable the evaluate/partial_evaluate memo caches.
 
     Disabling also clears them; results are identical either way — the
-    toggle exists so benchmarks can measure the seed (uncached) behavior.
+    toggle exists so tests can check the memoized evaluator against the
+    uncached reference.
     """
     global _cache_enabled
     _cache_enabled = bool(enabled)

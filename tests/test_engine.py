@@ -99,7 +99,7 @@ class TestExecutionConfig:
         with pytest.raises(TypeError, match=size):
             session.prepare(rel("V", 2), **{size: 4})
 
-    def test_validation(self, monkeypatch):
+    def test_validation(self):
         with pytest.raises(ValueError):
             ExecutionConfig(plan_cache_size=-1)
         with pytest.raises(ValueError):
@@ -107,9 +107,6 @@ class TestExecutionConfig:
         expected = "executor must be 'interpreted' or 'vectorized'"
         with pytest.raises(ValueError, match=expected):
             ExecutionConfig(executor="parallel")
-        monkeypatch.setenv("REPRO_EXECUTOR", "parallel")
-        with pytest.raises(ValueError, match=expected):
-            ExecutionConfig()
 
     def test_engine_kwargs_shortcut(self):
         engine = Engine(optimize=False, simplify_conditions=True)
@@ -184,6 +181,51 @@ class TestSessionRegistry:
         coerced = session.table("Q")
         assert coerced is session.table("Q")  # cached, not re-coerced
         assert ctables_equivalent(coerced, ctable_of(qtable))
+
+    def test_four_representation_systems_in_one_session(self):
+        # A c-table, a ?-table, an or-set table and a pc-table side by
+        # side: each is coerced once, the join across the c-table and
+        # the ?-table plans once, and every answer equals the same plan
+        # run flat over the registry's coerced tables.
+        vtable = CTable(
+            [((i % 5, i % 3), ne(X, i % 3)) for i in range(8)],
+            arity=2,
+            domains={"x": (0, 1, 2, 3)},
+        )
+        qtable = QTable([QRow((i % 3, i % 2), i % 2 == 0) for i in range(4)])
+        orset = OrSetTable(
+            [
+                OrSetRow((i % 3, OrSet((i % 2, 2))), i == 0)
+                for i in range(4)
+            ],
+            arity=2,
+        )
+        pctable = PCTable(
+            [((i % 2, i % 3), eq(Var(f"p{i % 2}"), 1)) for i in range(3)],
+            {
+                f"p{i}": {0: Fraction(1, 3), 1: Fraction(2, 3)}
+                for i in range(2)
+            },
+            arity=2,
+        )
+        session = Engine().session(V=vtable, Q=qtable, O=orset, P=pctable)
+        coerced = {name: session.table(name) for name in session.names()}
+        queries = [
+            proj(sel(prod(rel("V", 2), rel("Q", 2)), col_eq(1, 2)), [0, 3]),
+            proj(sel(rel("O", 2), col_eq_const(0, 1)), [1]),
+            proj(rel("P", 2), [0]),
+        ]
+        for query in queries:
+            prepared = session.prepare(query)
+            assert session.prepare(query).plan() is prepared.plan()
+            flat = translate_query(
+                query,
+                {name: coerced[name] for name in query.relation_names()},
+                optimize=True,
+            )
+            assert prepared.execute() == flat
+        for name, table in coerced.items():
+            assert session.table(name) is table
 
     def test_orset_table_coerced(self):
         orset = OrSetTable([OrSetRow((1, OrSet((2, 3))))])

@@ -39,13 +39,16 @@ from repro.algebra import (
     col_eq,
     col_eq_const,
     col_ne,
+    diff,
     evaluate_query,
     prod,
+    proj,
     rel,
     sel,
 )
 from repro.algebra.predicates import split_equijoin
 from repro.ctalgebra.lifted import join_bar, product_bar, select_bar
+from repro.ctalgebra.translate import apply_query_to_ctable
 from repro.tables.ctable import CTable
 
 
@@ -85,6 +88,17 @@ class TestHashConsing:
     def test_different_formulas_not_identical(self):
         assert conj(A, B) is not conj(B, A)
         assert conj(A, B) != disj(A, B)
+
+    def test_shared_subformula_is_found_not_rebuilt(self):
+        shared = conj(A, disj(B, neg(C)))
+        rows = [conj(BoolVar(f"r{i}"), shared) for i in range(20)]
+        before = interning_stats()
+        again = [conj(BoolVar(f"r{i}"), shared) for i in range(20)]
+        after = interning_stats()
+        assert all(first is second for first, second in zip(rows, again))
+        # Every node of the rebuild (20 atoms, 20 conjunctions) is a hit.
+        assert after["misses"] == before["misses"]
+        assert after["hits"] - before["hits"] >= 40
 
     def test_interning_is_weak(self):
         import gc
@@ -210,6 +224,34 @@ class TestEvaluationMemo:
             expected = [evaluate(f, valuation) for f in table_like]
             set_evaluation_cache(True)
             assert results == expected
+
+    def test_second_mod_is_served_from_the_memo(self):
+        # A difference-over-join answer: its row conditions share
+        # sub-formulas, and a second Mod enumeration revisits every
+        # (node, valuation slice) pair the first one memoized.
+        variables = (X, Y, Var("z"))
+        table = CTable(
+            [
+                ((i % 4, variables[i % 3]), ne(variables[i % 3], i % 5))
+                for i in range(9)
+            ],
+            arity=2,
+            domains={name: tuple(range(6)) for name in ("x", "y", "z")},
+        )
+        query = diff(
+            proj(sel(prod(rel("V", 2), rel("V", 2)), col_eq(1, 2)), [0, 3]),
+            proj(rel("V", 2), [1, 0]),
+        )
+        answer = apply_query_to_ctable(query, table)
+        set_evaluation_cache(True)
+        first = answer.mod()
+        before = evaluation_cache_stats()
+        second = answer.mod()
+        after = evaluation_cache_stats()
+        assert after["hits"] > before["hits"]
+        assert after["misses"] == before["misses"]
+        set_evaluation_cache(False)
+        assert first == second == answer.mod()
 
     def teardown_method(self):
         set_evaluation_cache(True)

@@ -232,6 +232,84 @@ class TestMutationAPI:
 
 
 # ----------------------------------------------------------------------
+# What a refresh does, read from counters rather than a clock
+# ----------------------------------------------------------------------
+
+class TestRefreshWork:
+    """A refresh moves the delta counters by the rows that changed, never
+    by the table size, and with nothing pending it changes nothing."""
+
+    ROWS = 200
+    KEYS = ROWS // 8
+
+    def standing_join(self):
+        # Eight join partners per key; every fourth left row conditioned.
+        left = CTable(
+            [
+                (
+                    (i, i % self.KEYS),
+                    eq(Var(f"c{i % 12}"), 1) if i % 4 == 0 else TOP,
+                )
+                for i in range(self.ROWS)
+            ],
+            arity=2,
+        )
+        right = CTable(
+            [((i % self.KEYS, i), TOP) for i in range(self.ROWS)], arity=2
+        )
+        engine = incremental_engine()
+        session = engine.session(L=left, R=right)
+        query = proj(
+            sel(prod(rel("L", 2), rel("R", 2)), col_eq(1, 2)), [0, 3]
+        )
+        return engine, session, session.prepare(query)
+
+    @staticmethod
+    def counters(engine):
+        metrics = engine.metrics
+        delta_rows = sum(
+            metrics.counter_value(IVM_DELTA_ROWS_TOTAL, {"sign": sign})
+            for sign in ("insert", "delete")
+        )
+        refreshes = {
+            mode: metrics.counter_value(IVM_REFRESH_TOTAL, {"mode": mode})
+            for mode in ("build", "delta", "noop", "fallback")
+        }
+        return delta_rows, refreshes
+
+    @pytest.mark.parametrize(
+        "changed,mode",
+        [(ROWS // 100, "delta"), (0, "noop")],
+        ids=["one_percent_churn", "nothing_pending"],
+    )
+    def test_refresh_counts_only_changed_rows(self, changed, mode):
+        engine, session, prepared = self.standing_join()
+        previous = prepared.refresh()
+        rows_before, refreshes_before = self.counters(engine)
+        if changed:
+            session.delete("L", list(session.table("L").rows[:changed]))
+            fresh = [
+                ((self.ROWS + i, i % self.KEYS), TOP) for i in range(changed)
+            ]
+            session.insert("L", fresh)
+        refreshed = prepared.refresh()
+        rows_after, refreshes_after = self.counters(engine)
+        assert rows_after - rows_before == 2 * changed
+        moved = {
+            name: refreshes_after[name] - refreshes_before[name]
+            for name in refreshes_after
+        }
+        assert moved == {name: float(name == mode) for name in moved}
+        if changed:
+            maintained = assert_delta_equals_rerun(
+                prepared, check_mod=False, context="1% churn"
+            )
+            assert_structurally_identical(maintained, refreshed)
+        else:
+            assert_structurally_identical(previous, refreshed)
+
+
+# ----------------------------------------------------------------------
 # The differential core: delta ≡ rerun over seeded update sequences
 # ----------------------------------------------------------------------
 

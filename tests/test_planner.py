@@ -43,6 +43,7 @@ from repro.ctalgebra.lifted import (
 )
 from repro.ctalgebra.optimize import fuse_joins, optimize_plan
 from repro.ctalgebra.plan import (
+    DifferenceNode,
     EmptyNode,
     JoinNode,
     ProductNode,
@@ -56,7 +57,11 @@ from repro.ctalgebra.plan import (
     plan_cost,
     plan_from_query,
 )
-from repro.ctalgebra.translate import apply_query_to_ctable, plan_for_query
+from repro.ctalgebra.translate import (
+    apply_query_to_ctable,
+    plan_for_query,
+    translate_query,
+)
 from repro.tables.ctable import CRow, CTable
 from repro.worlds.answers import certain_answer
 from repro.worlds.compare import ctables_equivalent, lemma1_holds
@@ -273,11 +278,45 @@ class TestRewriteRules:
         optimized = optimize_plan(plan_from_query(query), stats)
         assert plan_cost(optimized, stats) < plan_cost(verbatim, stats)
 
-        from repro.ctalgebra.translate import translate_query
-
         a = translate_query(query, tables)
         b = translate_query(query, tables, optimize=True)
         assert ctables_equivalent(a, b)
+
+    def test_pushdown_through_deep_plan_under_difference(self):
+        # A join feeding a second product, a projection on each level
+        # and a difference on top: every selection still reaches its
+        # scan, and the answer keeps the verbatim plan's Mod.
+        tables = {
+            "L": CTable(
+                [((i % 11, i % 13), ne(X, i % 2)) for i in range(12)],
+                arity=2,
+            ),
+            "R": CTable([(i % 13, i % 5) for i in range(12)], arity=2),
+            "S": CTable([(i % 7, i % 3) for i in range(12)], arity=2),
+        }
+        inner = proj(
+            sel(
+                prod(rel("L", 2), rel("R", 2)),
+                conj(col_eq_const(0, 1), col_eq(1, 2)),
+            ),
+            [0, 3],
+        )
+        outer = proj(
+            sel(prod(inner, rel("S", 2)), col_eq_const(2, 4)), [1, 3]
+        )
+        query = diff(outer, proj(rel("S", 2), [1, 0]))
+        plan = plan_for_query(query, tables, optimize=True)
+        assert isinstance(plan, DifferenceNode)
+        selections = [
+            node for node in plan.walk() if isinstance(node, SelectNode)
+        ]
+        assert len(selections) == 2
+        assert all(isinstance(node.child, Scan) for node in selections)
+
+        assert ctables_equivalent(
+            translate_query(query, tables),
+            translate_query(query, tables, optimize=True),
+        )
 
     def test_explain_renders_estimates(self):
         query = proj(sel(prod(V, V), col_eq(1, 2)), [0, 3])

@@ -1,12 +1,13 @@
 """Incremental view maintenance: the physical operators run on deltas.
 
-A standing prepared query is a *materialized view* once the engine runs
-with ``maintenance="incremental"``: the mutation API
+``PreparedQuery.refresh()`` makes a prepared query *standing*: its
+first call builds a materialized view of the query.  The mutation API
 (:meth:`Session.insert` / :meth:`~Session.delete` /
 :meth:`~Session.update`) turns every data change into a signed delta
-batch, and ``PreparedQuery.refresh()`` runs each physical operator of
-the view's plan over just the rows those deltas reach, instead of
-re-executing the plan.  Lemma 1 is
+batch, and each later ``refresh()`` runs each physical operator of the
+view's plan over just the rows those deltas reach, instead of
+re-executing the plan.  ``execute()`` of a query that was never
+refreshed keeps no view and re-executes after every change.  Lemma 1 is
 what licenses this — each lifted operator composes conditions locally,
 so a delta's conditions compose exactly as a full rerun would — and the
 engine's contract is correspondingly strict: the maintained answer is
@@ -16,9 +17,9 @@ same order) to a cold re-execution.
 This example
 
 1. registers two relations and prepares a standing join over them,
-2. runs a mutate→refresh serving loop twice — incrementally maintained
-   and fully re-executed — timing both and asserting the answers are
-   identical after every cycle,
+2. runs a mutate→read serving loop twice — ``refresh()`` (incrementally
+   maintained) and ``execute()`` (fully re-executed) — timing both and
+   asserting the answers are identical after every cycle,
 3. shows insert-then-delete cancellation restoring the previous answer
    byte-identically, and
 4. reads the ``ivm_*`` counters off ``Engine.metrics_snapshot()``.
@@ -76,15 +77,18 @@ def main() -> None:
     query = proj(sel(prod(rel("L", 2), rel("R", 2)), col_eq(1, 2)), (0, 3))
 
     # -- two engines, one mutation script ------------------------------
-    incremental = Engine(maintenance="incremental")
-    rerun = Engine()  # maintenance="rerun" is the default
+    incremental = Engine()
+    rerun = Engine()
 
     views = {}
     for label, engine in (("incremental", incremental), ("rerun", rerun)):
         left, right = serving_tables()
         session = engine.session(L=left, R=right)
         views[label] = (session, session.prepare(query))
-        views[label][1].refresh()  # build the view / warm the caches
+    # The first refresh() builds the standing view; execute() warms the
+    # plan and result caches of the query that stays a plain read.
+    views["incremental"][1].refresh()
+    views["rerun"][1].execute()
 
     seconds = {"incremental": 0.0, "rerun": 0.0}
     for cycle in range(CYCLES):
@@ -92,8 +96,9 @@ def main() -> None:
         for label, (session, prepared) in views.items():
             session.delete("L", list(session.table("L").rows[:CHANGED]))
             session.insert("L", fresh_batch(cycle))
+            read = prepared.refresh if label == "incremental" else prepared.execute
             start = time.perf_counter()
-            answers[label] = prepared.refresh()
+            answers[label] = read()
             seconds[label] += time.perf_counter() - start
         assert identical(answers["incremental"], answers["rerun"])
 

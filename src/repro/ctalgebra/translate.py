@@ -54,12 +54,11 @@ def _verified(
     verifier: Optional[PlanVerifier],
     plan: PlanNode,
     rule: str,
-    verify_mode: str,
 ) -> None:
     """One pipeline-level verifier check, traced as a verify span."""
     if verifier is None:
         return
-    with trace_span(SPAN_VERIFY, mode=verify_mode, stage=rule):
+    with trace_span(SPAN_VERIFY, stage=rule):
         verifier.verify_plan(plan, rule=rule)
 
 
@@ -68,7 +67,6 @@ def build_plan(
     stats_thunk: Callable[[], Dict[str, TableStats]],
     optimize: bool,
     verify: bool = False,
-    verify_mode: str = "syntactic",
 ) -> PlanNode:
     """The one plan-construction pipeline, shared with the engine.
 
@@ -80,27 +78,25 @@ def build_plan(
 
     With ``verify=True`` (``ExecutionConfig.verify_plans``) a
     :class:`~repro.ctalgebra.verify.PlanVerifier` checks the verbatim
-    plan, then re-checks after every individual rewrite rule, and
-    finally certifies the plan that leaves the pipeline.  *verify_mode*
-    (``ExecutionConfig.verify_mode``) selects the syntactic conservation
-    checks alone or, with ``"semantic"``, additionally certifies every
-    rewrite by symbolic translation validation.
+    plan, then re-checks after every individual rewrite rule (the
+    structural conservation checks, then symbolic translation
+    validation), and finally certifies the plan that leaves the pipeline.
     """
     plan = plan_from_query(query)
     if optimize:
         stats = stats_thunk()
         verifier: Optional[PlanVerifier] = (
-            PlanVerifier(stats, mode=verify_mode) if verify else None
+            PlanVerifier(stats) if verify else None
         )
-        _verified(verifier, plan, "plan_from_query", verify_mode)
+        _verified(verifier, plan, "plan_from_query")
         with trace_span(SPAN_OPTIMIZE):
             optimized = optimize_plan(plan, stats, verifier=verifier)
-        _verified(verifier, optimized, "optimize_plan", verify_mode)
+        _verified(verifier, optimized, "optimize_plan")
         return optimized
-    verifier = PlanVerifier(mode=verify_mode) if verify else None
-    _verified(verifier, plan, "plan_from_query", verify_mode)
+    verifier = PlanVerifier() if verify else None
+    _verified(verifier, plan, "plan_from_query")
     fused = fuse_joins(plan, verifier)
-    _verified(verifier, fused, "fuse_joins", verify_mode)
+    _verified(verifier, fused, "fuse_joins")
     return fused
 
 
@@ -109,7 +105,6 @@ def plan_for_query(
     tables: Mapping[str, CTable],
     optimize: bool = False,
     verify: bool = False,
-    verify_mode: str = "syntactic",
 ) -> PlanNode:
     """The plan ``translate_query`` would execute for *query*.
 
@@ -117,14 +112,10 @@ def plan_for_query(
     over products fused into joins (the seed evaluation order); with
     ``optimize=True`` the full rewrite pipeline runs against statistics
     of the bound tables.  ``verify=True`` runs the plan verifier along
-    the pipeline (*verify_mode* as in :func:`build_plan`).
+    the pipeline (as in :func:`build_plan`).
     """
     return build_plan(
-        query,
-        lambda: collect_stats(tables),
-        optimize,
-        verify=verify,
-        verify_mode=verify_mode,
+        query, lambda: collect_stats(tables), optimize, verify=verify
     )
 
 

@@ -34,12 +34,12 @@ time, structurally:
 - **lowering** — physical operators reference columns inside their
   input arities, and hash-join build sides agree with the estimates.
 
-The checks above are purely *syntactic* and share one documented blind
+The checks above are purely *structural* and share one documented blind
 spot: a shape-preserving predicate applied to the wrong join side keeps
-every conjunct key, every leaf, and every arity intact.  In
-``mode="semantic"`` the verifier therefore also performs **translation
-validation**: each rewrite's before/after sub-plans are executed on
-small *symbolic abstract tables* (fresh variable tuples, one boolean
+every conjunct key, every leaf, and every arity intact.  After them the
+verifier therefore performs **translation validation** (the
+``semantics`` check): each rewrite's before/after sub-plans are executed
+on small *symbolic abstract tables* (fresh variable tuples, one boolean
 row-presence flag per row) through the interpreted lifted operators,
 and the two result tables must have per-tuple *equivalent conditions*
 — decided by the cross-validated SAT+BDD engines of
@@ -48,11 +48,9 @@ on the wrong side lands on the wrong tuple's fresh variables, so the
 certificate fails by construction.
 
 Verification is wired through :class:`repro.engine.config.ExecutionConfig`
-(``verify_plans`` / env ``REPRO_VERIFY_PLANS``, with
-``verify_mode`` / env ``REPRO_VERIFY_MODE`` selecting
-``"syntactic"`` or ``"semantic"``): the optimizer then re-verifies after
-**every individual rewrite rule** and names the offending rule in the
-raised :class:`~repro.errors.PlanVerificationError`.
+(``verify_plans`` / env ``REPRO_VERIFY_PLANS``): the optimizer then
+re-verifies after **every individual rewrite rule** and names the
+offending rule in the raised :class:`~repro.errors.PlanVerificationError`.
 """
 
 from __future__ import annotations
@@ -83,9 +81,6 @@ from repro.ctalgebra.plan import (
     execute_plan,
 )
 from repro.tables.ctable import CTable, make_row
-
-#: Valid :class:`PlanVerifier` modes.
-VERIFY_MODES = ("syntactic", "semantic")
 
 #: Rows per relation in the semantic-certificate abstract tables.  Two
 #: rows exercise duplication/cross effects (joins see every pairing)
@@ -175,23 +170,11 @@ class PlanVerifier:
     """
 
     def __init__(
-        self,
-        stats: Optional[Mapping[str, TableStats]] = None,
-        mode: str = "syntactic",
+        self, stats: Optional[Mapping[str, TableStats]] = None
     ) -> None:
-        if mode not in VERIFY_MODES:
-            raise ValueError(
-                f"unknown verify mode {mode!r}; expected one of {VERIFY_MODES}"
-            )
         self._stats = stats
-        self._mode = mode
         self._memo: Dict[PlanNode, Estimate] = {}
         self._abstract: Dict[Tuple[str, int], CTable] = {}
-
-    @property
-    def mode(self) -> str:
-        """The active verification mode (``"syntactic"`` or ``"semantic"``)."""
-        return self._mode
 
     # ------------------------------------------------------------------
     # Queries (pre-translation)
@@ -434,7 +417,7 @@ class PlanVerifier:
         Beyond re-verifying the rewritten tree, the rewrite itself must
         preserve arity, the leaf set, and the predicate atoms (modulo
         provable folds) — the conservation laws every Theorem-4-sound
-        rewrite obeys.
+        rewrite obeys — and then pass translation validation.
         """
         if after.arity != before.arity:
             raise PlanVerificationError(
@@ -490,8 +473,7 @@ class PlanVerifier:
         if collapsed or (_has_empty(after) and not _has_empty(before)):
             self._verify_prune(rule, before, after)
 
-        if self._mode == "semantic":
-            self._verify_semantics(rule, before, after)
+        self._verify_semantics(rule, before, after)
         return after
 
     # ------------------------------------------------------------------
@@ -536,7 +518,7 @@ class PlanVerifier:
         cross-validated SAT+BDD equivalence engines — translation
         validation of the individual rewrite, catching semantic bugs
         (e.g. a predicate pushed to the wrong join side) that preserve
-        every syntactic conservation law.  No world enumeration is
+        every structural conservation law.  No world enumeration is
         involved, so the certificate cost scales with plan size, not
         ``2^variables``.
         """

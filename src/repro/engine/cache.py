@@ -163,7 +163,7 @@ class ResultCache(PlanCache):
 
     The mutation API (``Session.insert``/``delete``/``update``) keeps
     the same contract but upgrades it: after the per-relation
-    invalidation drops the stale entry, ``maintenance="incremental"``
+    invalidation drops the stale entry, ``PreparedQuery.refresh()``
     *re-populates* the key in place — the maintained view's refreshed
     table is ``put`` back under the post-mutation fingerprint — so a
     standing read loop over mutating data stays a cache hit without
@@ -185,7 +185,8 @@ class CircuitCache(PlanCache):
     exists only to drop entries whose lineages can no longer be asked
     for.  Because the cached object memoizes its count, a prepared
     probability loop pays compile + count once and answers every
-    subsequent call from memory (benchmark E38).
+    subsequent call from memory
+    (``tests/test_wmc.py::TestEngineCircuitCache::test_repeated_probability_hits_the_cache``).
     """
 
     __slots__ = ()

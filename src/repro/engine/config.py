@@ -20,9 +20,9 @@ whole test run (or deployment) can be flipped without touching code —
 CI uses this to run the entire tier-1 suite under several settings:
 
 - ``REPRO_VERIFY_PLANS`` — default for ``verify_plans``
-  (truthy values: ``1``, ``true``, ``yes``, ``on``);
-- ``REPRO_VERIFY_MODE`` — default for ``verify_mode``
-  (``syntactic`` / ``semantic``);
+  (truthy values: ``1``, ``true``, ``yes``, ``on``).  CI's verified
+  matrix entry runs the whole tier-1 suite with the full plan verifier
+  on.
 - ``REPRO_PROB_STRATEGY`` — default for ``prob_strategy``
   (``auto`` / ``enumerate`` / ``shannon`` / ``wmc``).  CI's wmc matrix
   entry runs the whole tier-1 suite with every probability terminal on
@@ -30,10 +30,6 @@ CI uses this to run the entire tier-1 suite under several settings:
 - ``REPRO_TRACE`` — default for ``trace`` (truthy values as above).
   CI's traced matrix entry runs the whole tier-1 suite with per-query
   tracing on, so the instrumented paths stay continuously exercised.
-- ``REPRO_MAINTENANCE`` — default for ``maintenance``
-  (``rerun`` / ``incremental``).  CI's incremental matrix entry runs
-  the whole tier-1 suite with every prepared query served from a
-  delta-maintained materialized view.
 
 Explicit constructor arguments always win over the environment.
 """
@@ -103,15 +99,11 @@ class ExecutionConfig:
       every individual optimizer rewrite (violations name the rule),
       and the lowered physical tree.  Off by default (it re-walks plans
       per rewrite); CI flips it on for a full tier-1 run via
-      ``REPRO_VERIFY_PLANS=1``.
-    - ``verify_mode`` — depth of rewrite verification when
-      ``verify_plans`` is on.  ``"syntactic"`` (the default) runs the
-      structural conservation checks; ``"semantic"`` additionally
-      certifies every individual rewrite by translation validation —
-      symbolic execution on abstract tables plus SAT/BDD condition
-      equivalence (:mod:`repro.logic.equivalence`) — closing the
-      wrong-side-pushdown class of bugs the syntactic keys cannot see.
-      CI's verified matrix entry runs ``REPRO_VERIFY_MODE=semantic``.
+      ``REPRO_VERIFY_PLANS=1``.  Every rewrite gets the structural
+      conservation checks and then translation validation — symbolic
+      execution on abstract tables plus SAT/BDD condition equivalence
+      (:mod:`repro.logic.equivalence`), which closes the
+      wrong-side-pushdown class of bugs the structural keys cannot see.
     - ``prob_strategy`` — how :meth:`repro.engine.session.Dataset.probability`
       (and everything reaching :func:`repro.logic.counting.probability`
       through the engine) counts condition probabilities.  ``"auto"``
@@ -121,8 +113,7 @@ class ExecutionConfig:
       (:mod:`repro.logic.compile` / :mod:`repro.prob.wmc`) beyond it;
       ``"shannon"``, ``"wmc"`` and ``"enumerate"`` force one route.
       All strategies return identical exact fractions, so the knob is
-      purely about speed — documented and env-overridable alongside
-      ``REPRO_VERIFY_MODE``.
+      purely about speed — env-overridable via ``REPRO_PROB_STRATEGY``.
     - ``circuit_cache_size`` — LRU capacity of the engine's compiled
       condition-circuit cache (d-DNNF circuits + memoized counts keyed
       on the interned lineage and a distribution fingerprint;
@@ -134,18 +125,12 @@ class ExecutionConfig:
       ``Engine.last_trace()``.  Off by default: the disabled path costs
       one integer comparison per instrumentation point.  The knob never
       changes answers, so it is excluded from result-cache keys.
-    - ``maintenance`` — how a prepared query's answer is kept current as
-      registered tables change through the mutation API
-      (:meth:`repro.engine.session.Session.insert` /
-      :meth:`~repro.engine.session.Session.delete` /
-      :meth:`~repro.engine.session.Session.update`).  ``"rerun"`` (the
-      default) re-executes from scratch on the next read;
-      ``"incremental"`` maintains a materialized view per standing query
-      by propagating signed delta batches through the physical operators
-      (:mod:`repro.ivm`), and `PreparedQuery.execute()` serves the
-      maintained table.  The maintained result is structurally identical
-      to a full re-execution of the same plan — rows, interned condition
-      objects, and order — so the knob is purely about refresh cost.
+
+    View maintenance has no knob: the read chosen through the API picks
+    it.  :meth:`repro.engine.session.PreparedQuery.refresh` makes a
+    query standing (a materialized view kept current by signed deltas,
+    :mod:`repro.ivm`), and :meth:`~repro.engine.session.PreparedQuery.execute`
+    serves a standing query from its view and runs the plan otherwise.
     """
 
     optimize: bool = True
@@ -157,11 +142,6 @@ class ExecutionConfig:
     verify_plans: bool = field(
         default_factory=lambda: _env_flag("REPRO_VERIFY_PLANS", False)
     )
-    verify_mode: str = field(
-        default_factory=lambda: _env_choice(
-            "REPRO_VERIFY_MODE", "syntactic", ("syntactic", "semantic")
-        )
-    )
     prob_strategy: str = field(
         default_factory=lambda: _env_choice(
             "REPRO_PROB_STRATEGY",
@@ -172,11 +152,6 @@ class ExecutionConfig:
     circuit_cache_size: int = 256
     trace: bool = field(
         default_factory=lambda: _env_flag("REPRO_TRACE", False)
-    )
-    maintenance: str = field(
-        default_factory=lambda: _env_choice(
-            "REPRO_MAINTENANCE", "rerun", ("rerun", "incremental")
-        )
     )
 
     def __post_init__(self) -> None:
@@ -197,11 +172,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"max_candidates must be positive, got {self.max_candidates}"
             )
-        if self.verify_mode not in ("syntactic", "semantic"):
-            raise ValueError(
-                f"verify_mode must be 'syntactic' or 'semantic', got "
-                f"{self.verify_mode!r}"
-            )
         if self.prob_strategy not in ("auto", "enumerate", "shannon", "wmc"):
             raise ValueError(
                 f"prob_strategy must be 'auto', 'enumerate', 'shannon', or "
@@ -211,11 +181,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"circuit_cache_size must be >= 0, got "
                 f"{self.circuit_cache_size}"
-            )
-        if self.maintenance not in ("rerun", "incremental"):
-            raise ValueError(
-                f"maintenance must be 'rerun' or 'incremental', got "
-                f"{self.maintenance!r}"
             )
 
     def with_options(self, **options: object) -> "ExecutionConfig":

@@ -398,7 +398,7 @@ class Engine:
 
         verifier: Optional[PlanVerifier] = None
         if config.verify_plans:
-            verifier = PlanVerifier(mode=config.verify_mode)
+            verifier = PlanVerifier()
             verifier.verify_query(
                 query,
                 {name: table.arity for name, table in tables.items()},
@@ -410,7 +410,6 @@ class Engine:
             stats_thunk,
             config.optimize,
             verify=config.verify_plans,
-            verify_mode=config.verify_mode,
         )
         if config.executor == "vectorized":
             # When the optimizer ran, its statistics are reused to guide
@@ -513,9 +512,11 @@ class Session:
             Tuple[Tuple[ValidatedDistributions, ...], ValidatedDistributions]
         ] = None
         self._id = next(Session._ids)
-        # guarded-by: single-threaded like the registry itself; views
-        # are keyed on (query, optimize, simplify_conditions) — the
-        # maintained state is executor-independent.
+        # guarded-by: single-threaded like the registry itself.  One
+        # view per standing query (made standing by
+        # ``PreparedQuery.refresh()``), keyed on (query, optimize,
+        # simplify_conditions); interpreted queries never build or
+        # read one.
         self._views: "OrderedDict[Tuple[object, ...], MaterializedView]" = (
             OrderedDict()
         )
@@ -575,9 +576,7 @@ class Session:
             # Conditions entering the engine must satisfy the identity
             # invariant (canonical interned formulas) and stay inside
             # the declared domain metadata.
-            PlanVerifier(mode=self._engine.config.verify_mode).verify_ctable(
-                name, ctable
-            )
+            PlanVerifier().verify_ctable(name, ctable)
         previous = self._registry.get(name)
         if previous is not None and previous.ctable.arity == ctable.arity:
             # Incremental refresh: absorb the row delta into the cached
@@ -721,9 +720,7 @@ class Session:
             old_table, working + [row for _, row in added]
         )
         if self._engine.config.verify_plans:
-            PlanVerifier(mode=self._engine.config.verify_mode).verify_ctable(
-                name, new_table
-            )
+            PlanVerifier().verify_ctable(name, new_table)
         entry.ctable = new_table
         entry.row_ids = ids + [row_id for row_id, _ in added]
         entry.next_row_id = next_id + len(added)
@@ -752,7 +749,7 @@ class Session:
         return self
 
     # ------------------------------------------------------------------
-    # Materialized-view plumbing (maintenance="incremental")
+    # Materialized-view plumbing (standing queries, made by refresh())
     # ------------------------------------------------------------------
 
     def _ivm_bindings(self, query: Query) -> Dict[str, Binding]:
@@ -767,11 +764,7 @@ class Session:
         on the current plan when dirty, and record the refresh."""
         started = perf_counter()
         config = prepared.config
-        key = (
-            prepared.query,
-            config.optimize,
-            config.simplify_conditions,
-        )
+        key = prepared._view_key()
         view = self._views.get(key)
         if view is None or view.dirty:
             view = MaterializedView(
@@ -788,7 +781,7 @@ class Session:
             if span is not None:
                 span.attrs["mode"] = mode
         if config.verify_plans and mode in ("build", "delta"):
-            PlanVerifier(mode=config.verify_mode).verify_view(view)
+            PlanVerifier().verify_view(view)
         metrics = self._engine._metrics
         metrics.counter(IVM_REFRESH_TOTAL, labels={"mode": mode})
         metrics.histogram(
@@ -997,7 +990,6 @@ class PreparedQuery:
                     lambda: {name: session.stats(name) for name in names},
                     self._config.optimize,
                     verify=self._config.verify_plans,
-                    verify_mode=self._config.verify_mode,
                 )
             entry = _PlanEntry(logical)
             cache.put(key, entry, session._id, names)
@@ -1022,9 +1014,7 @@ class PreparedQuery:
                 for name in self._query.relation_names()
             }
             verifier = (
-                PlanVerifier(stats, mode=self._config.verify_mode)
-                if self._config.verify_plans
-                else None
+                PlanVerifier(stats) if self._config.verify_plans else None
             )
             with trace_span(SPAN_LOWER):
                 lowered = lower(entry.logical, stats, verifier=verifier)
@@ -1044,22 +1034,31 @@ class PreparedQuery:
             config.executor,
         )
 
+    def _view_key(self) -> Tuple[object, ...]:
+        """The session's key for this query's standing view."""
+        config = self._config
+        return (self._query, config.optimize, config.simplify_conditions)
+
     def refresh(self) -> CTable:
-        """Bring the maintained answer up to date and return it.
+        """The maintained read: make the query standing, bring its
+        answer up to date, and return it.
 
-        Under ``maintenance="incremental"`` this consumes the signed
-        delta batches pending from :meth:`Session.insert` /
-        :meth:`~Session.delete` / :meth:`~Session.update` calls since
-        the last refresh, folds them through the delta rules of the
-        view's physical operators, and re-caches the maintained table
-        under the current result-cache key — the next :meth:`execute` is
-        a cache hit on a never-stale entry.  The returned table is structurally
-        identical (rows, interned condition objects, order) to fully
-        re-executing the view's plan on the mutated tables.
+        The first call builds the session's materialized view of the
+        query.  Later calls consume the signed delta batches pending
+        from :meth:`Session.insert` / :meth:`~Session.delete` /
+        :meth:`~Session.update` calls since the last refresh and fold
+        them through the delta rules of the view's physical operators.
+        The maintained table is re-cached under the current result-cache
+        key, so the next :meth:`execute` is a cache hit on a never-stale
+        entry.  The returned table is structurally identical (rows,
+        interned condition objects, order) to fully re-executing the
+        view's plan on the mutated tables.
 
-        Under ``maintenance="rerun"`` it simply re-executes.
+        An ``executor="interpreted"`` query never builds or reads a
+        view: its refresh re-executes through the lifted-operator
+        oracle, as :meth:`execute` does.
         """
-        if self._config.maintenance != "incremental":
+        if self._config.executor == "interpreted":
             return self._execute()
         session = self._session
         result = session._maintained_result(self)
@@ -1079,10 +1078,11 @@ class PreparedQuery:
         executing (or even lowering) any plan; ``register`` invalidates
         per relation name.  With ``trace=True`` in the config, a span
         trace of the execution lands in ``Engine.last_trace()``.
-        Under ``maintenance="incremental"`` the read is served from the
-        query's maintained materialized view (refreshing it first), so
-        repeated reads over mutating tables pay delta-propagation cost
-        instead of full re-execution.
+        Once :meth:`refresh` has made the query standing, a read that
+        misses the cache is served from its materialized view
+        (refreshing it first), so repeated reads over mutating tables pay
+        delta-propagation cost instead of full re-execution.  Otherwise
+        the plan runs.
         """
         if not self._config.trace:
             return self._execute()
@@ -1113,9 +1113,13 @@ class PreparedQuery:
                     SPAN_EXECUTE, cached=True, executor=config.executor
                 )
             return answered
-        if config.maintenance == "incremental":
-            # Serve the read from the maintained materialized view —
-            # traced or not, so tracing never changes what runs.
+        if (
+            config.executor != "interpreted"
+            and self._view_key() in self._session._views
+        ):
+            # A standing query (see refresh): serve the read from its
+            # maintained view — traced or not, so tracing never changes
+            # what runs.
             started = perf_counter()
             answered = self._session._maintained_result(self)
         else:

@@ -432,8 +432,9 @@ class _Compiler:
         measurably catastrophic on exactly the shapes this compiler
         exists for — it jumps around the formula, every jump fragments
         the ring into differently-keyed arc residuals, and the cache
-        never hits (>100s for the 60-variable ring of benchmark E37 vs
-        ~0.1s with the static order).
+        never hits (>100s for the 60-variable ring of
+        ``tests/test_wmc.py::TestWideDifferential::test_sixty_boolean_variables``
+        vs ~0.1s with the static order).
         """
         unvisited = set(residual)
         clause_variables = self.variables

@@ -21,9 +21,9 @@ product space.  Four evaluation strategies are provided:
   conditions, compile to an OBDD first.
 
 :func:`probability` dispatches between the first three
-(:func:`resolve_strategy`), compiled-first past the variable budget
-(mirroring how ``ctables_equivalent`` in :mod:`repro.worlds.compare`
-dispatches symbolic-first).  All strategies return identical exact
+(:func:`resolve_strategy`): Shannon within
+:data:`PROB_VARIABLE_BUDGET` condition variables, the compiled
+d-DNNF + WMC route beyond it.  All strategies return identical exact
 :class:`fractions.Fraction` values.
 
 Distributions are validated once.  :func:`check_distributions` returns
@@ -211,10 +211,9 @@ def probability(
 
     *strategy* picks the evaluation route (one of
     :data:`PROB_STRATEGIES`); ``None`` defers to ``REPRO_PROB_STRATEGY``
-    (default ``"auto"``).  ``"auto"`` dispatches compiled-first: the
-    memoized Shannon expansion within :data:`PROB_VARIABLE_BUDGET`
-    condition variables, the d-DNNF + weighted-model-counting route
-    beyond it.  Every strategy returns the same exact
+    (default ``"auto"``).  ``"auto"`` runs the memoized Shannon
+    expansion within :data:`PROB_VARIABLE_BUDGET` condition variables
+    and the d-DNNF + weighted-model-counting route beyond it.  Every strategy returns the same exact
     :class:`fractions.Fraction`.
     """
     resolved = resolve_strategy(strategy, formula)

@@ -66,9 +66,8 @@ def _plan_line(tracer: "Tracer") -> str:
         parts.append(f"optimize {_ms(optimize[0].seconds)}")
     verifies = _find_spans(plan, SPAN_VERIFY)
     if verifies:
-        mode = verifies[0].attrs.get("mode", "?")
         total = sum(span.seconds or 0.0 for span in verifies)
-        parts.append(f"verify[{mode}] {_ms(total)} over {len(verifies)} checks")
+        parts.append(f"verify {_ms(total)} over {len(verifies)} checks")
     return "plan: " + ", ".join(parts)
 
 

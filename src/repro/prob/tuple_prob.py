@@ -7,8 +7,9 @@ pc-tables the paper's answer is structural: compute ``q̄(T)``, read off
 the *condition* under which ``t`` appears (its lineage, as Section 9
 remarks), and compute that condition's probability.
 
-Four evaluation routes, cross-checked by the tests and raced in
-benchmarks E18 and E37:
+Four evaluation routes, raced in benchmark E18 and cross-checked by the
+tests (at 60 variables in
+``tests/test_wmc.py::TestWideDifferential::test_sixty_boolean_variables``):
 
 - :func:`tuple_probability_naive` — materialize the whole p-database
   ``q(Mod(T))`` and sum over worlds containing ``t`` (exponential in the

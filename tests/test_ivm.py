@@ -48,7 +48,14 @@ from repro import (
     union,
 )
 from repro.core.instance import Instance
-from repro.ctalgebra.plan import StatsAccumulator, TableStats, collect_stats
+from repro.ctalgebra.plan import (
+    StatsAccumulator,
+    TableStats,
+    collect_stats,
+    execute_plan,
+)
+from repro.engine import session as session_module
+from repro.engine.config import ExecutionConfig
 from repro.errors import PlanVerificationError
 from repro.logic.atoms import BoolVar
 from repro.logic.syntax import BOTTOM, TOP, conj
@@ -87,15 +94,11 @@ X, Y = Var("x"), Var("y")
 JOIN = proj(sel(prod(rel("V", 2), rel("W", 2)), col_eq(1, 2)), [0, 3])
 
 
-def incremental_engine(**options):
-    return Engine(maintenance="incremental", **options)
-
-
 def seeded_session(seed, engine=None, **prepare_options):
     """One (session, prepared, rng) triple over a random case."""
     rng = random.Random(seed)
     query, tables = random_case(rng)
-    engine = engine or incremental_engine()
+    engine = engine or Engine()
     session = engine.session(**tables)
     prepared = session.prepare(query, **prepare_options)
     return session, prepared, rng
@@ -161,7 +164,7 @@ def small_tables():
 
 class TestMutationAPI:
     def test_insert_appends_rows_in_order(self):
-        session = incremental_engine().session(**small_tables())
+        session = Engine().session(**small_tables())
         before = session.table("V").rows
         session.insert("V", [((7, 7), TOP), ((8, 8), eq(X, 0))])
         after = session.table("V").rows
@@ -170,7 +173,7 @@ class TestMutationAPI:
         assert after[len(before):] == expected.rows
 
     def test_delete_removes_last_equal_occurrence(self):
-        engine = incremental_engine()
+        engine = Engine()
         duplicated = CTable([((1, 1), TOP), ((2, 2), TOP), ((1, 1), TOP)], arity=2)
         session = engine.session(V=duplicated, W=small_tables()["W"])
         session.delete("V", [((1, 1), TOP)])
@@ -181,12 +184,12 @@ class TestMutationAPI:
         assert session.table("V").rows[0].values == duplicated.rows[0].values
 
     def test_delete_missing_row_raises(self):
-        session = incremental_engine().session(**small_tables())
+        session = Engine().session(**small_tables())
         with pytest.raises(TableError):
             session.delete("V", [((9, 9), TOP)])
 
     def test_update_is_one_atomic_replacement(self):
-        session = incremental_engine().session(**small_tables())
+        session = Engine().session(**small_tables())
         old = session.table("V").rows[0]
         session.update("V", [(old, ((5, 5), eq(Y, 1)))])
         table = session.table("V")
@@ -195,27 +198,25 @@ class TestMutationAPI:
         assert replacement in table.rows
 
     def test_bottom_condition_inserts_are_dropped(self):
-        session = incremental_engine().session(**small_tables())
+        session = Engine().session(**small_tables())
         before = len(session.table("V").rows)
         session.insert("V", [((3, 3), BOTTOM)])
         assert len(session.table("V").rows) == before
 
     def test_source_keeps_original_object(self):
         tables = small_tables()
-        session = incremental_engine().session(**tables)
+        session = Engine().session(**tables)
         session.insert("V", [((4, 4), TOP)])
         assert session.source("V") is tables["V"]
 
     def test_boolean_ctable_class_is_preserved(self):
         boolean = BooleanCTable([((1, 2), TOP)], arity=2)
-        session = incremental_engine().session(
-            V=boolean, W=small_tables()["W"]
-        )
+        session = Engine().session(V=boolean, W=small_tables()["W"])
         session.insert("V", [((3, 4), TOP)])
         assert isinstance(session.table("V"), BooleanCTable)
 
     def test_mutation_counters_move(self):
-        engine = incremental_engine()
+        engine = Engine()
         session = engine.session(**small_tables())
         session.insert("V", [((7, 7), TOP)])
         session.delete("V", [((7, 7), TOP)])
@@ -257,7 +258,7 @@ class TestRefreshWork:
         right = CTable(
             [((i % self.KEYS, i), TOP) for i in range(self.ROWS)], arity=2
         )
-        engine = incremental_engine()
+        engine = Engine()
         session = engine.session(L=left, R=right)
         query = proj(
             sel(prod(rel("L", 2), rel("R", 2)), col_eq(1, 2)), [0, 3]
@@ -368,7 +369,7 @@ class TestDeltaEqualsRerun:
             )
 
     def test_two_standing_views_over_shared_relations(self):
-        engine = incremental_engine()
+        engine = Engine()
         rng = random.Random(7)
         session = engine.session(**small_tables())
         first = session.prepare(JOIN)
@@ -379,7 +380,7 @@ class TestDeltaEqualsRerun:
             assert_delta_equals_rerun(second, context=f"union step={step}")
 
     def test_refresh_after_re_register_rebuilds(self):
-        engine = incremental_engine()
+        engine = Engine()
         session = engine.session(**small_tables())
         prepared = session.prepare(JOIN)
         prepared.refresh()
@@ -410,14 +411,14 @@ class TestBatchingInvariance:
         )
         victims = [tables["V"].rows[position] for position in victim_positions]
 
-        one_by_one = incremental_engine().session(**tables)
+        one_by_one = Engine().session(**tables)
         for row in fresh:
             one_by_one.insert("V", [row])
         for row in victims:
             one_by_one.delete("V", [row])
         single = one_by_one.prepare(query)
 
-        batched = incremental_engine().session(**tables)
+        batched = Engine().session(**tables)
         batched.insert("V", fresh)
         batched.delete("V", victims)
         coalesced = batched.prepare(query)
@@ -449,7 +450,7 @@ class TestBatchingInvariance:
         )
 
     def test_uncancelled_pending_batches_apply_in_order(self):
-        session = incremental_engine().session(**small_tables())
+        session = Engine().session(**small_tables())
         prepared = session.prepare(JOIN)
         prepared.refresh()
         session.insert("W", [((0, 9), TOP)])
@@ -464,13 +465,13 @@ class TestBatchingInvariance:
 
 class TestResultCacheMaintenance:
     def test_collect_after_mutation_is_never_stale(self):
-        engine = incremental_engine()
+        engine = Engine()
         rerun = Engine()
         tables = small_tables()
         session = engine.session(**tables)
         shadow = rerun.session(**tables)
         prepared = session.prepare(JOIN)
-        cold = prepared.execute()
+        cold = prepared.refresh()  # makes the query standing
         assert_structurally_identical(
             shadow.prepare(JOIN).execute(), cold, context="cold"
         )
@@ -483,7 +484,7 @@ class TestResultCacheMaintenance:
         )
 
     def test_refresh_repopulates_the_result_cache(self):
-        engine = incremental_engine()
+        engine = Engine()
         session = engine.session(**small_tables())
         prepared = session.prepare(JOIN)
         prepared.execute()
@@ -494,16 +495,16 @@ class TestResultCacheMaintenance:
         assert engine.result_cache_stats()["hits"] == hits + 1
 
     def test_mutation_invalidates_before_refresh_repopulates(self):
-        engine = incremental_engine()
+        engine = Engine()
         session = engine.session(**small_tables())
         prepared = session.prepare(JOIN)
-        stale = prepared.execute()
+        stale = prepared.refresh()
         session.insert("V", [((2, 2), TOP)])
         assert engine.result_cache_stats()["invalidations"] >= 1
         assert prepared.execute() is not stale
 
     def test_read_loop_stays_hits_across_mutations(self):
-        engine = incremental_engine()
+        engine = Engine()
         session = engine.session(**small_tables())
         prepared = session.prepare(JOIN)
         for round_number in range(3):
@@ -524,7 +525,7 @@ class TestStatsRollForward:
     def test_rolled_forward_stats_bit_identical(self, seed):
         rng = random.Random(seed)
         query, tables = random_case(rng)
-        session = incremental_engine().session(**tables)
+        session = Engine().session(**tables)
         apply_random_updates(
             rng, session, UpdateProfile(min_steps=2, max_steps=6)
         )
@@ -543,7 +544,7 @@ class TestStatsRollForward:
     def test_re_register_then_mutate_keeps_stats_exact(self):
         # Pins the PR-4 re-register delta path feeding the same
         # accumulator the mutation API rolls forward.
-        session = incremental_engine().session(**small_tables())
+        session = Engine().session(**small_tables())
         session.register(
             "V", CTable([((1, 1), TOP), ((2, 2), eq(X, 0))], arity=2)
         )
@@ -554,7 +555,7 @@ class TestStatsRollForward:
         )
 
     def test_identical_stats_mean_identical_plan_fingerprints(self):
-        left = incremental_engine().session(**small_tables())
+        left = Engine().session(**small_tables())
         right = Engine().session(**small_tables())
         left.insert("V", [((5, 5), TOP)])
         left.delete("V", [((5, 5), TOP)])
@@ -563,12 +564,12 @@ class TestStatsRollForward:
 
 
 # ----------------------------------------------------------------------
-# Fallback shapes, verification, and the rerun mode
+# Fallback shapes, verification, and which reads keep views
 # ----------------------------------------------------------------------
 
 class TestFallbackAndVerification:
     def test_boolean_ctable_scan_falls_back_and_stays_correct(self):
-        engine = incremental_engine()
+        engine = Engine()
         flag = BoolVar("b")
         session = engine.session(
             B=BooleanCTable([((1, 2), TOP), ((3, 4), flag)], arity=2),
@@ -590,7 +591,7 @@ class TestFallbackAndVerification:
             [((X, 0), eq(X, 1))], arity=2, domains={"x": (0, 1)}
         )
         constants = CTable([((1, 2), TOP), ((3, 4), TOP)], arity=2)
-        engine = incremental_engine()
+        engine = Engine()
         session = engine.session(F=finite, V=constants)
         prepared = session.prepare(union(rel("F", 2), rel("V", 2)))
         # Finite-domain tables are outside the symbolic Mod-checker's
@@ -603,7 +604,7 @@ class TestFallbackAndVerification:
         ) >= 1.0
 
     def test_view_verifier_accepts_healthy_state(self):
-        engine = incremental_engine(verify_plans=True)
+        engine = Engine(verify_plans=True)
         session = engine.session(**small_tables())
         prepared = session.prepare(JOIN)
         rng = random.Random(3)
@@ -612,7 +613,7 @@ class TestFallbackAndVerification:
             assert_delta_equals_rerun(prepared, context="verified")
 
     def test_view_verifier_catches_corrupted_order(self):
-        engine = incremental_engine(verify_plans=True)
+        engine = Engine(verify_plans=True)
         session = engine.session(**small_tables())
         prepared = session.prepare(JOIN)
         prepared.refresh()
@@ -632,25 +633,71 @@ class TestFallbackAndVerification:
         assert excinfo.value.check == "view"
 
     def test_rerun_maintenance_mode_keeps_no_views(self):
-        # Explicit rather than relying on the default: the CI matrix runs
-        # this suite under REPRO_MAINTENANCE=incremental too.
-        engine = Engine(maintenance="rerun")
-        assert engine.config.maintenance == "rerun"
+        # A query that is only execute()d is maintained by rerunning:
+        # only refresh() makes a query standing, so it keeps no view and
+        # re-runs its plan after every mutation.
+        engine = Engine()
         session = engine.session(**small_tables())
         prepared = session.prepare(JOIN)
-        before = prepared.refresh()
+        previous = prepared.execute()
+        rng = random.Random(5)
+        for step in range(3):
+            apply_random_updates(rng, session)
+            answer = prepared.execute()
+            assert session._views == {}
+            assert answer is not previous
+            tables = {name: session.table(name) for name in ("V", "W")}
+            assert_structurally_identical(
+                execute_plan(prepared.plan(), tables),
+                answer,
+                context=f"execute-only step={step}",
+            )
+            previous = answer
+        assert engine.metrics.counter_value(
+            IVM_REFRESH_TOTAL, {"mode": "build"}
+        ) == 0.0
+
+    def test_interpreted_read_runs_the_oracle_beside_a_standing_view(
+        self, monkeypatch
+    ):
+        # The interpreted executor is the lifted-operator oracle: its
+        # reads must run the plan even when the session keeps a standing
+        # view of the same query text.
+        session = Engine().session(**small_tables())
+        maintained = session.prepare(JOIN).refresh()
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return execute_plan(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "execute_plan", spy)
+        oracle = session.prepare(JOIN, executor="interpreted")
+        assert_structurally_identical(
+            maintained, oracle.execute(), context="interpreted execute"
+        )
+        assert len(calls) == 1
         session.insert("V", [((2, 2), TOP)])
-        after = prepared.refresh()
-        assert session._views == {}
-        assert after is not before
-        assert_delta_equals_rerun(prepared, context="rerun mode")
+        refreshed = oracle.refresh()
+        assert len(calls) == 2
+        assert len(session._views) == 1
+        assert_structurally_identical(
+            session.prepare(JOIN).refresh(),
+            refreshed,
+            context="interpreted refresh",
+        )
 
     def test_maintenance_knob_rejects_unknown_values(self):
-        with pytest.raises(ValueError):
-            Engine(maintenance="eager")
+        # The knob is gone, so every value is rejected: the read
+        # (refresh or execute) chooses view maintenance.  The verifier's
+        # depth knob went with it; the verifier has one depth.
+        with pytest.raises(TypeError):
+            Engine(maintenance="incremental")
+        with pytest.raises(TypeError):
+            ExecutionConfig(verify_mode="semantic")
 
     def test_view_lru_is_bounded(self):
-        engine = incremental_engine()
+        engine = Engine()
         session = engine.session(**small_tables())
         for column in range(2):
             for constant in range(20):
@@ -693,7 +740,7 @@ class TestDeltaPerOperator:
         "op_class", list(OPERATOR_QUERIES), ids=lambda cls: cls.__name__
     )
     def test_delta_equals_rerun(self, op_class, seed):
-        engine = incremental_engine()
+        engine = Engine()
         session = engine.session(**small_tables())
         prepared = session.prepare(OPERATOR_QUERIES[op_class])
         prepared.refresh()
@@ -730,7 +777,7 @@ class TestDeltaPerOperator:
             tables = {"V": small, "W": large}
         else:
             tables = {"V": large, "W": small_right}
-        engine = incremental_engine()
+        engine = Engine()
         session = engine.session(**tables)
         prepared = session.prepare(JOIN)
         prepared.refresh()

@@ -252,11 +252,8 @@ class TestTracer:
 # ----------------------------------------------------------------------
 
 class TestTraceDeterminism:
-    # These pin maintenance="rerun": they document the spans of a plan
-    # execution, and under maintenance="incremental" (a CI lane) a read
-    # is a view refresh instead, traced or not (see TestMaintainedTracing).
     def executed_trace(self, *, executor: str = "vectorized"):
-        engine = Engine(maintenance="rerun")
+        engine = Engine()
         session = make_session(engine)
         prepared = session.prepare(JOIN, trace=True, executor=executor)
         answer = prepared.execute()
@@ -276,7 +273,7 @@ class TestTraceDeterminism:
         assert self.operator_view(strip_timings(first))
 
     def test_trace_shape_parse_plan_lower_execute(self):
-        engine = Engine(maintenance="rerun")
+        engine = Engine()
         session = make_session(engine)
         prepared = session.prepare("pi[1,4](sigma[2=3](L x R))", trace=True)
         prepared.execute()
@@ -291,7 +288,7 @@ class TestTraceDeterminism:
         assert SPAN_OPTIMIZE in plan_children
 
     def test_interpreted_executor_traces_without_operators(self):
-        engine = Engine(maintenance="rerun")
+        engine = Engine()
         session = make_session(engine)
         session.prepare(JOIN, trace=True, executor="interpreted").execute()
         trace = engine.last_trace()
@@ -314,10 +311,10 @@ class TestMaintainedTracing:
     view refreshes it exactly like an untraced one."""
 
     def read_after_insert(self, traced: bool):
-        engine = Engine(maintenance="incremental")
+        engine = Engine()
         session = make_session(engine)
         prepared = session.prepare(JOIN, trace=traced)
-        prepared.execute()  # builds the view
+        prepared.refresh()  # builds the view
         session.insert("L", [((100, 1), TOP), ((101, 6), TOP)])
         before = engine.metrics.counter_value(
             IVM_REFRESH_TOTAL, {"mode": "delta"}
@@ -546,8 +543,7 @@ class TestTracedDifferential:
             traces = {}
             analyzed = None
             for executor in ("interpreted", "vectorized"):
-                # Plan-execution traces: see TestTraceDeterminism.
-                engine = Engine(maintenance="rerun")
+                engine = Engine()
                 session = engine.session()
                 for name, table in tables.items():
                     session.register(name, table)

@@ -5,19 +5,20 @@ The core battery monkeypatches the optimizer's local rule functions
 ``optimize._apply_local_rule``) with deliberately broken variants, runs
 real queries through the verified planning pipeline, and demands that
 :class:`~repro.ctalgebra.verify.PlanVerifier` rejects the rewrite *and
-names the offending rule*.  The battery runs in both verifier modes.
-In ``"syntactic"`` mode one mutation is a documented miss — the
+names the offending rule*.  The verifier runs its structural checks
+first, and the battery pins that layer on its own: at least 8 of the
+12 seeded mutations must be caught by a check other than
+``"semantics"``.  One mutation is a documented structural miss — the
 column-erasing conjunct keys cannot see a predicate applied to the
-wrong join side when the atom shapes survive — and the battery asserts
-the issue's bar: at least 8 of the 10+ seeded mutations are caught.  In
-``"semantic"`` mode translation validation (symbolic execution on
-abstract tables plus SAT/BDD condition equivalence) closes exactly that
-blind spot, and the battery demands a perfect 12/12 catch rate.
+wrong join side when the atom shapes survive — and translation
+validation (symbolic execution on abstract tables plus SAT/BDD
+condition equivalence) closes exactly that blind spot, so the battery
+demands a perfect 12/12 catch rate overall.
 
 The wrong-side query joins on *different* columns than it filters
 (``col1 = col3`` join, ``col0 = 1`` filter): under a ``col0 = col2``
 join the side swap would be genuinely Mod-preserving (congruence makes
-the filter equivalent on either side) and the semantic verifier —
+the filter equivalent on either side) and translation validation —
 correctly — accepts it.
 """
 
@@ -46,7 +47,7 @@ from repro.ctalgebra.plan import (
 from repro.ctalgebra.translate import plan_for_query
 from repro.ctalgebra.verify import PlanVerifier
 from repro.engine import Engine
-from repro.engine.config import ExecutionConfig, _env_choice, _env_flag
+from repro.engine.config import ExecutionConfig, _env_flag
 from repro.logic.atoms import Const, Var, eq
 from repro.logic.syntax import Not, TOP, conj, is_interned
 from repro.physical.lower import lower
@@ -87,13 +88,9 @@ def small_tables():
     return {"R": r, "S": s}
 
 
-def verified_plan(query, tables=None, mode="syntactic"):
+def verified_plan(query, tables=None):
     return plan_for_query(
-        query,
-        tables or small_tables(),
-        optimize=True,
-        verify=True,
-        verify_mode=mode,
+        query, tables or small_tables(), optimize=True, verify=True
     )
 
 
@@ -160,8 +157,8 @@ def broken_join_wrong_side(node, sat):
 
     The conjunct keys deliberately erase column indexes (pushdown remaps
     them legitimately), so this side swap survives every structural
-    check — the documented blind spot the differential fuzzer still
-    covers.
+    check — the documented blind spot that translation validation
+    (the ``"semantics"`` check) closes.
     """
     result = REAL_REWRITE_JOIN(node, sat)
     if (
@@ -190,12 +187,11 @@ def broken_reorder_duplicates_operand(operands, conjuncts, order, total_arity):
 
 
 #: (name, optimize attribute to patch, broken fn, query, expected check,
-#:  expected rule, caught syntactically?)
+#:  expected rule)
 #:
-#: Semantic mode catches *every* entry: the ones below with
-#: ``caught=True`` fail the same syntactic check first (those checks run
-#: before translation validation), and the one documented syntactic miss
-#: carries the check/rule the *semantic* verifier reports it under.
+#: The verifier catches *every* entry.  All but one fail a structural
+#: check (those run before translation validation); the documented
+#: structural miss carries the ``"semantics"`` check that catches it.
 MUTATIONS = [
     (
         "fusion-drops-outer-predicate",
@@ -204,7 +200,6 @@ MUTATIONS = [
         sel(sel(R2, col_eq_const(0, 1)), col_eq_const(1, 2)),
         "conjunct-conservation",
         "rewrite_select",
-        True,
     ),
     (
         "join-drops-residual",
@@ -213,7 +208,6 @@ MUTATIONS = [
         sel(prod(R2, S2), col_eq(0, 2), col_eq_const(0, 1)),
         "conjunct-conservation",
         "rewrite_join",
-        True,
     ),
     (
         "join-unshifted-pushdown",
@@ -222,7 +216,6 @@ MUTATIONS = [
         sel(prod(R2, S2), col_eq_const(2, 5)),
         "arity",
         "rewrite_join",
-        True,
     ),
     (
         "projection-truncates-columns",
@@ -231,7 +224,6 @@ MUTATIONS = [
         proj(R2, (1, 0)),
         "arity",
         "rewrite_project",
-        True,
     ),
     (
         "projection-columns-out-of-range",
@@ -240,7 +232,6 @@ MUTATIONS = [
         proj(R2, (1, 0)),
         "arity",
         "rewrite_project",
-        True,
     ),
     (
         "union-absorbs-empty",
@@ -249,7 +240,6 @@ MUTATIONS = [
         union(sel(R2, UNSAT), S2),
         "leaf-conservation",
         "rewrite_structural",
-        True,
     ),
     (
         "reorder-drops-conjunct",
@@ -258,7 +248,6 @@ MUTATIONS = [
         sel(prod(R2, S2), col_eq(0, 2)),
         "conjunct-conservation",
         "reorder_joins",
-        True,
     ),
     (
         "reorder-duplicates-operand",
@@ -267,7 +256,6 @@ MUTATIONS = [
         sel(prod(R2, S2), col_eq(0, 2)),
         "leaf-conservation",
         "reorder_joins",
-        True,
     ),
     (
         "prunes-satisfiable-predicate",
@@ -276,7 +264,6 @@ MUTATIONS = [
         sel(R2, col_eq_const(0, 1)),
         "unsat-prune",
         "rewrite_select",
-        True,
     ),
     (
         "prune-forgets-leaf-sources",
@@ -285,7 +272,6 @@ MUTATIONS = [
         sel(R2, UNSAT),
         "leaf-conservation",
         "rewrite_select",
-        True,
     ),
     (
         "select-invents-atom",
@@ -294,7 +280,6 @@ MUTATIONS = [
         sel(R2, col_eq_const(0, 1)),
         "conjunct-conservation",
         "rewrite_select",
-        True,
     ),
     (
         "join-wrong-side-pushdown",
@@ -303,68 +288,56 @@ MUTATIONS = [
         sel(prod(R2, S2), col_eq(1, 3), col_eq_const(0, 1)),
         "semantics",
         "rewrite_join",
-        False,
     ),
 ]
 
-VERIFY_MODES = ["syntactic", "semantic"]
-
-
 class TestSeededMutations:
-    @pytest.mark.parametrize("mode", VERIFY_MODES)
     @pytest.mark.parametrize(
-        "name,attr,broken,query,check,rule,caught",
+        "name,attr,broken,query,check,rule",
         MUTATIONS,
         ids=[entry[0] for entry in MUTATIONS],
     )
-    def test_mutation(
-        self, monkeypatch, name, attr, broken, query, check, rule, caught, mode
-    ):
+    def test_mutation(self, monkeypatch, name, attr, broken, query, check, rule):
         monkeypatch.setattr(optimize, attr, broken)
-        if mode == "semantic":
-            caught = True  # translation validation closes the blind spot
-        if caught:
-            with pytest.raises(PlanVerificationError) as excinfo:
-                verified_plan(query, mode=mode)
-            assert excinfo.value.check == check
-            assert excinfo.value.rule == rule
-            assert rule in str(excinfo.value)
-        else:
-            # Documented syntactic miss: shape-preserving side swaps pass
-            # the structural checks; semantic mode (above) catches them.
-            verified_plan(query, mode=mode)
+        with pytest.raises(PlanVerificationError) as excinfo:
+            verified_plan(query)
+        assert excinfo.value.check == check
+        assert excinfo.value.rule == rule
+        assert rule in str(excinfo.value)
 
     def test_syntactic_catch_rate_meets_the_bar(self):
-        """At least 8 of the 10+ seeded mutations must be caught."""
-        total, caught = self._catch_count("syntactic")
-        assert total >= 10
-        assert caught >= 8
+        """The structural layer alone catches at least 8 of the 12."""
+        checks = self._catching_checks()
+        assert len(checks) == 12
+        structural = [check for check in checks if check != "semantics"]
+        assert len(structural) >= 8
 
     def test_semantic_catch_rate_is_perfect(self):
-        """Semantic mode catches every seeded mutation — 12/12."""
-        total, caught = self._catch_count("semantic")
-        assert total == 12
-        assert caught == total
+        """The full verifier catches every seeded mutation — 12/12."""
+        checks = self._catching_checks()
+        assert len(checks) == 12
+        assert None not in checks
 
     @staticmethod
-    def _catch_count(mode):
-        total = len(MUTATIONS)
-        caught = 0
-        for name, attr, broken, query, check, rule, expect_caught in MUTATIONS:
+    def _catching_checks():
+        """Per mutation, the check that rejected it (``None``: missed)."""
+        checks = []
+        for name, attr, broken, query, _, _ in MUTATIONS:
             with pytest.MonkeyPatch.context() as patcher:
                 patcher.setattr(optimize, attr, broken)
                 try:
-                    verified_plan(query, mode=mode)
+                    verified_plan(query)
                 except PlanVerificationError as error:
                     assert error.rule is not None, name
-                    caught += 1
-        return total, caught
+                    checks.append(error.check)
+                else:
+                    checks.append(None)
+        return checks
 
-    @pytest.mark.parametrize("mode", VERIFY_MODES)
-    def test_clean_pipeline_verifies(self, mode):
+    def test_clean_pipeline_verifies(self):
         """Without mutations the verified pipeline accepts the plans."""
-        for _, _, _, query, _, _, _ in MUTATIONS:
-            verified_plan(query, mode=mode)
+        for _, _, _, query, _, _ in MUTATIONS:
+            verified_plan(query)
 
 
 # ----------------------------------------------------------------------
@@ -538,47 +511,15 @@ class TestConfigWiring:
         monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
         assert ExecutionConfig(verify_plans=False).verify_plans is False
 
-    @pytest.mark.parametrize("value", ["semantic", "SEMANTIC", " Semantic "])
-    def test_env_verify_mode_semantic(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_VERIFY_MODE", value)
-        assert ExecutionConfig().verify_mode == "semantic"
-
-    @pytest.mark.parametrize("value", ["syntactic", ""])
-    def test_env_verify_mode_syntactic(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_VERIFY_MODE", value)
-        assert ExecutionConfig().verify_mode == "syntactic"
-
-    def test_env_verify_mode_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_MODE", "deep")
-        with pytest.raises(ValueError, match="REPRO_VERIFY_MODE"):
-            _env_choice(
-                "REPRO_VERIFY_MODE", "syntactic", ("syntactic", "semantic")
-            )
-
-    def test_config_rejects_unknown_verify_mode(self):
-        with pytest.raises(ValueError, match="verify_mode"):
-            ExecutionConfig(verify_mode="exhaustive")
-
-    def test_explicit_verify_mode_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_MODE", "semantic")
-        config = ExecutionConfig(verify_mode="syntactic")
-        assert config.verify_mode == "syntactic"
-
-    def test_verifier_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            PlanVerifier(mode="exhaustive")
-
     def test_engine_semantic_mode_catches_wrong_side_pushdown(
         self, monkeypatch
     ):
-        # The full engine path: config knob → build_plan → PlanVerifier.
+        # The full engine path: config flag → build_plan → PlanVerifier.
         monkeypatch.setattr(optimize, "_rewrite_join", broken_join_wrong_side)
         query = sel(prod(R2, S2), col_eq(1, 3), col_eq_const(0, 1))
-        syntactic = Engine(verify_plans=True, verify_mode="syntactic")
-        syntactic.session(**small_tables()).query(query).collect()  # the miss
-        semantic = Engine(verify_plans=True, verify_mode="semantic")
+        engine = Engine(verify_plans=True)
         with pytest.raises(PlanVerificationError) as excinfo:
-            semantic.session(**small_tables()).query(query).collect()
+            engine.session(**small_tables()).query(query).collect()
         assert excinfo.value.check == "semantics"
         assert excinfo.value.rule == "rewrite_join"
 

@@ -435,6 +435,11 @@ class TestStrategyDispatch:
             ExecutionConfig(prob_strategy="guess")
         assert ExecutionConfig(prob_strategy="wmc").prob_strategy == "wmc"
 
+    def test_config_env_default_validates(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PROB_STRATEGY", "guess")
+        with pytest.raises(ValueError, match="REPRO_PROB_STRATEGY"):
+            ExecutionConfig()
+
 
 @pytest.fixture
 def prob_session():

@@ -37,32 +37,40 @@ Pipeline
    elimination, which :mod:`repro.logic.sat` uses, is deliberately
    **absent**: it preserves satisfiability but not model counts.
 
-Each compilation interns every clause it meets, original or shrunk by
-an assignment, in a per-compile table and files it in an *occurrence
-index* from each variable to the clauses mentioning it.  Assigning a
-literal then visits only ``occurrences[v] ∩ residual`` instead of the
-whole residual, and the component split walks the same index and returns
-each component's branch variable from that one pass.  A component is
-connected by construction, so compiling it skips the split.  The index
-changes how fast a node is found, never which node: residual-keyed
+Each compilation numbers every clause it meets, original or shrunk by
+an assignment, in a per-compile table, and works on integer bitsets over
+those numbers.  A residual is the bitmask of its clauses, and an
+*occurrence index* maps each literal to the bitmask of the clauses that
+contain it.  Assigning a literal drops the clauses it satisfies with one
+``&`` and shrinks only the ones it falsifies; the component split ORs
+index entries together and returns each component's branch variable from
+that one walk; the cache is keyed by the residual bitmask itself, so it
+hits exactly when two residual clause sets are equal.  A component is
+connected by construction, so compiling it skips the split.  The
+bitsets change how fast a node is found, never which node: residual-keyed
 caching and min-index branching are unchanged, so the circuits are the
 same node for node.
 
-The resulting trace is *not smooth* (an OR child may mention fewer
-variables than its sibling); :meth:`DDNNF.weighted_count` repairs this on
-the fly with gap factors ``w(v) + w(¬v)`` per missing variable, which is
-exact for arbitrary weights.
+Every circuit node carries its variable set as an integer ``mask``.  The
+resulting trace is *not smooth* (an OR child may mention fewer variables
+than its sibling); :meth:`DDNNF.weighted_count` repairs this on the fly
+with gap factors ``w(v) + w(¬v)`` for each variable of
+``parent.mask & ~child.mask``, which is exact for arbitrary weights.  It
+counts iteratively in integer numerators over per-variable common
+denominators and builds one :class:`~fractions.Fraction` at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import (
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -237,23 +245,25 @@ def booleanize(formula: Formula, supports: Supports) -> Formula:
 class DNode:
     """Base class of d-DNNF circuit nodes.
 
-    ``scope`` is the set of CNF variables the subcircuit depends on —
-    the smoothing pass in :meth:`DDNNF.weighted_count` compares child
-    scopes against their parents to find the variables it must repair.
+    ``mask`` is the set of CNF variables the subcircuit depends on, as an
+    integer bitmask: bit ``v`` is set when variable ``v`` occurs below
+    the node.  The smoothing pass in :meth:`DDNNF.weighted_count` finds
+    the variables it must repair under an OR child as the gap
+    ``parent.mask & ~child.mask``.
     """
 
-    __slots__ = ("scope",)
+    __slots__ = ("mask",)
 
-    scope: FrozenSet[int]
+    mask: int
 
 
 class DTrue(DNode):
-    """The constant-true circuit (one model over an empty scope)."""
+    """The constant-true circuit (one model over no variables)."""
 
     __slots__ = ()
 
     def __init__(self) -> None:
-        self.scope = frozenset()
+        self.mask = 0
 
     def __repr__(self) -> str:
         return "dtrue"
@@ -265,7 +275,7 @@ class DFalse(DNode):
     __slots__ = ()
 
     def __init__(self) -> None:
-        self.scope = frozenset()
+        self.mask = 0
 
     def __repr__(self) -> str:
         return "dfalse"
@@ -282,20 +292,27 @@ class DLit(DNode):
 
     def __init__(self, literal: int) -> None:
         self.literal = literal
-        self.scope = frozenset({abs(literal)})
+        self.mask = 1 << abs(literal)
 
     def __repr__(self) -> str:
         return f"lit({self.literal})"
 
 
+def _union(children: Tuple[DNode, ...]) -> int:
+    mask = 0
+    for child in children:
+        mask |= child.mask
+    return mask
+
+
 class DAnd(DNode):
-    """Decomposable conjunction: children have pairwise disjoint scopes."""
+    """Decomposable conjunction: children have pairwise disjoint masks."""
 
     __slots__ = ("children",)
 
     def __init__(self, children: Tuple[DNode, ...]) -> None:
         self.children = children
-        self.scope = frozenset().union(*(child.scope for child in children))
+        self.mask = _union(children)
 
     def __repr__(self) -> str:
         return f"and({len(self.children)})"
@@ -312,7 +329,7 @@ class DOr(DNode):
 
     def __init__(self, children: Tuple[DNode, ...]) -> None:
         self.children = children
-        self.scope = frozenset().union(*(child.scope for child in children))
+        self.mask = _union(children)
 
     def __repr__(self) -> str:
         return f"or({len(self.children)})"
@@ -337,6 +354,14 @@ def _dand(children: Sequence[DNode]) -> DNode:
     return DAnd(tuple(flat))
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Yield the positions of the set bits of *mask*, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # ---------------------------------------------------------------------------
 # The compiler: exhaustive DPLL with a recorded trace
 # ---------------------------------------------------------------------------
@@ -346,39 +371,54 @@ class _Compiler:
     """One compilation: the clause table, its occurrence index, the cache.
 
     Every clause the search meets — original or shrunk by an assignment —
-    is interned once in ``clauses`` and filed under each of its variables
-    in ``occurrences``.  A residual is a frozenset of interned clauses, so
-    unit propagation touches only ``occurrences[v] & residual`` for each
-    assigned variable ``v``, and the component walk follows the index
-    instead of rebuilding a variable map from every literal at every
-    node.  The index only grows: a variable's entry also lists clauses
-    that other branches left behind, which the intersections skip.
+    is interned once and numbered; clause ``i`` is bit ``i`` of a clause
+    bitmask.  Clause 0 is the empty clause.  A residual is such a
+    bitmask, and so is each entry of the occurrence index:
+    ``occurrences[l]`` holds the clauses containing literal ``l``.
+    Assigning ``l`` drops the clauses it satisfies with one ``&`` and
+    shrinks only those in ``occurrences[-l]``; the component walk ORs
+    index entries together; the cache is keyed by the residual bitmask
+    itself, so it hits exactly when two residual clause sets are equal.
+    The index only grows: an entry also lists clauses that other branches
+    left behind, which the ``&`` with the residual skips.
     """
 
-    __slots__ = ("clauses", "variables", "occurrences", "cache")
+    __slots__ = ("ids", "clauses", "spans", "units", "occurrences", "cache")
 
     def __init__(self) -> None:
-        self.clauses: Dict[Clause, Clause] = {}
-        #: The variable set of every interned clause.
-        self.variables: Dict[Clause, FrozenSet[int]] = {}
-        self.occurrences: Dict[int, Set[Clause]] = {}
-        self.cache: Dict[FrozenSet[Clause], DNode] = {}
+        self.ids: Dict[Clause, int] = {}
+        self.clauses: List[Clause] = []
+        #: The variable bitmask of every interned clause, by id.
+        self.spans: List[int] = []
+        #: The literal of every unit clause, ``0`` for the others, by id.
+        self.units: List[int] = []
+        self.occurrences: Dict[int, int] = {}
+        self.cache: Dict[int, DNode] = {}
+        self.intern(frozenset())
 
-    def intern(self, clause: Clause) -> Clause:
-        """Return the table's copy of *clause*, filing a new one first."""
-        known = self.clauses.get(clause)
+    def intern(self, clause: Clause) -> int:
+        """Return the id of *clause*, filing a new one first."""
+        known = self.ids.get(clause)
         if known is not None:
             return known
-        self.clauses[clause] = clause
-        variables = frozenset(abs(literal) for literal in clause)
-        self.variables[clause] = variables
-        for variable in variables:
-            self.occurrences.setdefault(variable, set()).add(clause)
-        return clause
+        index = len(self.clauses)
+        self.ids[clause] = index
+        self.clauses.append(clause)
+        bit = 1 << index
+        span = 0
+        occurrences = self.occurrences
+        for literal in clause:
+            span |= 1 << abs(literal)
+            occurrences[literal] = occurrences.get(literal, 0) | bit
+            # Either sign of a variable can be assigned: file both.
+            occurrences.setdefault(-literal, 0)
+        self.spans.append(span)
+        self.units.append(next(iter(clause)) if len(clause) == 1 else 0)
+        return index
 
     def propagate(
-        self, residual: FrozenSet[Clause], pending: List[int]
-    ) -> Tuple[Optional[FrozenSet[Clause]], List[int]]:
+        self, residual: int, pending: List[int]
+    ) -> Tuple[Optional[int], List[int]]:
         """Assign the *pending* literals and run unit propagation to fixpoint.
 
         *pending* are the literals to assign: a decision, or the root's
@@ -389,10 +429,11 @@ class _Compiler:
         residual, which is what makes the caller's AND of literal nodes
         decomposable.
         """
-        current: Set[Clause] = set(residual)
+        current = residual
         implied: List[int] = []
         assigned: Set[int] = set()
         occurrences = self.occurrences
+        units = self.units
         while pending:
             literal = pending.pop()
             variable = abs(literal)
@@ -402,21 +443,20 @@ class _Compiler:
                 continue
             assigned.add(variable)
             implied.append(literal)
-            for clause in occurrences[variable] & current:
-                current.discard(clause)
-                if literal in clause:
-                    continue
-                shrunk = self.intern(clause - {-literal})
-                if not shrunk:
+            current &= ~occurrences[literal]
+            falsified = occurrences[-literal] & current
+            current ^= falsified
+            for index in _bits(falsified):
+                smaller = self.intern(self.clauses[index] - {-literal})
+                if not smaller:  # id 0: the clause emptied
                     return None, implied
-                if len(shrunk) == 1:
-                    pending.extend(shrunk)
-                current.add(shrunk)
-        return frozenset(current), implied
+                unit = units[smaller]
+                if unit:
+                    pending.append(unit)
+                current |= 1 << smaller
+        return current, implied
 
-    def components(
-        self, residual: FrozenSet[Clause]
-    ) -> List[Tuple[FrozenSet[Clause], int]]:
+    def components(self, residual: int) -> List[Tuple[int, int]]:
         """Split *residual* into connected components (shared variables).
 
         Each component comes with its branch variable, the lowest
@@ -436,31 +476,37 @@ class _Compiler:
         ``tests/test_wmc.py::TestWideDifferential::test_sixty_boolean_variables``
         vs ~0.1s with the static order).
         """
-        unvisited = set(residual)
-        clause_variables = self.variables
+        unvisited = residual
+        spans = self.spans
         occurrences = self.occurrences
-        components: List[Tuple[FrozenSet[Clause], int]] = []
+        components: List[Tuple[int, int]] = []
         while unvisited:
-            start = unvisited.pop()
-            members = [start]
-            reached: Set[int] = set()
-            # ``members`` grows while it is walked: a breadth-first search.
-            for clause in members:
-                fresh = clause_variables[clause] - reached
-                if not fresh:
-                    continue
+            members = frontier = unvisited & -unvisited
+            unvisited ^= members
+            reached = 0
+            # Breadth-first, one layer of clauses per round.  The bit
+            # loops are inlined: this walk is the compiler's hottest code.
+            while frontier:
+                fresh = 0
+                while frontier:
+                    low = frontier & -frontier
+                    fresh |= spans[low.bit_length() - 1]
+                    frontier ^= low
+                fresh &= ~reached
                 reached |= fresh
-                for variable in fresh:
-                    found = occurrences[variable] & unvisited
-                    if found:
-                        unvisited -= found
-                        members.extend(found)
-            components.append((frozenset(members), min(reached)))
+                found = 0
+                while fresh:
+                    low = fresh & -fresh
+                    variable = low.bit_length() - 1
+                    found |= occurrences[variable] | occurrences[-variable]
+                    fresh ^= low
+                frontier = found & unvisited
+                unvisited ^= frontier
+                members |= frontier
+            components.append((members, (reached & -reached).bit_length() - 1))
         return components
 
-    def solve(
-        self, residual: Optional[FrozenSet[Clause]], implied: List[int]
-    ) -> DNode:
+    def solve(self, residual: Optional[int], implied: List[int]) -> DNode:
         """The circuit for a propagated residual and the literals implied."""
         if residual is None:
             return D_FALSE
@@ -481,7 +527,7 @@ class _Compiler:
             return D_FALSE
         return _dand(prefix + [node])
 
-    def component(self, residual: FrozenSet[Clause], variable: int) -> DNode:
+    def component(self, residual: int, variable: int) -> DNode:
         """The circuit for a connected, unit-free residual (cached)."""
         node = self.cache.get(residual)
         if node is None:
@@ -489,7 +535,7 @@ class _Compiler:
             self.cache[residual] = node
         return node
 
-    def branch(self, residual: FrozenSet[Clause], variable: int) -> DNode:
+    def branch(self, residual: int, variable: int) -> DNode:
         """Decide *variable* both ways: a deterministic OR of the branches."""
         branches = tuple(
             child
@@ -510,11 +556,14 @@ def compile_cnf(clauses: Iterable[Clause], num_vars: int) -> "DDNNF":
     """Compile a CNF into a d-DNNF circuit counting over *num_vars* variables."""
     counter(DDNNF_COMPILE_TOTAL)
     compiler = _Compiler()
-    residual = frozenset(compiler.intern(clause) for clause in clauses)
-    if frozenset() in residual:
+    residual = 0
+    for clause in clauses:
+        residual |= 1 << compiler.intern(clause)
+    if residual & 1:
         return DDNNF(D_FALSE, num_vars)
-    units = [literal for clause in residual if len(clause) == 1 for literal in clause]
-    root = compiler.solve(*compiler.propagate(residual, units))
+    units = compiler.units
+    pending = [units[index] for index in _bits(residual) if units[index]]
+    root = compiler.solve(*compiler.propagate(residual, pending))
     return DDNNF(root, num_vars)
 
 
@@ -527,7 +576,7 @@ class DDNNF:
     """A compiled circuit plus the variable universe it counts over.
 
     Model counts and weighted counts are taken over **all** ``num_vars``
-    CNF variables: a variable outside the circuit's scope is free, and
+    CNF variables: a variable outside the circuit's mask is free, and
     smoothing multiplies in its gap factor ``w(v) + w(¬v)`` (which is
     ``2`` for unweighted counting).  This matches
     :meth:`repro.logic.bdd.Bdd.count_models`, which also counts over its
@@ -569,51 +618,85 @@ class DDNNF:
 
         *pos*/*neg* map every CNF variable to the weight of its positive
         and negative literal.  The count is over complete assignments to
-        all ``num_vars`` variables; a variable missing from a branch's
-        scope (the trace is not smooth) contributes its gap factor
-        ``pos[v] + neg[v]`` exactly once per assignment family, which is
-        correct for arbitrary weights — not only probability pairs that
-        sum to 1.
+        all ``num_vars`` variables; a variable missing from an OR
+        child's mask (the trace is not smooth) contributes its gap
+        factor ``pos[v] + neg[v]`` exactly once per assignment family,
+        which is correct for arbitrary weights — not only probability
+        pairs that sum to 1.
+
+        The pass is iterative and works in integers.  Each variable's
+        two weights are put over a common denominator ``d(v)``; a node's
+        count over its mask is then an integer numerator over the
+        product of ``d(v)`` for ``v`` in the mask, so AND multiplies
+        numerators, OR adds them after scaling each child by its gap's
+        summed numerators, and one :class:`~fractions.Fraction` is built
+        at the root.
         """
         counter(WMC_COUNT_TOTAL)
-        total: Dict[int, Fraction] = {
-            v: pos[v] + neg[v] for v in range(1, self.num_vars + 1)
-        }
-        memo: Dict[int, Fraction] = {}
+        size = self.num_vars + 1
+        positive = [0] * size
+        negative = [0] * size
+        total = [1] * size
+        denominator = 1
+        for variable in range(1, size):
+            high, low = pos[variable], neg[variable]
+            common = lcm(high.denominator, low.denominator)
+            positive[variable] = high.numerator * (common // high.denominator)
+            negative[variable] = low.numerator * (common // low.denominator)
+            total[variable] = positive[variable] + negative[variable]
+            denominator *= common
+        gaps: Dict[int, int] = {0: 1}
 
-        def value(node: DNode) -> Fraction:
-            cached = memo.get(id(node))
-            if cached is not None:
-                return cached
-            result: Fraction
-            if isinstance(node, DTrue):
-                result = Fraction(1)
+        def gap_factor(mask: int) -> int:
+            factor = gaps.get(mask)
+            if factor is None:
+                factor = 1
+                for variable in _bits(mask):
+                    factor *= total[variable]
+                gaps[mask] = factor
+            return factor
+
+        # Post-order over the DAG with an explicit stack: a node is
+        # counted once all of its children have been.
+        counts: Dict[int, int] = {}
+        stack: List[DNode] = [self.root]
+        while stack:
+            node = stack[-1]
+            if id(node) in counts:
+                stack.pop()
+                continue
+            if isinstance(node, DLit):
+                literal = node.literal
+                count = positive[literal] if literal > 0 else negative[-literal]
+            elif isinstance(node, (DAnd, DOr)):
+                waiting = [
+                    child for child in node.children if id(child) not in counts
+                ]
+                if waiting:
+                    stack.extend(waiting)
+                    continue
+                if isinstance(node, DAnd):
+                    count = 1
+                    for child in node.children:
+                        count *= counts[id(child)]
+                else:
+                    mask = node.mask
+                    count = 0
+                    for child in node.children:
+                        count += counts[id(child)] * gap_factor(
+                            mask & ~child.mask
+                        )
+            elif isinstance(node, DTrue):
+                count = 1
             elif isinstance(node, DFalse):
-                result = Fraction(0)
-            elif isinstance(node, DLit):
-                variable = abs(node.literal)
-                result = pos[variable] if node.literal > 0 else neg[variable]
-            elif isinstance(node, DAnd):
-                result = Fraction(1)
-                for child in node.children:
-                    result *= value(child)
-            elif isinstance(node, DOr):
-                result = Fraction(0)
-                for child in node.children:
-                    term = value(child)
-                    for variable in node.scope - child.scope:
-                        term *= total[variable]
-                    result += term
+                count = 0
             else:  # pragma: no cover - closed node hierarchy
                 raise ConditionError(f"unknown circuit node {node!r}")
-            memo[id(node)] = result
-            return result
-
-        count = value(self.root)
-        for variable in range(1, self.num_vars + 1):
-            if variable not in self.root.scope:
-                count *= total[variable]
-        return count
+            counts[id(node)] = count
+            stack.pop()
+        everything = (1 << size) - 2  # variables 1..num_vars
+        count = counts[id(self.root)] * gap_factor(everything & ~self.root.mask)
+        return Fraction(count, denominator)
 
 
 class CompiledCircuit:

@@ -6,7 +6,10 @@ and that read is a weighted model count over the independent variable
 distributions of Definition 13.  :mod:`repro.logic.compile` turns the
 condition into a d-DNNF circuit once; this module assigns every CNF
 literal a weight drawn from ``dom(x)`` and evaluates the circuit in a
-single pass of exact :class:`fractions.Fraction` arithmetic.
+single pass of exact integer arithmetic: every node's count is an
+integer numerator over per-variable common denominators, and one
+:class:`fractions.Fraction` is built from the root's numerator at the
+end.
 
 Weights
 -------

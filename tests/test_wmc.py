@@ -16,7 +16,9 @@ Four layers:
 - ``TestModelCounts`` — on pure-boolean conditions, the d-DNNF's
   unweighted ``model_count()`` equals :meth:`repro.logic.bdd.Bdd.count_models`
   over the full variable order, and the BDD probability route agrees
-  with WMC on boolean pc-tables;
+  with WMC on boolean pc-tables; raw CNFs count exactly against brute
+  force under awkward weights; circuit sizes and retained memory are
+  pinned, and a 10,000-level circuit counts without recursion;
 - ``TestWideDifferential`` — Shannon ≡ WMC on 30+-variable conditions
   (product spaces past ``2^30``: no enumeration cross-check exists, the
   two symbolic counters keep each other honest);
@@ -28,6 +30,7 @@ Four layers:
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -47,6 +50,10 @@ from repro.logic.bdd import Bdd
 import repro.logic.counting as counting_module
 from repro.logic.cnf import tseitin_clauses
 from repro.logic.compile import (
+    DAnd,
+    DDNNF,
+    DLit,
+    DOr,
     booleanize,
     compile_cnf,
     compile_condition,
@@ -97,6 +104,31 @@ def shape_edges(kind: str, size: int):
             if row + 1 < size:
                 edges.append((vertex, vertex + size))
     return size * size, edges
+
+
+def edge_lineage_cnf(kind: str, size: int):
+    """(clauses, variable count) of the Tseitin CNF of the
+    ``OR (x_u AND x_v)`` edge lineage of a shape, over boolean flags."""
+    vertices, edges = shape_edges(kind, size)
+    names = [f"e{vertex}" for vertex in range(vertices)]
+    flags = [boolvar(name) for name in names]
+    lineage = disj(*(conj(flags[u], flags[v]) for u, v in edges))
+    boolean = booleanize(lineage, {name: (False, True) for name in names})
+    clauses, atom_map, _root = tseitin_clauses(boolean)
+    return clauses, len(atom_map)
+
+
+def random_cnf(rng: random.Random, num_vars: int, count: int):
+    """*count* random clauses of one to three literals over variables
+    ``1..num_vars - 1``: units, shared variables and an unused variable."""
+    clauses = []
+    for _ in range(count):
+        width = rng.choice([1, 2, 2, 3, 3, 3])
+        variables = rng.sample(range(1, num_vars), width)
+        clauses.append(
+            frozenset(v if rng.random() < 0.5 else -v for v in variables)
+        )
+    return clauses
 
 
 def brute_force_count(clauses, num_vars: int, weights=None):
@@ -237,14 +269,26 @@ class TestModelCounts:
         ids=[f"{kind}{size}" for kind, size, _ in BLOCK_SIZES],
     )
     def test_edge_lineage_circuit_sizes(self, kind, size, nodes):
-        vertices, edges = shape_edges(kind, size)
-        names = [f"e{vertex}" for vertex in range(vertices)]
-        flags = [boolvar(name) for name in names]
-        lineage = disj(*(conj(flags[u], flags[v]) for u, v in edges))
-        boolean = booleanize(lineage, {name: (False, True) for name in names})
-        clauses, atom_map, _root = tseitin_clauses(boolean)
-        circuit = compile_cnf(clauses, len(atom_map))
+        circuit = compile_cnf(*edge_lineage_cnf(kind, size))
         assert circuit.size() == nodes
+
+    @pytest.mark.parametrize("kind,size", [
+        ("chain", 100), ("ring", 70), ("grid", 5),
+    ])
+    def test_compiled_circuit_memory(self, kind, size):
+        """A compiled circuit keeps well under 1.5 MB on the largest
+        benchmark shapes: nodes hold an integer variable mask, not a
+        set, and the compiler's tables die with the compile."""
+        clauses, num_vars = edge_lineage_cnf(kind, size)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            circuit = compile_cnf(clauses, num_vars)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert circuit.size() > 1000
+        assert retained <= 1_500_000, f"{kind}{size}: {retained} bytes"
 
     @pytest.mark.parametrize(
         "clauses,num_vars",
@@ -281,6 +325,71 @@ class TestModelCounts:
         assert circuit.weighted_count(*weights) == brute_force_count(
             clauses, num_vars, weights
         )
+
+    #: Literal weights the integer counter must keep exact, as
+    #: ``variable -> (pos, neg)``.
+    WEIGHTS = {
+        "zero-weight-literal": lambda v: (
+            Fraction(0) if v == 2 else Fraction(1, v + 1), Fraction(2, 3)
+        ),
+        "coprime-denominators": lambda v: (
+            Fraction(1, 997), Fraction(5, 1009)
+        ),
+        "negative-weight": lambda v: (
+            Fraction(-2, 7) if v % 2 else Fraction(3, 5), Fraction(4, 7)
+        ),
+        "unnormalized": lambda v: (Fraction(3, 2), Fraction(7, 5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_raw_cnf_weighted_counts_are_exact(self, name):
+        rng = random.Random(1807)
+        num_vars = 6
+        pos, negative = {}, {}
+        for v in range(1, num_vars + 1):
+            pos[v], negative[v] = self.WEIGHTS[name](v)
+        for trial in range(25):
+            clauses = random_cnf(rng, num_vars, rng.randint(1, 7))
+            circuit = compile_cnf(clauses, num_vars)
+            count = circuit.weighted_count(pos, negative)
+            assert isinstance(count, Fraction)
+            assert count == brute_force_count(
+                clauses, num_vars, (pos, negative)
+            ), f"trial={trial} clauses={clauses}"
+
+    def test_wide_model_count_is_an_exact_int(self):
+        """154 variables: fifty disjoint copies of a three-variable
+        block, each counted by brute force, plus four free variables."""
+        block = [frozenset({1, 2}), frozenset({-2, 3}), frozenset({-1, -3, 2})]
+        clauses = [
+            frozenset(lit + 3 * copy * (1 if lit > 0 else -1) for lit in clause)
+            for copy in range(50)
+            for clause in block
+        ]
+        count = compile_cnf(clauses, 154).model_count()
+        assert type(count) is int
+        assert count == brute_force_count(block, 3) ** 50 * 2**4
+
+    def test_deep_circuit_counts_without_recursion(self):
+        """A hand-built circuit 10,000 AND/OR levels deep: the parity
+        pair ``g_k = (x_k AND g_(k-1)) OR (NOT x_k AND f_(k-1))`` and
+        ``f_k = (x_k AND f_(k-1)) OR (NOT x_k AND g_(k-1))`` from
+        ``g_1 = x_1``, ``f_1 = NOT x_1``.  ``g_n`` has ``2^(n-1)`` models,
+        and at ``p(x) = 1/3`` its weight is ``(1 + (-1/3)^n) / 2``."""
+        n = 5001
+        g, f = DLit(1), DLit(-1)
+        for k in range(2, n + 1):
+            g, f = (
+                DOr((DAnd((DLit(k), g)), DAnd((DLit(-k), f)))),
+                DOr((DAnd((DLit(k), f)), DAnd((DLit(-k), g)))),
+            )
+        circuit = DDNNF(g, n)
+        assert circuit.model_count() == 2 ** (n - 1)
+        pos = {v: Fraction(1, 3) for v in range(1, n + 1)}
+        negative = {v: Fraction(2, 3) for v in range(1, n + 1)}
+        assert circuit.weighted_count(pos, negative) == (
+            1 + Fraction(-1, 3) ** n
+        ) / 2
 
     def test_constants(self):
         assert compile_formula(TOP).circuit.model_count() == 1

@@ -1,7 +1,8 @@
 """TYP001 — fully annotated defs in the typed core packages.
 
 The typed core — :mod:`repro.logic`, :mod:`repro.ctalgebra`,
-:mod:`repro.engine`, :mod:`repro.physical`, :mod:`repro.ivm` — carries
+:mod:`repro.engine`, :mod:`repro.physical`, :mod:`repro.ivm` and
+:mod:`repro.prob.wmc` — carries
 complete signature annotations so CI's mypy run has real signatures to
 check against (and so the next reader does not have to reverse-engineer
 parameter types).  This lint enforces the *presence* of annotations
@@ -28,6 +29,7 @@ CORE_PACKAGES = (
     "repro/engine/",
     "repro/physical/",
     "repro/ivm/",
+    "repro/prob/wmc.py",
 )
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]

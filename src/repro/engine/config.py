@@ -23,10 +23,6 @@ CI uses this to run the entire tier-1 suite under several settings:
   (truthy values: ``1``, ``true``, ``yes``, ``on``).  CI's verified
   matrix entry runs the whole tier-1 suite with the full plan verifier
   on.
-- ``REPRO_PROB_STRATEGY`` — default for ``prob_strategy``
-  (``auto`` / ``enumerate`` / ``shannon`` / ``wmc``).  CI's wmc matrix
-  entry runs the whole tier-1 suite with every probability terminal on
-  the compiled d-DNNF route.
 - ``REPRO_TRACE`` — default for ``trace`` (truthy values as above).
   CI's traced matrix entry runs the whole tier-1 suite with per-query
   tracing on, so the instrumented paths stay continuously exercised.
@@ -38,18 +34,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields, replace
-
-
-def _env_choice(name: str, default: str, choices: tuple) -> str:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    lowered = value.strip().lower()
-    if lowered in choices:
-        return lowered
-    raise ValueError(
-        f"environment variable {name}={value!r} is not one of {choices}"
-    )
 
 
 def _env_flag(name: str, default: bool) -> bool:
@@ -104,21 +88,12 @@ class ExecutionConfig:
       execution on abstract tables plus SAT/BDD condition equivalence
       (:mod:`repro.logic.equivalence`), which closes the
       wrong-side-pushdown class of bugs the structural keys cannot see.
-    - ``prob_strategy`` — how :meth:`repro.engine.session.Dataset.probability`
-      (and everything reaching :func:`repro.logic.counting.probability`
-      through the engine) counts condition probabilities.  ``"auto"``
-      (the default) uses memoized Shannon expansion up to
-      :data:`repro.logic.counting.PROB_VARIABLE_BUDGET` condition
-      variables and the compiled d-DNNF + weighted-model-counting route
-      (:mod:`repro.logic.compile` / :mod:`repro.prob.wmc`) beyond it;
-      ``"shannon"``, ``"wmc"`` and ``"enumerate"`` force one route.
-      All strategies return identical exact fractions, so the knob is
-      purely about speed — env-overridable via ``REPRO_PROB_STRATEGY``.
     - ``circuit_cache_size`` — LRU capacity of the engine's compiled
       condition-circuit cache (d-DNNF circuits + memoized counts keyed
       on the interned lineage and a distribution fingerprint;
       invalidated with the result cache per relation on re-``register``);
-      ``0`` disables circuit caching.
+      ``0`` disables circuit caching: every probability then compiles
+      and counts afresh.
     - ``trace`` — record a hierarchical span trace (parse → plan →
       verify → lower → execute, with per-operator actuals) for every
       query executed through a prepared query; read it back via
@@ -131,6 +106,9 @@ class ExecutionConfig:
     query standing (a materialized view kept current by signed deltas,
     :mod:`repro.ivm`), and :meth:`~repro.engine.session.PreparedQuery.execute`
     serves a standing query from its view and runs the plan otherwise.
+    Probability has no knob either: every terminal compiles its
+    condition to d-DNNF and weighted-model-counts it
+    (:mod:`repro.prob.wmc`).
     """
 
     optimize: bool = True
@@ -141,13 +119,6 @@ class ExecutionConfig:
     max_candidates: int = 100_000
     verify_plans: bool = field(
         default_factory=lambda: _env_flag("REPRO_VERIFY_PLANS", False)
-    )
-    prob_strategy: str = field(
-        default_factory=lambda: _env_choice(
-            "REPRO_PROB_STRATEGY",
-            "auto",
-            ("auto", "enumerate", "shannon", "wmc"),
-        )
     )
     circuit_cache_size: int = 256
     trace: bool = field(
@@ -171,11 +142,6 @@ class ExecutionConfig:
         if self.max_candidates <= 0:
             raise ValueError(
                 f"max_candidates must be positive, got {self.max_candidates}"
-            )
-        if self.prob_strategy not in ("auto", "enumerate", "shannon", "wmc"):
-            raise ValueError(
-                f"prob_strategy must be 'auto', 'enumerate', 'shannon', or "
-                f"'wmc', got {self.prob_strategy!r}"
             )
         if self.circuit_cache_size < 0:
             raise ValueError(

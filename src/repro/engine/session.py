@@ -312,42 +312,31 @@ class Engine:
         condition: Formula,
         distributions: Mapping[str, Mapping[Hashable, Fraction]],
         *,
-        strategy: Optional[str] = None,
         scope: Hashable = None,
         dependencies: FrozenSet[str] = frozenset(),
     ) -> Fraction:
-        """Exact probability of *condition*, circuit-cached on the WMC route.
+        """Exact probability of *condition*, counted through a cached circuit.
 
-        Dispatches like :func:`repro.logic.counting.probability` (with
-        the engine config's ``prob_strategy`` as the default), but when
-        the compiled d-DNNF route is chosen the
-        :class:`~repro.prob.wmc.CompiledCondition` is kept in the
-        engine's :class:`~repro.engine.cache.CircuitCache`, keyed on the
-        interned condition plus a fingerprint of the distributions
-        restricted to its variables.  Those two inputs fully determine
-        the answer, so a hit is always correct; since the cached object
-        memoizes its count, a prepared probability loop compiles once,
-        counts once, and then answers from memory.  *scope* and
+        Compiles *condition* to d-DNNF and counts it, like
+        :func:`repro.logic.counting.probability`, but keeps the
+        :class:`~repro.prob.wmc.CompiledCondition` in the engine's
+        :class:`~repro.engine.cache.CircuitCache`, keyed on the interned
+        condition plus a fingerprint of the distributions restricted to
+        its variables.  Those two inputs fully determine the answer, so
+        a hit is always correct; since the cached object memoizes its
+        count, a prepared probability loop compiles once, counts once,
+        and then answers from memory.  With ``circuit_cache_size=0``
+        every call compiles and counts afresh.  *scope* and
         *dependencies* (a session id and relation names) let
         ``Session.register`` evict exactly the lineages whose inputs
         changed.  A plain distribution map is validated in full; a
         :class:`~repro.logic.counting.ValidatedDistributions` (what
         sessions pass) is taken as it is.
         """
-        from repro.logic.counting import (
-            check_distributions,
-            probability,
-            resolve_strategy,
-        )
-
-        distributions = check_distributions(distributions)
-        resolved = resolve_strategy(
-            strategy or self._config.prob_strategy, condition
-        )
-        if resolved != "wmc" or self._config.circuit_cache_size == 0:
-            return probability(condition, distributions, strategy=resolved)
+        from repro.logic.counting import check_distributions
         from repro.prob.wmc import compile_probability
 
+        distributions = check_distributions(distributions)
         key = (condition, _distribution_fingerprint(condition, distributions))
         compiled = self._circuit_cache.get(key)
         if compiled is None:
@@ -1427,19 +1416,15 @@ class Dataset:
             )
         return membership_condition(answered, row)
 
-    def probability(
-        self, row: Row, strategy: Optional[str] = None
-    ) -> Fraction:
+    def probability(self, row: Row) -> Fraction:
         """``P[row ∈ q(I)]`` by counting the lineage condition.
 
-        *strategy* overrides the prepared config's ``prob_strategy``
-        (see :class:`~repro.engine.config.ExecutionConfig`): Shannon
-        expansion within the variable budget, the compiled
-        d-DNNF + weighted-model-counting route beyond it.  Compiled
-        circuits live in the engine's circuit cache keyed on the
-        interned lineage and the distribution snapshot, so a prepared
-        probability hot loop compiles once and answers from memory;
-        re-``register`` of any input relation evicts them.
+        The lineage is compiled to d-DNNF and weighted-model-counted
+        (:meth:`Engine.condition_probability`).  Compiled circuits live
+        in the engine's circuit cache keyed on the interned lineage and
+        the distribution snapshot, so a prepared probability hot loop
+        compiles once and answers from memory; re-``register`` of any
+        input relation evicts them.
         """
         lineage = self.lineage(row)  # collects, snapshotting distributions
         distributions = self._merged_distributions()
@@ -1455,7 +1440,6 @@ class Dataset:
         return prepared.session.engine.condition_probability(
             lineage,
             distributions,
-            strategy=strategy if strategy is not None else prepared.config.prob_strategy,
             scope=prepared.session._id,
             dependencies=frozenset(prepared.query.relation_names()),
         )

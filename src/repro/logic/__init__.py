@@ -21,8 +21,9 @@ rest of the library needs to manipulate such conditions:
   weighted model counting,
 - :mod:`repro.logic.equivalence` — SAT- and BDD-backed condition
   equivalence (no world enumeration), cross-validated engines,
-- :mod:`repro.logic.counting` — Shannon-expansion probability
-  computation for formulas over multi-valued distributed variables.
+- :mod:`repro.logic.counting` — probability of formulas over
+  multi-valued distributed variables (compiled d-DNNF counting, with
+  enumeration and Shannon expansion as reference oracles).
 
 Interning invariants
 --------------------

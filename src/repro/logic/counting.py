@@ -3,7 +3,13 @@
 pc-tables (Definition 13 of the paper) attach to every variable ``x`` a
 finite probability space ``dom(x)``; variables are independent.  The
 probability that a condition holds is then a weighted count over the
-product space.  Four evaluation strategies are provided:
+product space.
+
+:func:`probability` is the one production route: it compiles the
+condition to d-DNNF once (:mod:`repro.logic.compile`) and
+weighted-model-counts the circuit (:mod:`repro.prob.wmc`), so cost
+scales with condition and circuit size, never ``2^variables``.  Two
+reference oracles stay for the tests to compare against:
 
 - :func:`probability_enumerate` — fold over *all* valuations (exact,
   exponential, the baseline),
@@ -12,31 +18,22 @@ product space.  Four evaluation strategies are provided:
   a time, weight each branch, and share work across branches whose
   residuals coincide (this generalizes BDD evaluation to multi-valued
   variables — in knowledge-compilation terms it builds a free decision
-  diagram on the fly),
-- ``strategy="wmc"`` — compile the condition to d-DNNF once
-  (:mod:`repro.logic.compile`) and weighted-model-count the circuit
-  (:mod:`repro.prob.wmc`); cost scales with condition and circuit size,
-  never ``2^variables``,
-- :meth:`repro.logic.bdd.Bdd.probability` — for purely boolean
-  conditions, compile to an OBDD first.
+  diagram on the fly).  It is the only exact cross-check independent of
+  the compiler past enumerable size.
 
-:func:`probability` dispatches between the first three
-(:func:`resolve_strategy`): Shannon within
-:data:`PROB_VARIABLE_BUDGET` condition variables, the compiled
-d-DNNF + WMC route beyond it.  All strategies return identical exact
+:meth:`repro.logic.bdd.Bdd.probability` evaluates purely boolean
+conditions over an OBDD.  All of them return identical exact
 :class:`fractions.Fraction` values.
 
 Distributions are validated once.  :func:`check_distributions` returns
 a read-only :class:`ValidatedDistributions`, and returns at once when
 handed one, so a map that a :class:`~repro.prob.pctable.PCTable` (or a
 session merge of them) carries is never walked again: the per-call work
-of every strategy follows the condition's variables, not the size of
-the map.
+follows the condition's variables, not the size of the map.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import (
     Dict,
@@ -44,7 +41,6 @@ from typing import (
     Iterable,
     Mapping,
     NoReturn,
-    Optional,
     Sequence,
     Tuple,
     Union,
@@ -57,33 +53,6 @@ from repro.logic.syntax import BOTTOM, TOP, Formula
 # A distribution maps each outcome value to its probability.
 Distribution = Mapping[Hashable, Fraction]
 Distributions = Mapping[str, Distribution]
-
-#: The probability strategies :func:`probability` dispatches between.
-PROB_STRATEGIES = ("auto", "enumerate", "shannon", "wmc")
-
-#: Up to this many condition variables, ``strategy="auto"`` keeps the
-#: memoized Shannon expansion (cheap, no compilation overhead); above it
-#: the d-DNNF + WMC route takes over — the twin of
-#: ``SYMBOLIC_VARIABLE_BUDGET`` in :mod:`repro.worlds.compare`, which
-#: budgets enumeration for Mod-equivalence the same way.
-PROB_VARIABLE_BUDGET = 8
-
-
-def default_prob_strategy() -> str:
-    """Return the process-wide strategy from ``REPRO_PROB_STRATEGY``.
-
-    An empty or unset variable means ``"auto"``; anything else must name
-    one of :data:`PROB_STRATEGIES`.
-    """
-    value = os.environ.get("REPRO_PROB_STRATEGY", "").strip().lower()
-    if not value:
-        return "auto"
-    if value not in PROB_STRATEGIES:
-        raise ProbabilityError(
-            f"REPRO_PROB_STRATEGY={value!r} is not one of {PROB_STRATEGIES}"
-        )
-    return value
-
 
 def check_distribution(name: str, distribution: Distribution) -> None:
     """Validate that *distribution* is a probability distribution."""
@@ -182,7 +151,8 @@ def merge_distributions(
 def probability_enumerate(
     formula: Formula, distributions: Distributions
 ) -> Fraction:
-    """Exact probability by full enumeration of the product space."""
+    """Exact probability by full enumeration of the product space
+    (reference oracle)."""
     distributions = check_distributions(distributions)
     _require_coverage(formula, distributions)
     names = sorted(distributions)
@@ -201,60 +171,23 @@ def probability_enumerate(
     return recurse(0, {})
 
 
-def probability(
-    formula: Formula,
-    distributions: Distributions,
-    *,
-    strategy: Optional[str] = None,
-) -> Fraction:
+def probability(formula: Formula, distributions: Distributions) -> Fraction:
     """Exact probability of *formula* under independent *distributions*.
 
-    *strategy* picks the evaluation route (one of
-    :data:`PROB_STRATEGIES`); ``None`` defers to ``REPRO_PROB_STRATEGY``
-    (default ``"auto"``).  ``"auto"`` runs the memoized Shannon
-    expansion within :data:`PROB_VARIABLE_BUDGET` condition variables
-    and the d-DNNF + weighted-model-counting route beyond it.  Every strategy returns the same exact
-    :class:`fractions.Fraction`.
+    Compiles the condition to d-DNNF and counts the circuit
+    (:func:`repro.prob.wmc.wmc_probability`).
     """
-    resolved = resolve_strategy(strategy, formula)
-    if resolved == "enumerate":
-        return probability_enumerate(formula, distributions)
-    if resolved == "wmc":
-        # Imported lazily: repro.prob sits above repro.logic in the
-        # package layering, and only this strategy needs it.
-        from repro.prob.wmc import wmc_probability
+    # Imported lazily: repro.prob sits above repro.logic in the package
+    # layering.
+    from repro.prob.wmc import wmc_probability
 
-        return wmc_probability(formula, distributions)
-    return probability_shannon(formula, distributions)
-
-
-def resolve_strategy(strategy: Optional[str], formula: Formula) -> str:
-    """Return the route *strategy* takes for *formula*.
-
-    ``None`` defers to :func:`default_prob_strategy`; ``"auto"`` becomes
-    ``"shannon"`` within :data:`PROB_VARIABLE_BUDGET` condition
-    variables and ``"wmc"`` beyond it; any other known strategy is
-    returned as it is.
-    """
-    if strategy is None:
-        strategy = default_prob_strategy()
-    strategy = strategy.lower()
-    if strategy not in PROB_STRATEGIES:
-        raise ProbabilityError(
-            f"unknown probability strategy {strategy!r}; "
-            f"expected one of {PROB_STRATEGIES}"
-        )
-    if strategy == "auto":
-        if len(formula.variables()) <= PROB_VARIABLE_BUDGET:
-            return "shannon"
-        return "wmc"
-    return strategy
+    return wmc_probability(formula, distributions)
 
 
 def probability_shannon(
     formula: Formula, distributions: Distributions
 ) -> Fraction:
-    """Exact probability by memoized Shannon expansion.
+    """Exact probability by memoized Shannon expansion (reference oracle).
 
     The formula's variables are expanded in sorted-name order,
     restricted to the ones the residual formula still mentions; branches

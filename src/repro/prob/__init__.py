@@ -12,8 +12,8 @@ Sections 6–8 of the paper, executable:
   complete,
 - :mod:`repro.prob.closure` — Theorem 9: pc-tables are closed under RA,
 - :mod:`repro.prob.tuple_prob` — the tuple-probability problem of
-  [15, 22, 34], solved naively, by lineage + Shannon counting, by
-  BDD compilation, and by d-DNNF + weighted model counting,
+  [15, 22, 34], solved naively, by lineage compilation to d-DNNF +
+  weighted model counting, and by BDD compilation,
 - :mod:`repro.prob.wmc` — exact weighted model counting over compiled
   d-DNNF circuits (:mod:`repro.logic.compile`): the route that scales
   probability to 50–100-variable conditions,
@@ -33,7 +33,6 @@ from repro.prob.tuple_prob import (
     tuple_probability_bdd,
     tuple_probability_lineage,
     tuple_probability_naive,
-    tuple_probability_wmc,
 )
 from repro.prob.wmc import (
     CompiledCondition,
@@ -82,7 +81,6 @@ __all__ = [
     "tuple_probability_bdd",
     "tuple_probability_lineage",
     "tuple_probability_naive",
-    "tuple_probability_wmc",
     "verify_possibilistic_closure",
     "verify_prob_closure",
     "wmc_probability",

@@ -34,7 +34,6 @@ from typing import (
     Hashable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -350,18 +349,14 @@ def cq_lineage(
 
 
 def lineage_probability_cq(
-    query: ConjunctiveQuery,
-    relations: Mapping[str, ProbRelation],
-    strategy: Optional[str] = None,
+    query: ConjunctiveQuery, relations: Mapping[str, ProbRelation]
 ) -> Fraction:
     """Exact probability of a boolean CQ via its lineage.
 
     Works for *every* CQ, safe or not — the ground truth the safe plans
-    are compared against.  *strategy* selects the counting route (see
-    :data:`repro.logic.counting.PROB_STRATEGIES`); the default ``auto``
-    switches from Shannon expansion to the compiled d-DNNF route once
-    the lineage has more tuple events than the variable budget, so
-    unsafe queries over large tables stay evaluable.
+    are compared against.  The lineage is compiled to d-DNNF and
+    weighted-model-counted, so unsafe queries over large tables stay
+    evaluable.
     """
     lineage = cq_lineage(query, relations)
     distributions = {}
@@ -374,5 +369,4 @@ def lineage_probability_cq(
     return probability(
         lineage,
         {name: dist for name, dist in distributions.items() if name in needed},
-        strategy=strategy,
     )

@@ -186,21 +186,15 @@ class PCTable:
             branches.append(conj(crow.condition, matches))
         return conj(self._table.global_condition, disj(*branches))
 
-    def tuple_probability(
-        self, row: Row, strategy: Optional[str] = None
-    ) -> Fraction:
+    def tuple_probability(self, row: Row) -> Fraction:
         """Return ``P[row ∈ I]`` by counting the membership condition.
 
-        *strategy* picks the counting route (see
-        :data:`repro.logic.counting.PROB_STRATEGIES`): the default
-        ``auto`` uses Shannon expansion within the variable budget and
-        the compiled d-DNNF + WMC route beyond it, so wide tables stay
+        The condition is compiled to d-DNNF and weighted-model-counted
+        (:func:`repro.logic.counting.probability`), so wide tables stay
         polynomial in circuit size instead of ``2^variables``.
         """
         return formula_probability(
-            self.membership_condition(row),
-            self._distributions,
-            strategy=strategy,
+            self.membership_condition(row), self._distributions
         )
 
 

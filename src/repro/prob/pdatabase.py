@@ -12,9 +12,8 @@ this module is the **oracle** the scalable routes are differentially
 checked against.  Production paths answer probability questions from the
 *representation* instead: :meth:`repro.prob.pctable.PCTable.tuple_probability`
 and :meth:`repro.engine.session.Dataset.probability` count membership
-conditions symbolically (Shannon within the variable budget, compiled
-d-DNNF + weighted model counting beyond it — :mod:`repro.prob.wmc`),
-never materializing a :class:`PDatabase`.
+conditions symbolically (compiled d-DNNF + weighted model counting,
+:mod:`repro.prob.wmc`), never materializing a :class:`PDatabase`.
 """
 
 from __future__ import annotations

@@ -7,19 +7,18 @@ pc-tables the paper's answer is structural: compute ``q̄(T)``, read off
 the *condition* under which ``t`` appears (its lineage, as Section 9
 remarks), and compute that condition's probability.
 
-Four evaluation routes, raced in benchmark E18 and cross-checked by the
+Three evaluation routes, raced in benchmark E18 and cross-checked by the
 tests (at 60 variables in
 ``tests/test_wmc.py::TestWideDifferential::test_sixty_boolean_variables``):
 
 - :func:`tuple_probability_naive` — materialize the whole p-database
   ``q(Mod(T))`` and sum over worlds containing ``t`` (exponential in the
   number of variables; the oracle the others are checked against);
-- :func:`tuple_probability_lineage` — count the lineage formula through
-  :func:`repro.logic.counting.probability`, whose *strategy* parameter
-  picks Shannon expansion, enumeration, or the compiled route;
-- :func:`tuple_probability_wmc` — force the d-DNNF + weighted
-  model counting route (:mod:`repro.prob.wmc`): the only one that
-  scales to the 50–100-variable lineages the engine produces;
+- :func:`tuple_probability_lineage` — compile the lineage formula to
+  d-DNNF and weighted-model-count it
+  (:func:`repro.logic.counting.probability`, :mod:`repro.prob.wmc`):
+  the route that scales to the 50–100-variable lineages the engine
+  produces;
 - :func:`tuple_probability_bdd` — for boolean pc-tables, compile the
   lineage to an OBDD and evaluate in one bottom-up pass.
 """
@@ -72,26 +71,6 @@ def tuple_probability_naive(
 
 
 def tuple_probability_lineage(
-    query: Query,
-    pctable: PCTable,
-    row: Row,
-    optimize: bool = False,
-    strategy: Optional[str] = None,
-) -> Fraction:
-    """P[t ∈ q(I)] by counting the lineage formula.
-
-    *strategy* selects the counting route (see
-    :data:`repro.logic.counting.PROB_STRATEGIES`); the default ``auto``
-    keeps Shannon expansion within the variable budget and switches to
-    the compiled d-DNNF route beyond it.
-    """
-    lineage = lineage_of(query, pctable, row, optimize=optimize)
-    from repro.logic.counting import probability
-
-    return probability(lineage, pctable.distributions, strategy=strategy)
-
-
-def tuple_probability_wmc(
     query: Query, pctable: PCTable, row: Row, optimize: bool = False
 ) -> Fraction:
     """P[t ∈ q(I)] by d-DNNF compilation + weighted model counting.
@@ -101,9 +80,9 @@ def tuple_probability_wmc(
     polynomial in the circuit size rather than ``2^variables``.
     """
     lineage = lineage_of(query, pctable, row, optimize=optimize)
-    from repro.prob.wmc import wmc_probability
+    from repro.logic.counting import probability
 
-    return wmc_probability(lineage, pctable.distributions)
+    return probability(lineage, pctable.distributions)
 
 
 def tuple_probability_bdd(

@@ -150,8 +150,8 @@ def compile_probability(
 def wmc_probability(formula: Formula, distributions: Distributions) -> Fraction:
     """Exact condition probability by d-DNNF compilation + weighted counting.
 
-    The scalable strategy behind ``probability(..., strategy="wmc")`` in
-    :mod:`repro.logic.counting`: cost scales with condition size and
-    circuit size, never with ``2^variables``.
+    The route behind :func:`repro.logic.counting.probability`: cost
+    scales with condition size and circuit size, never with
+    ``2^variables``.
     """
     return compile_probability(formula, distributions).probability()

@@ -59,11 +59,6 @@ from repro.tables.ctable import CTable
 #: Above this many combined variables, :func:`ctables_equivalent` stops
 #: settling negative symbolic answers by enumeration and trusts the
 #: (conservative) symbolic verdict — enumeration is ``Θ(|domain|^vars)``.
-#: Its probability twin is ``PROB_VARIABLE_BUDGET`` in
-#: :mod:`repro.logic.counting`, where ``strategy="auto"`` switches from
-#: Shannon expansion to compiled d-DNNF + weighted model counting the
-#: same way — together they close ROADMAP item 1's "kill the
-#: exponential" on both the equivalence and the probability side.
 SYMBOLIC_VARIABLE_BUDGET = 8
 
 

@@ -467,6 +467,16 @@ class TestEnumeration:
         assert codes(findings) == ["EXP001"]
         assert "probability_enumerate" in findings[0].message
 
+    def test_probability_shannon_import_flagged(self):
+        source = parse(
+            "from repro.logic.counting import probability_shannon\n"
+            "def p(condition, distributions):\n"
+            "    return probability_shannon(condition, distributions)\n"
+        )
+        findings = lint_enumeration(source)
+        assert codes(findings) == ["EXP001"]
+        assert "probability_shannon" in findings[0].message
+
     def test_tuple_probability_naive_attribute_call_flagged(self):
         source = parse(
             "import repro.prob.tuple_prob as tp\n"

@@ -1,14 +1,14 @@
 """Differential tests for the knowledge-compilation subsystem.
 
-The contract under test: every probability route in the repository —
-valuation enumeration (the Definition-13 oracle), memoized Shannon
-expansion, OBDD weighted evaluation, and the compiled
-d-DNNF + weighted-model-counting route of :mod:`repro.logic.compile` /
-:mod:`repro.prob.wmc` — returns the *same exact*
-:class:`~fractions.Fraction` on every condition, and the symbolic
-routes keep agreeing far beyond the scale enumeration can reach.
+The contract under test: the one production probability route — the
+compiled d-DNNF + weighted-model-counting route of
+:mod:`repro.logic.compile` / :mod:`repro.prob.wmc` — returns the *same
+exact* :class:`~fractions.Fraction` as the reference oracles (valuation
+enumeration, the Definition-13 semantics; memoized Shannon expansion;
+OBDD weighted evaluation) on every condition, and keeps agreeing with
+Shannon far beyond the scale enumeration can reach.
 
-Four layers:
+Layers:
 
 - ``TestDifferentialSmall`` — enumerate ≡ Shannon ≡ WMC on a seeded
   corpus of random multi-valued conditions and pc-tables (the scale
@@ -22,15 +22,20 @@ Four layers:
 - ``TestWideDifferential`` — Shannon ≡ WMC on 30+-variable conditions
   (product spaces past ``2^30``: no enumeration cross-check exists, the
   two symbolic counters keep each other honest);
-- ``TestStrategyDispatch`` / ``TestEngineCircuitCache`` — the
-  ``strategy=`` plumbing, the ``REPRO_PROB_STRATEGY`` override, and the
-  engine's compiled-circuit cache (hits, invalidation on re-register).
+- ``TestDeepNesting`` — a condition nested hundreds of levels deep
+  answers through every public terminal;
+- ``TestStrategyDispatch`` / ``TestEngineCircuitCache`` — no route
+  knob survives anywhere, and the engine's compiled-circuit cache
+  answers every lineage (hits, invalidation on re-register).
 """
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -43,7 +48,7 @@ from harness import (
     random_prob_condition,
     random_wide_condition,
 )
-from repro.engine import Engine, ExecutionConfig
+from repro.engine import Dataset, Engine, ExecutionConfig
 from repro.errors import ProbabilityError
 from repro.logic.atoms import Var, boolvar, eq, ne
 from repro.logic.bdd import Bdd
@@ -62,25 +67,22 @@ from repro.logic.compile import (
     indicator_fields,
 )
 from repro.logic.counting import (
-    PROB_STRATEGIES,
-    PROB_VARIABLE_BUDGET,
     ValidatedDistributions,
     check_distributions,
-    default_prob_strategy,
     probability,
     probability_enumerate,
     probability_shannon,
-    resolve_strategy,
 )
 from repro.logic.syntax import BOTTOM, TOP, conj, disj, neg
 from repro.prob import (
     BooleanPCTable,
     PCTable,
     compile_probability,
+    lineage_of,
+    lineage_probability_cq,
     tuple_probability_bdd,
     tuple_probability_lineage,
     tuple_probability_naive,
-    tuple_probability_wmc,
     wmc_probability,
 )
 from repro.algebra import col_eq_const, rel, sel
@@ -191,16 +193,20 @@ class TestDifferentialSmall:
             pctable = random_pctable(rng)
             probes = [(0, 0), (1, 2), (rng.randrange(3), rng.randrange(3))]
             for row in probes:
+                condition = pctable.membership_condition(row)
+                distributions = pctable.distributions
                 routes = {
-                    strategy: pctable.tuple_probability(row, strategy=strategy)
-                    for strategy in ("enumerate", "shannon", "wmc", "auto")
+                    "tuple_probability": pctable.tuple_probability(row),
+                    "enumerate": probability_enumerate(condition, distributions),
+                    "shannon": probability_shannon(condition, distributions),
                 }
                 assert len(set(routes.values())) == 1, (
                     f"trial={trial} row={row}: {routes}"
                 )
 
     def test_query_routes_agree_on_boolean_pctable(self):
-        """naive (world image) ≡ lineage ≡ BDD ≡ WMC through a query."""
+        """naive (world image) ≡ lineage (WMC) ≡ BDD ≡ Shannon through a
+        query."""
         rng = random.Random(11)
         query = sel(rel("V", 2), col_eq_const(0, 1))
         for trial in range(10):
@@ -225,10 +231,12 @@ class TestDifferentialSmall:
                 naive = tuple_probability_naive(query, pctable, row)
                 lineage = tuple_probability_lineage(query, pctable, row)
                 bdd = tuple_probability_bdd(query, pctable, row)
-                wmc = tuple_probability_wmc(query, pctable, row)
-                assert naive == lineage == bdd == wmc, (
-                    f"trial={trial} row={row}: "
-                    f"naive={naive} lineage={lineage} bdd={bdd} wmc={wmc}"
+                shannon = probability_shannon(
+                    lineage_of(query, pctable, row), pctable.distributions
+                )
+                assert naive == lineage == bdd == shannon, (
+                    f"trial={trial} row={row}: naive={naive} "
+                    f"lineage={lineage} bdd={bdd} shannon={shannon}"
                 )
 
 
@@ -506,53 +514,78 @@ class TestBooleanization:
         assert compiled.supports["x"] == (1, 2, 3)
 
 
+class TestDeepNesting:
+    """A deeply nested condition answers through every public terminal."""
+
+    DEPTH = 400
+
+    def test_alternating_nest_answers_through_every_terminal(self):
+        """A 4-variable ``And``/``Or`` nest 400 levels deep: both the
+        pc-table and the session terminal count it at the default
+        recursion limit."""
+        flags = [boolvar(f"b{index}") for index in range(4)]
+        condition = flags[0]
+        for level in range(1, self.DEPTH + 1):
+            connective = conj if level % 2 else disj
+            condition = connective(condition, flags[level % 4])
+        distributions = {
+            f"b{index}": {True: Fraction(index + 1, 6),
+                          False: Fraction(5 - index, 6)}
+            for index in range(4)
+        }
+        pctable = PCTable([(("a",), condition)], distributions, arity=1)
+        # The oracle's recursive evaluator takes several frames a level;
+        # only its call runs under a raised limit.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 4 * self.DEPTH)
+        try:
+            expected = probability_enumerate(condition, distributions)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert 0 < expected < 1
+        assert pctable.tuple_probability(("a",)) == expected
+        session = Engine().session(P=pctable)
+        assert session.query("P").probability(("a",)) == expected
+
+
 class TestStrategyDispatch:
-    """The ``strategy=`` plumbing and its environment override."""
+    """One probability route: no knob, env var or keyword picks another."""
 
     DIST = {"x": {1: Fraction(1, 4), 2: Fraction(3, 4)}}
 
-    def test_every_strategy_accepted_and_equal(self):
-        answers = {
-            strategy: probability(eq(X, 1), self.DIST, strategy=strategy)
-            for strategy in PROB_STRATEGIES
-        }
-        assert set(answers.values()) == {Fraction(1, 4)}
-
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ProbabilityError, match="unknown probability"):
-            probability(eq(X, 1), self.DIST, strategy="montecarlo")
-
-    def test_auto_picks_shannon_within_budget(self):
-        condition = eq(X, 1)
-        assert len(condition.variables()) <= PROB_VARIABLE_BUDGET
-        assert probability(condition, self.DIST) == Fraction(1, 4)
-
-    def test_env_override_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROB_STRATEGY", "wmc")
-        assert default_prob_strategy() == "wmc"
-        assert probability(eq(X, 1), self.DIST) == Fraction(1, 4)
-        monkeypatch.setenv("REPRO_PROB_STRATEGY", "")
-        assert default_prob_strategy() == "auto"
-
-    def test_env_override_validates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROB_STRATEGY", "guess")
-        with pytest.raises(ProbabilityError):
-            probability(eq(X, 1), self.DIST)
+        """No public probability entry point takes ``strategy=``."""
+        entry_points = [
+            probability,
+            tuple_probability_lineage,
+            lineage_probability_cq,
+            PCTable.tuple_probability,
+            Engine.condition_probability,
+            Dataset.probability,
+        ]
+        for entry_point in entry_points:
+            parameters = inspect.signature(entry_point).parameters
+            assert "strategy" not in parameters, entry_point.__qualname__
+        with pytest.raises(TypeError):
+            probability(eq(X, 1), self.DIST, strategy="wmc")
 
     def test_config_knob_validates(self):
-        with pytest.raises(ValueError, match="prob_strategy"):
-            ExecutionConfig(prob_strategy="guess")
-        assert ExecutionConfig(prob_strategy="wmc").prob_strategy == "wmc"
+        with pytest.raises(TypeError):
+            ExecutionConfig(prob_strategy="wmc")
+        with pytest.raises(TypeError):
+            Engine(prob_strategy="wmc")
+        assert len(fields(ExecutionConfig)) == 9
 
-    def test_config_env_default_validates(self, monkeypatch):
+    def test_env_var_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROB_STRATEGY", "guess")
-        with pytest.raises(ValueError, match="REPRO_PROB_STRATEGY"):
-            ExecutionConfig()
+        assert probability(eq(X, 1), self.DIST) == Fraction(1, 4)
+        answer = Engine().condition_probability(eq(X, 1), self.DIST)
+        assert answer == Fraction(1, 4)
 
 
 @pytest.fixture
 def prob_session():
-    engine = Engine(prob_strategy="wmc")
+    engine = Engine()
     pctable = PCTable(
         [((1, X), TOP), ((2, Y), eq(Y, 20))],
         {
@@ -570,8 +603,11 @@ class TestEngineCircuitCache:
     QUERY = sel(rel("V", 2), col_eq_const(0, 2))
 
     def test_repeated_probability_hits_the_cache(self, prob_session):
+        """Every lineage goes through the circuit cache, a one-variable
+        one included."""
         engine, session, _ = prob_session
         prepared = session.prepare(self.QUERY)
+        assert len(prepared.dataset().lineage((2, 20)).variables()) == 1
         before = engine.circuit_cache_stats()
         first = prepared.dataset().probability((2, 20))
         assert first == Fraction(1, 4)
@@ -595,16 +631,19 @@ class TestEngineCircuitCache:
     def test_strategy_override_agrees_with_cacheless_routes(
         self, prob_session
     ):
-        _, session, _ = prob_session
+        """The cached route agrees with both oracles on the lineage."""
+        _, session, pctable = prob_session
         dataset = session.prepare(self.QUERY).dataset()
+        lineage = dataset.lineage((2, 20))
         answers = {
-            strategy: dataset.probability((2, 20), strategy=strategy)
-            for strategy in ("enumerate", "shannon", "wmc", "auto")
+            "dataset": dataset.probability((2, 20)),
+            "enumerate": probability_enumerate(lineage, pctable.distributions),
+            "shannon": probability_shannon(lineage, pctable.distributions),
         }
         assert set(answers.values()) == {Fraction(1, 4)}
 
     def test_disabled_cache_still_correct(self):
-        engine = Engine(prob_strategy="wmc", circuit_cache_size=0)
+        engine = Engine(circuit_cache_size=0)
         pctable = PCTable(
             [((2, Y), eq(Y, 20))],
             {"y": {20: Fraction(1, 4), 21: Fraction(3, 4)}},
@@ -613,19 +652,16 @@ class TestEngineCircuitCache:
         session = engine.session(V=pctable)
         dataset = session.prepare(self.QUERY).dataset()
         assert dataset.probability((2, 20)) == Fraction(1, 4)
+        assert dataset.probability((2, 20)) == Fraction(1, 4)
         assert engine.circuit_cache_stats()["entries"] == 0
 
     def test_condition_probability_direct(self):
         engine = Engine()
         distributions = {"x": {1: Fraction(1, 2), 2: Fraction(1, 2)}}
-        answer = engine.condition_probability(
-            eq(X, 1), distributions, strategy="wmc"
-        )
+        answer = engine.condition_probability(eq(X, 1), distributions)
         assert answer == Fraction(1, 2)
         with pytest.raises(ProbabilityError):
-            engine.condition_probability(
-                eq(X, 1), distributions, strategy="nope"
-            )
+            engine.condition_probability(eq(Y, 1), distributions)
 
 
 class TestValidatedDistributions:
@@ -641,43 +677,33 @@ class TestValidatedDistributions:
     }
     INVALID = [HALF_MASS, NEGATIVE, BAD_BYSTANDER]
 
-    @pytest.mark.parametrize("strategy", PROB_STRATEGIES)
     @pytest.mark.parametrize("distributions", INVALID)
-    def test_raw_invalid_map_raises_under_every_strategy(
-        self, strategy, distributions
-    ):
-        with pytest.raises(ProbabilityError):
-            probability(eq(X, 1), distributions, strategy=strategy)
+    def test_raw_invalid_map_raises_under_every_strategy(self, distributions):
+        """The production route and both oracles validate a raw map."""
+        for route in (probability, probability_enumerate, probability_shannon):
+            with pytest.raises(ProbabilityError):
+                route(eq(X, 1), distributions)
 
     @pytest.mark.parametrize("distributions", INVALID)
     def test_raw_invalid_map_raises_through_wmc(self, distributions):
         with pytest.raises(ProbabilityError):
             wmc_probability(eq(X, 1), distributions)
 
-    @pytest.mark.parametrize("strategy", PROB_STRATEGIES)
     @pytest.mark.parametrize("distributions", INVALID)
-    def test_raw_invalid_map_raises_through_engine(
-        self, strategy, distributions
-    ):
+    def test_raw_invalid_map_raises_through_engine(self, distributions):
         engine = Engine()
         with pytest.raises(ProbabilityError):
-            engine.condition_probability(
-                eq(X, 1), distributions, strategy=strategy
-            )
+            engine.condition_probability(eq(X, 1), distributions)
 
     def test_engine_validates_raw_map_on_a_circuit_cache_hit(self):
         engine = Engine()
         condition = eq(X, 1)
         valid = {"x": {1: Fraction(1, 2), 2: Fraction(1, 2)}}
-        assert engine.condition_probability(
-            condition, valid, strategy="wmc"
-        ) == Fraction(1, 2)
+        assert engine.condition_probability(condition, valid) == Fraction(1, 2)
         # Same condition, same restriction to its variables: the circuit
         # cache key matches, but the map as a whole is invalid.
         with pytest.raises(ProbabilityError):
-            engine.condition_probability(
-                condition, self.BAD_BYSTANDER, strategy="wmc"
-            )
+            engine.condition_probability(condition, self.BAD_BYSTANDER)
 
     def test_validated_map_is_read_only(self):
         pctable = PCTable(
@@ -696,7 +722,7 @@ class TestValidatedDistributions:
             del distributions["x"]
         assert distributions == {"x": {1: Fraction(1, 3), 2: Fraction(2, 3)}}
 
-    @pytest.mark.parametrize("width", [4, PROB_VARIABLE_BUDGET + 4])
+    @pytest.mark.parametrize("width", [4, 12])
     def test_session_probability_does_not_revalidate(self, monkeypatch, width):
         """A probability op validates nothing: its cost follows the
         lineage, not the size of the session's distribution map."""
@@ -723,9 +749,6 @@ class TestValidatedDistributions:
             P=PCTable([(("a",), disj(*flags))], distributions, arity=1)
         )
         assert len(calls) == width + 50  # construction validates each once
-        assert resolve_strategy("auto", disj(*flags)) == (
-            "shannon" if width <= PROB_VARIABLE_BUDGET else "wmc"
-        )
         calls.clear()
         answer = session.query("sigma[1='a'](P)").probability(("a",))
         assert answer == 1 - Fraction(2, 3) ** width

@@ -16,11 +16,12 @@ Flagged, outside the whitelisted oracle packages:
   ``.mod(...)``, ``.mod_over(...)``, ``.valuations(...)``,
   ``.valuation_space(...)``;
 - calls to :func:`repro.logic.models.enumerate_valuations`,
-  :func:`repro.logic.counting.probability_enumerate` and
+  :func:`repro.logic.counting.probability_enumerate`,
+  :func:`repro.logic.counting.probability_shannon` and
   :func:`repro.prob.tuple_prob.tuple_probability_naive` — the
   exponential probability baselines, kept as oracles only (production
-  paths go through ``probability(...)``'s strategy dispatch and the
-  compiled d-DNNF route);
+  paths count through ``probability(...)``, the compiled d-DNNF
+  route);
 - ``ctables_equivalent(..., enumerate=True)`` — forcing the enumeration
   engine past the symbolic dispatcher;
 - inside ``repro/prob/``: raw product-space iteration via
@@ -52,7 +53,12 @@ ENUMERATION_METHODS = frozenset(
 #: attribute calls): valuation enumeration plus the exponential
 #: probability baselines kept only as differential oracles.
 ENUMERATION_FUNCTIONS = frozenset(
-    {"enumerate_valuations", "probability_enumerate", "tuple_probability_naive"}
+    {
+        "enumerate_valuations",
+        "probability_enumerate",
+        "probability_shannon",
+        "tuple_probability_naive",
+    }
 )
 
 #: Packages that define or validate the world semantics: the tables'

@@ -20,10 +20,10 @@ quantifies over *any* equivalent formulation of ``q``).  The rules:
   earliest join where their columns are available and a final ``π̄``
   restoring the original column order;
 - **dead-branch pruning**: a selection whose predicate is unsatisfiable
-  (decided by the DPLL engine underneath
-  :func:`repro.logic.equality_sat.is_satisfiable_skeleton`) collapses
-  its entire sub-plan to an :class:`~repro.ctalgebra.plan.EmptyNode`
-  that preserves the region's domains and global conditions.
+  (decided by :func:`repro.logic.equality_sat.is_satisfiable_infinite`,
+  the SAT + equality-theory loop) collapses its entire sub-plan to an
+  :class:`~repro.ctalgebra.plan.EmptyNode` that preserves the region's
+  domains and global conditions.
 
 ``optimize_plan`` runs the rules to a fixpoint (bounded); ``fuse_joins``
 applies only the fusion rule and is the default, verbatim-shaped path of
@@ -43,7 +43,7 @@ from typing import (
     Tuple,
 )
 
-from repro.logic.equality_sat import is_satisfiable_skeleton
+from repro.logic.equality_sat import is_satisfiable_infinite
 from repro.logic.evaluation import substitute
 from repro.logic.syntax import And, Bottom, Formula, TOP, Top, conj
 from repro.algebra.predicates import (
@@ -144,7 +144,7 @@ class _SatCache:
             return False
         cached = self._known.get(predicate)
         if cached is None:
-            cached = is_satisfiable_skeleton(predicate)
+            cached = is_satisfiable_infinite(predicate)
             self._known[predicate] = cached
         return cached
 

@@ -42,8 +42,8 @@ verifier therefore performs **translation validation** (the
 on small *symbolic abstract tables* (fresh variable tuples, one boolean
 row-presence flag per row) through the interpreted lifted operators,
 and the two result tables must have per-tuple *equivalent conditions*
-— decided by the cross-validated SAT+BDD engines of
-:mod:`repro.logic.equivalence`, never by world enumeration.  A predicate
+— decided by the SAT + equality-theory loop of
+:mod:`repro.logic.equality_sat`, never by world enumeration.  A predicate
 on the wrong side lands on the wrong tuple's fresh variables, so the
 certificate fails by construction.
 
@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, NoReturn, Optional, Set, Tuple
 
 from repro.errors import PlanVerificationError, QueryError, nearest_name
 from repro.logic.atoms import Const, Eq, Term, Var, boolvar
-from repro.logic.equality_sat import is_satisfiable_skeleton
+from repro.logic.equality_sat import is_satisfiable_infinite
 from repro.logic.syntax import Bottom, Formula, is_atom, is_interned, walk
 from repro.algebra.ast import Query, RelVar
 from repro.algebra.predicates import column_index, is_column_var
@@ -514,13 +514,13 @@ class PlanVerifier:
         """Certify one rewrite by symbolic execution on abstract tables.
 
         Both sub-plans are interpreted over the shared abstract tables
-        and the result tables are compared tuple-by-tuple with the
-        cross-validated SAT+BDD equivalence engines — translation
-        validation of the individual rewrite, catching semantic bugs
-        (e.g. a predicate pushed to the wrong join side) that preserve
-        every structural conservation law.  No world enumeration is
-        involved, so the certificate cost scales with plan size, not
-        ``2^variables``.
+        and the result tables are compared tuple-by-tuple by condition
+        equivalence (:func:`~repro.logic.equality_sat.equivalent_conditions`)
+        — translation validation of the individual rewrite, catching
+        semantic bugs (e.g. a predicate pushed to the wrong join side)
+        that preserve every structural conservation law.  No world
+        enumeration is involved, so the certificate cost scales with
+        plan size, not ``2^variables``.
         """
         # Lazy import: worlds.compare sits above ctalgebra in the
         # layering (it imports translate, which builds verifiers).
@@ -535,7 +535,7 @@ class PlanVerifier:
         before_result = execute_plan(before, tables)
         after_result = execute_plan(after, tables)
         if not ctables_equivalent_symbolic(
-            before_result, after_result, engine="both", strict=False
+            before_result, after_result, strict=False
         ):
             raise PlanVerificationError(
                 "semantics",
@@ -558,7 +558,7 @@ class PlanVerifier:
             predicate = before.predicate
             if isinstance(predicate, Bottom):
                 return
-            if not is_satisfiable_skeleton(predicate):
+            if not is_satisfiable_infinite(predicate):
                 return
             raise PlanVerificationError(
                 "unsat-prune",

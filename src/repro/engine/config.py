@@ -85,9 +85,10 @@ class ExecutionConfig:
       per rewrite); CI flips it on for a full tier-1 run via
       ``REPRO_VERIFY_PLANS=1``.  Every rewrite gets the structural
       conservation checks and then translation validation — symbolic
-      execution on abstract tables plus SAT/BDD condition equivalence
-      (:mod:`repro.logic.equivalence`), which closes the
-      wrong-side-pushdown class of bugs the structural keys cannot see.
+      execution on abstract tables plus condition equivalence by the
+      SAT + equality-theory loop (:mod:`repro.logic.equality_sat`),
+      which closes the wrong-side-pushdown class of bugs the structural
+      keys cannot see.
     - ``circuit_cache_size`` — LRU capacity of the engine's compiled
       condition-circuit cache (d-DNNF circuits + memoized counts keyed
       on the interned lineage and a distribution fingerprint;

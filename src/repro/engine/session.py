@@ -269,7 +269,7 @@ class Engine:
         cache); ``"engine"`` this engine's own registry (per-query
         counters and latency histograms); ``"process"`` the process-wide
         registry the module-level subsystems report to — optimizer
-        rule fire/no-fire counts and SAT/BDD/DPLL/WMC solver-call
+        rule fire/no-fire counts and SAT/DPLL/d-DNNF/WMC solver-call
         counters.  Key order is deterministic, so snapshots diff
         cleanly across runs.
         """

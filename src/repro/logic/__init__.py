@@ -15,12 +15,12 @@ rest of the library needs to manipulate such conditions:
 - :mod:`repro.logic.sat` — a DPLL SAT solver,
 - :mod:`repro.logic.models` — satisfying-valuation enumeration over
   finite variable domains,
-- :mod:`repro.logic.equality_sat` — small-model-property decision
-  procedures for equality logic over an infinite domain,
+- :mod:`repro.logic.equality_sat` — the one decision procedure for
+  conditions over the infinite domain (satisfiability, validity,
+  implication, equivalence): DPLL plus an equality-theory loop, with
+  witness-domain enumeration kept as its reference oracle,
 - :mod:`repro.logic.bdd` — ordered binary decision diagrams with
   weighted model counting,
-- :mod:`repro.logic.equivalence` — SAT- and BDD-backed condition
-  equivalence (no world enumeration), cross-validated engines,
 - :mod:`repro.logic.counting` — probability of formulas over
   multi-valued distributed variables (compiled d-DNNF counting, with
   enumeration and Shannon expansion as reference oracles).
@@ -81,21 +81,17 @@ from repro.logic.sat import Solver, is_satisfiable_clauses, solve_clauses
 from repro.logic.models import enumerate_models, count_models
 from repro.logic.equality_sat import (
     constants_of,
-    equivalent_infinite,
+    decide_condition,
+    distinguishing_assignment,
+    equivalent_conditions,
     is_satisfiable_finite,
     is_satisfiable_infinite,
     is_valid_infinite,
     witness_domain,
+    xor_condition,
 )
 from repro.logic.bdd import Bdd
 from repro.logic.counting import probability
-from repro.logic.equivalence import (
-    distinguishing_assignment,
-    equivalent_conditions,
-    is_contradiction,
-    is_tautology,
-    xor_condition,
-)
 
 __all__ = [
     "And",
@@ -117,6 +113,7 @@ __all__ = [
     "conj",
     "constants_of",
     "count_models",
+    "decide_condition",
     "disj",
     "distinguishing_assignment",
     "equivalent_conditions",
@@ -125,13 +122,10 @@ __all__ = [
     "set_evaluation_cache",
     "enumerate_models",
     "eq",
-    "equivalent_infinite",
     "evaluate",
-    "is_contradiction",
     "is_satisfiable_clauses",
     "is_satisfiable_finite",
     "is_satisfiable_infinite",
-    "is_tautology",
     "is_valid_infinite",
     "ne",
     "neg",

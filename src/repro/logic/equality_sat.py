@@ -1,36 +1,61 @@
-"""Decision procedures for equality logic over an infinite domain.
+"""The decision procedure for c-table conditions over an infinite domain.
 
 c-tables in the paper range over a countably infinite domain ``D``, so
-"is this condition satisfiable?" cannot be answered by enumerating ``D``.
-Equality logic enjoys a *small-model property*: a boolean combination of
-equalities over variables ``V`` and constants ``C`` is satisfiable over
-an infinite domain if and only if it is satisfiable over any finite
-domain containing ``C`` plus ``|V|`` extra fresh values.  (Each variable
-need only choose between being equal to one of the constants, or equal to
-some other variable's fresh value, or fresh itself.)
+every symbolic question about a condition is a question in equality
+logic: certain answers are membership conditions that are *valid*,
+possible answers are ones that are *satisfiable*, and ``Mod``-equality of
+two tables is per-tuple condition *equivalence*.  All of them reduce to
+satisfiability, decided here by one loop (:func:`_theory_model`):
 
-This module implements that reduction (:func:`witness_domain`) and on top
-of it satisfiability, validity, implication and equivalence tests, which
-power the semantic comparisons in :mod:`repro.worlds.compare` and the
-infinite-domain theorems (E04, E05, E10 in DESIGN.md).
+1. Tseitin-encode the formula (:func:`repro.logic.cnf.tseitin_clauses`),
+   every atom an opaque proposition, and ask the DPLL solver for a
+   propositional model.
+2. Check the model's equality atoms with a union-find: true equalities
+   merge their terms, and a false equality inside one class or two
+   distinct constants in one class is a conflict.
+3. On a conflict, add a clause negating only its *explanation* — the
+   false equality plus the true equalities on the path joining its two
+   sides, or the path joining the two constants — and solve again.
 
-Two engines are provided and cross-checked in the tests: direct pruned
-enumeration over the witness domain (:func:`is_satisfiable_finite`), and
-a SAT-based engine that solves the boolean skeleton and checks the
-induced equality constraints for consistency with a union-find
-(:func:`is_satisfiable_skeleton`).
+Every added clause is valid in equality logic, so no model of the
+formula is lost, and each one excludes the current model, so the loop
+ends.  A theory-consistent model extends to a valuation over the
+infinite domain by giving every congruence class that holds no constant
+its own fresh value; ``BoolVar`` atoms are free two-valued propositions.
+
+Equality logic also has a *small-model property*: a formula over
+variables ``V`` and constants ``C`` is satisfiable over an infinite
+domain iff it is satisfiable over ``C`` plus ``|V|`` fresh values.
+:func:`witness_domain` builds that domain and :func:`is_satisfiable_finite`
+enumerates it.  That is the paper's definition, kept as the reference
+oracle the tests compare the loop against; no production path calls it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Hashable, Iterator, List, Sequence, Tuple
+from collections import deque
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.logic.atoms import BoolVar, Const, Eq
-from repro.logic.cnf import AtomMap, tseitin_clauses
+from repro.logic.atoms import BoolVar, Const, Eq, Term
+from repro.logic.cnf import Clause, tseitin_clauses
+from repro.logic.evaluation import partial_evaluate
 from repro.logic.models import is_satisfiable_over
-from repro.logic.sat import Solver
-from repro.logic.syntax import Formula, conj, neg, walk
+from repro.logic.sat import Assignment, Solver
+from repro.logic.syntax import TOP, Formula, conj, disj, neg, walk
+from repro.obs.metrics import counter
+from repro.obs.names import EQUIV_SAT_TOTAL
 
 
 def constants_of(formula: Formula) -> FrozenSet[Hashable]:
@@ -98,7 +123,11 @@ def _split_variables(formula: Formula) -> Tuple[List[str], List[str]]:
 def is_satisfiable_finite(
     formula: Formula, domain: Sequence[Hashable]
 ) -> bool:
-    """Decide satisfiability of *formula* with domain vars ranging over *domain*."""
+    """Decide satisfiability of *formula* with domain vars ranging over *domain*.
+
+    Enumerates valuations; over :func:`witness_domain` this is the
+    reference oracle for :func:`is_satisfiable_infinite`.
+    """
     domain_vars, boolean_vars = _split_variables(formula)
     domains: Dict[str, Sequence[Hashable]] = {
         name: list(domain) for name in domain_vars
@@ -106,98 +135,183 @@ def is_satisfiable_finite(
     domains.update({name: (False, True) for name in boolean_vars})
     if not domains:
         # Ground formula: partial evaluation decides it outright.
-        from repro.logic.evaluation import partial_evaluate
-        from repro.logic.syntax import TOP
-
         return partial_evaluate(formula, {}) is TOP
     return is_satisfiable_over(formula, domains)
 
 
+# ----------------------------------------------------------------------
+# The SAT + equality-theory loop
+# ----------------------------------------------------------------------
+
+def _theory_model(formula: Formula) -> Optional[Dict[Formula, bool]]:
+    """Return a theory-consistent truth assignment to *formula*'s atoms.
+
+    The assignment makes *formula* true and its equality atoms are
+    realizable over the infinite domain; ``None`` means *formula* is
+    unsatisfiable there.  It may be empty when *formula* has no atoms.
+    """
+    clauses, atom_map, _ = tseitin_clauses(formula)
+    atoms = [(atom_map.index_of(atom), atom) for atom in atom_map.atoms()]
+    equalities = [(index, atom) for index, atom in atoms if isinstance(atom, Eq)]
+    solver = Solver()
+    while True:
+        model = solver.solve(clauses)
+        if model is None:
+            return None
+        lemmas = _theory_lemmas(model, equalities)
+        if not lemmas:
+            return {atom: model[index] for index, atom in atoms}
+        clauses.extend(lemmas)
+
+
+def _theory_lemmas(
+    model: Assignment, equalities: Sequence[Tuple[int, Eq]]
+) -> List[Clause]:
+    """Return one clause per equality conflict of *model*.
+
+    Each clause negates the conflict's explanation; an empty list means
+    the model's equality atoms are consistent.  Union-find over the true
+    equalities is the fast path: explanations are searched for only when
+    it finds a conflict.  Excluding every conflict of a model at once,
+    rather than the first, halves the re-solves on long equality chains.
+    """
+    parent: Dict[Term, Term] = {}
+
+    def find(term: Term) -> Term:
+        parent.setdefault(term, term)
+        while parent[term] != term:
+            parent[term] = parent[parent[term]]
+            term = parent[term]
+        return term
+
+    false_equalities = []
+    for index, atom in equalities:
+        if model[index]:
+            parent[find(atom.left)] = find(atom.right)
+        else:
+            false_equalities.append((index, atom))
+    # (source, target, literals): the true equalities joining source and
+    # target, together with *literals*, cannot all hold.
+    conflicts: List[Tuple[Term, Term, Tuple[int, ...]]] = [
+        (atom.left, atom.right, (index,))
+        for index, atom in false_equalities
+        if find(atom.left) == find(atom.right)
+    ]
+    constant_of: Dict[Term, Term] = {}
+    for term in parent:
+        if isinstance(term, Const):
+            other = constant_of.setdefault(find(term), term)
+            if other != term:
+                conflicts.append((other, term, ()))
+    if not conflicts:
+        return []
+    edges: Dict[Term, List[Tuple[Term, int]]] = {}
+    for index, atom in equalities:
+        if model[index]:
+            edges.setdefault(atom.left, []).append((atom.right, index))
+            edges.setdefault(atom.right, []).append((atom.left, index))
+    return [
+        frozenset({*literals, *_equality_path(edges, source, target)})
+        for source, target, literals in conflicts
+    ]
+
+
+def _equality_path(
+    edges: Mapping[Term, List[Tuple[Term, int]]], source: Term, target: Term
+) -> Set[int]:
+    """Negated literals of the true equalities on a shortest source–target path.
+
+    The caller guarantees the path exists: union-find put both terms in
+    one class.
+    """
+    came_from: Dict[Term, Tuple[Term, int]] = {source: (source, 0)}
+    queue = deque([source])
+    while target not in came_from:
+        term = queue.popleft()
+        for neighbour, index in edges[term]:
+            if neighbour not in came_from:
+                came_from[neighbour] = (term, index)
+                queue.append(neighbour)
+    literals: Set[int] = set()
+    while target != source:
+        target, index = came_from[target]
+        literals.add(-index)
+    return literals
+
+
+# ----------------------------------------------------------------------
+# Decision predicates, each one call into the loop
+# ----------------------------------------------------------------------
+
 def is_satisfiable_infinite(formula: Formula) -> bool:
     """Decide satisfiability of *formula* over the countably infinite domain."""
-    return is_satisfiable_finite(formula, witness_domain(formula))
+    return _theory_model(formula) is not None
 
 
 def is_valid_infinite(formula: Formula) -> bool:
-    """Decide validity (truth under every valuation) over the infinite domain.
-
-    Note the witness domain must be computed for the *negation*, whose
-    satisfiability is being tested.
-    """
-    negated = neg(formula)
-    return not is_satisfiable_finite(negated, witness_domain(negated))
+    """Decide validity (truth under every valuation) over the infinite domain."""
+    return _theory_model(neg(formula)) is None
 
 
 def implies_infinite(antecedent: Formula, consequent: Formula) -> bool:
     """Decide whether *antecedent* entails *consequent* over infinite D."""
-    counterexample = conj(antecedent, neg(consequent))
-    return not is_satisfiable_finite(
-        counterexample, witness_domain(counterexample)
-    )
+    return _theory_model(conj(antecedent, neg(consequent))) is None
 
 
-def equivalent_infinite(left: Formula, right: Formula) -> bool:
-    """Decide logical equivalence of two conditions over infinite D."""
-    return implies_infinite(left, right) and implies_infinite(right, left)
+def xor_condition(left: Formula, right: Formula) -> Formula:
+    """Return the symmetric difference ``(left ∧ ¬right) ∨ (¬left ∧ right)``.
 
-
-def is_satisfiable_skeleton(formula: Formula) -> bool:
-    """SAT-based satisfiability via boolean skeleton + congruence check.
-
-    The formula's boolean skeleton (atoms as opaque propositions) is
-    solved by DPLL; each propositional model induces equality/disequality
-    constraints that are checked for consistency by union-find.  Models
-    are enumerated until a theory-consistent one is found.  This engine is
-    independent of the enumeration engine and the two are cross-validated
-    by property tests.
+    The smart constructors fold the obvious cases: identical (interned)
+    inputs collapse to ``⊥`` without ever reaching a solver.
     """
-    clauses, atom_map, _ = tseitin_clauses(formula)
-    solver = Solver()
-    for assignment in solver.enumerate(clauses):
-        if _theory_consistent(assignment, atom_map):
-            return True
-    return False
+    return disj(conj(left, neg(right)), conj(neg(left), right))
 
 
-def _theory_consistent(assignment: Dict[int, bool], atom_map: AtomMap) -> bool:
-    """Check equality/disequality constraints induced by a SAT model."""
-    parent: Dict[Hashable, Hashable] = {}
+def distinguishing_assignment(
+    left: Formula, right: Formula
+) -> Optional[Dict[Formula, bool]]:
+    """Return a theory-consistent atom assignment separating the conditions.
 
-    def find(item: Hashable) -> Hashable:
-        parent.setdefault(item, item)
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]
-            item = parent[item]
-        return item
+    ``None`` means the conditions are equivalent over the infinite
+    domain.  Otherwise the mapping assigns truth values to the genuine
+    atoms (``Eq`` / ``BoolVar``) of a model of the symmetric difference;
+    it may be empty when the difference holds under every valuation, so
+    compare against ``None`` rather than truthiness.
+    """
+    counter(EQUIV_SAT_TOTAL)
+    return _theory_model(xor_condition(left, right))
 
-    def union(left: Hashable, right: Hashable) -> None:
-        parent[find(left)] = find(right)
 
-    def key(term) -> Hashable:
-        if isinstance(term, Const):
-            return ("const", term.value)
-        return ("var", term.name)
+def equivalent_conditions(left: Formula, right: Formula) -> bool:
+    """Decide condition equivalence over the countably infinite domain."""
+    return distinguishing_assignment(left, right) is None
 
-    disequalities = []
-    for atom in atom_map.atoms():
-        if not isinstance(atom, Eq):
-            continue
-        index = atom_map.index_of(atom)
-        if index not in assignment:
-            continue
-        if assignment[index]:
-            union(key(atom.left), key(atom.right))
-        else:
-            disequalities.append((key(atom.left), key(atom.right)))
-    # Distinct constants must stay in distinct classes.
-    constant_roots: Dict[Hashable, Hashable] = {}
-    for item in list(parent):
-        if isinstance(item, tuple) and item[0] == "const":
-            root = find(item)
-            if root in constant_roots and constant_roots[root] != item:
-                return False
-            constant_roots[root] = item
-    return all(find(left) != find(right) for left, right in disequalities)
+
+def decide_condition(
+    condition: Formula,
+    domains: Optional[Mapping[str, Sequence[Hashable]]],
+    *,
+    valid: bool = False,
+) -> bool:
+    """Decide satisfiability (or, with *valid*, validity) over a table's domains.
+
+    *domains* maps each variable to its finite domain; ``None`` means the
+    countably infinite domain, decided by :func:`is_satisfiable_infinite`
+    and :func:`is_valid_infinite`.  Those two are looked up as module
+    attributes at call time, so a tracer that wraps them by name sees
+    every certain/possible decision.
+    """
+    if domains is None:
+        if valid:
+            return is_valid_infinite(condition)
+        return is_satisfiable_infinite(condition)
+    relevant = {name: domains[name] for name in condition.variables()}
+    if not relevant:
+        return partial_evaluate(condition, {}) is TOP
+    if valid:
+        # Valid over the finite domains iff the negation has no model.
+        return not is_satisfiable_over(neg(condition), relevant)
+    return is_satisfiable_over(condition, relevant)
 
 
 def equivalence_classes(

@@ -4,8 +4,9 @@ The solver implements the classic Davis–Putnam–Logemann–Loveland
 procedure with unit propagation, pure-literal elimination, and a
 most-frequent-variable branching heuristic.  It is deliberately simple
 and dependency-free: conditions in this library rarely exceed a few
-hundred atoms, and the small-model equality procedure in
-:mod:`repro.logic.equality_sat` bounds the instances further.
+hundred atoms.  :mod:`repro.logic.equality_sat` runs it inside its
+equality-theory loop, which treats every equality atom as an opaque
+proposition and adds a clause per theory conflict.
 
 The clause format matches :mod:`repro.logic.cnf`: a clause is a frozenset
 of non-zero integers, where ``-v`` is the negation of variable ``v``.
@@ -14,14 +15,10 @@ of non-zero integers, where ``-v`` is the negation of variable ``v``.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.obs.metrics import counter
-from repro.obs.names import (
-    DPLL_RECURSIONS_TOTAL,
-    SAT_ENUMERATE_TOTAL,
-    SAT_SOLVE_TOTAL,
-)
+from repro.obs.names import DPLL_RECURSIONS_TOTAL, SAT_SOLVE_TOTAL
 
 Clause = FrozenSet[int]
 Assignment = Dict[int, bool]
@@ -50,30 +47,6 @@ class Solver:
         for variable in variables:
             assignment.setdefault(variable, False)
         return assignment
-
-    def enumerate(self, clauses: Iterable[Clause]) -> Iterator[Assignment]:
-        """Yield every satisfying total assignment (over mentioned vars).
-
-        Enumeration proceeds by solving, then blocking the found model and
-        re-solving; fine for the small counts the tests need.
-        """
-        counter(SAT_ENUMERATE_TOTAL)
-        clause_list: List[Clause] = [frozenset(clause) for clause in clauses]
-        variables = sorted(
-            {abs(lit) for clause in clause_list for lit in clause}
-        )
-        while True:
-            model = self.solve(clause_list)
-            if model is None:
-                return
-            yield dict(model)
-            blocking = frozenset(
-                -variable if model[variable] else variable
-                for variable in variables
-            )
-            if not blocking:
-                return
-            clause_list.append(blocking)
 
 
 def _unit_propagate(

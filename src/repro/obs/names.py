@@ -64,14 +64,10 @@ IVM_REFRESH_SECONDS = "ivm_refresh_seconds"
 OPTIMIZER_RULES_TOTAL = "optimizer_rule_applications_total"
 #: Counter: top-level DPLL satisfiability checks (`Solver.solve`).
 SAT_SOLVE_TOTAL = "solver_sat_solve_total"
-#: Counter: model-enumeration sweeps (`Solver.enumerate`).
-SAT_ENUMERATE_TOTAL = "solver_sat_enumerate_total"
 #: Counter: DPLL search-tree nodes (recursive `_dpll` entries).
 DPLL_RECURSIONS_TOTAL = "solver_dpll_recursions_total"
 #: Counter: SAT-backed condition-equivalence proofs.
 EQUIV_SAT_TOTAL = "solver_equivalence_sat_total"
-#: Counter: BDD-backed condition-equivalence proofs.
-EQUIV_BDD_TOTAL = "solver_equivalence_bdd_total"
 #: Counter: CNF -> d-DNNF knowledge compilations.
 DDNNF_COMPILE_TOTAL = "solver_ddnnf_compile_total"
 #: Counter: weighted model counts evaluated on compiled circuits.
@@ -96,10 +92,8 @@ REGISTERED_NAMES = frozenset(
         IVM_REFRESH_SECONDS,
         OPTIMIZER_RULES_TOTAL,
         SAT_SOLVE_TOTAL,
-        SAT_ENUMERATE_TOTAL,
         DPLL_RECURSIONS_TOTAL,
         EQUIV_SAT_TOTAL,
-        EQUIV_BDD_TOTAL,
         DDNNF_COMPILE_TOTAL,
         WMC_COUNT_TOTAL,
     }
@@ -108,7 +102,6 @@ REGISTERED_NAMES = frozenset(
 __all__ = [
     "DDNNF_COMPILE_TOTAL",
     "DPLL_RECURSIONS_TOTAL",
-    "EQUIV_BDD_TOTAL",
     "EQUIV_SAT_TOTAL",
     "IVM_DELTA_ROWS_TOTAL",
     "IVM_MUTATIONS_TOTAL",
@@ -118,7 +111,6 @@ __all__ = [
     "QUERIES_TOTAL",
     "QUERY_SECONDS",
     "REGISTERED_NAMES",
-    "SAT_ENUMERATE_TOTAL",
     "SAT_SOLVE_TOTAL",
     "SPAN_EXECUTE",
     "SPAN_LOWER",

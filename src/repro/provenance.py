@@ -190,7 +190,7 @@ def _boolean_equivalent(left: Formula, right: Formula) -> bool:
     # Symbolic propositional equivalence (SAT on the XOR); lineage
     # formulas carry one event variable per input tuple, so the old
     # valuation enumeration was exponential in the instance size.
-    from repro.logic.equivalence import equivalent_conditions
+    from repro.logic.equality_sat import equivalent_conditions
 
     return equivalent_conditions(left, right)
 

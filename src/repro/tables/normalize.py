@@ -7,8 +7,9 @@ denote the same tuple pattern.  Normalization removes both:
 
 - :func:`drop_unsatisfiable_rows` — delete rows whose condition
   (conjoined with the global condition) has no satisfying valuation,
-  decided over the finite domains when present and by the small-model
-  procedure over the infinite domain otherwise;
+  decided by :func:`repro.logic.equality_sat.decide_condition`: over the
+  finite domains when present, by the SAT + equality-theory loop over
+  the infinite domain otherwise;
 - :func:`merge_duplicate_rows` — rows with syntactically identical term
   tuples merge into one row with the disjunction of their conditions;
 - :func:`normalize` — both passes plus algebraic condition
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.logic.models import is_satisfiable_over
+from repro.logic.equality_sat import decide_condition
 from repro.logic.simplify import simplify
 from repro.logic.syntax import BOTTOM, conj, disj
 from repro.tables.ctable import CRow, CTable
@@ -31,19 +32,7 @@ from repro.tables.ctable import CRow, CTable
 
 def _row_satisfiable(table: CTable, row: CRow) -> bool:
     condition = conj(table.global_condition, row.condition)
-    if table.domains is not None:
-        relevant = {
-            name: table.domains[name] for name in condition.variables()
-        }
-        if not relevant:
-            from repro.logic.evaluation import partial_evaluate
-            from repro.logic.syntax import TOP
-
-            return partial_evaluate(condition, {}) == TOP
-        return is_satisfiable_over(condition, relevant)
-    from repro.logic.equality_sat import is_satisfiable_infinite
-
-    return is_satisfiable_infinite(condition)
+    return decide_condition(condition, table.domains)
 
 
 def drop_unsatisfiable_rows(table: CTable) -> CTable:

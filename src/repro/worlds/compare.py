@@ -16,8 +16,8 @@ Enumerating the witness domain is still exponential in the number of
 variables, so it cannot scale past a handful of variables.
 :func:`ctables_equivalent_symbolic` avoids enumeration entirely: it
 groups rows by term tuple and proves per-tuple *condition* equivalence
-with the SAT/BDD engines of :mod:`repro.logic.equivalence` — a
-certificate of ``Mod``-equality whose cost scales with condition size,
+with the SAT + equality-theory loop of :mod:`repro.logic.equality_sat` —
+a certificate of ``Mod``-equality whose cost scales with condition size,
 not ``2^variables``.  :func:`ctables_equivalent` dispatches between the
 two automatically: symbolic first, enumeration (with collapse-style
 canonical world hashing, :func:`worlds_signature`) only to settle
@@ -48,8 +48,7 @@ from repro.core.idatabase import IDatabase
 from repro.core.instance import Instance
 from repro.errors import UnsupportedOperationError
 from repro.logic.atoms import Term, is_boolean_condition, is_equality_condition
-from repro.logic.equality_sat import fresh_values
-from repro.logic.equivalence import DEFAULT_ENGINE, equivalent_conditions
+from repro.logic.equality_sat import equivalent_conditions, fresh_values
 from repro.logic.syntax import BOTTOM, Formula, conj, disj
 from repro.algebra.ast import Query
 from repro.algebra.evaluate import apply_query
@@ -149,7 +148,6 @@ def _membership_conditions(table: CTable) -> Dict[Tuple[Term, ...], Formula]:
 def ctables_equivalent_symbolic(
     left: CTable,
     right: CTable,
-    engine: str = DEFAULT_ENGINE,
     *,
     strict: bool = True,
 ) -> bool:
@@ -190,14 +188,14 @@ def ctables_equivalent_symbolic(
                 )
     left_global = left.global_condition
     right_global = right.global_condition
-    if not equivalent_conditions(left_global, right_global, engine=engine):
+    if not equivalent_conditions(left_global, right_global):
         return False
     left_by_tuple = _membership_conditions(left)
     right_by_tuple = _membership_conditions(right)
     for values in left_by_tuple.keys() | right_by_tuple.keys():
         in_left = conj(left_global, left_by_tuple.get(values, BOTTOM))
         in_right = conj(right_global, right_by_tuple.get(values, BOTTOM))
-        if not equivalent_conditions(in_left, in_right, engine=engine):
+        if not equivalent_conditions(in_left, in_right):
             return False
     return True
 
@@ -208,7 +206,6 @@ def ctables_equivalent(
     extra: int = 0,
     *,
     enumerate: Optional[bool] = None,
-    engine: str = DEFAULT_ENGINE,
     variable_budget: int = SYMBOLIC_VARIABLE_BUDGET,
 ) -> bool:
     """Decide ``Mod(left) = Mod(right)`` over the infinite domain.
@@ -226,12 +223,10 @@ def ctables_equivalent(
         return _enumerated_equivalent(left, right, extra)
     symbolic_ok = _symbolic_eligible(left) and _symbolic_eligible(right)
     if enumerate is False:
-        return ctables_equivalent_symbolic(left, right, engine=engine)
+        return ctables_equivalent_symbolic(left, right)
     if not symbolic_ok:
         return _enumerated_equivalent(left, right, extra)
-    if left.arity == right.arity and ctables_equivalent_symbolic(
-        left, right, engine=engine
-    ):
+    if left.arity == right.arity and ctables_equivalent_symbolic(left, right):
         return True
     if len(left.variables() | right.variables()) <= variable_budget:
         return _enumerated_equivalent(left, right, extra)

@@ -9,9 +9,10 @@ algebra makes it unnecessary.  For a query ``q`` and c-table ``T``:
   (true under every valuation),
 - ``t`` is a **possible answer** iff that condition is *satisfiable*.
 
-Validity/satisfiability over the infinite domain are decided by the
-small-model procedures of :mod:`repro.logic.equality_sat`; for
-finite-domain tables the variable domains are used directly.
+Validity/satisfiability are decided by
+:func:`repro.logic.equality_sat.decide_condition`: over the infinite
+domain by its SAT + equality-theory loop, for finite-domain tables over
+the variable domains directly.
 
 Candidate generation: a certain tuple survives into worlds where every
 variable takes a fresh value, so its entries must be constants of the
@@ -25,13 +26,13 @@ display — the full description *is* the answer c-table.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, List, Sequence, Set, Tuple
+from typing import Hashable, Iterator, List, Set, Tuple
 
 from repro.errors import UnsupportedOperationError
 from repro.core.instance import Instance, Row
-from repro.logic.atoms import Const, Var, eq
-from repro.logic.models import is_satisfiable_over
-from repro.logic.syntax import BOTTOM, Formula, conj, disj, neg
+from repro.logic.atoms import Const, eq
+from repro.logic.equality_sat import constants_of, decide_condition
+from repro.logic.syntax import Formula, conj, disj
 from repro.algebra.ast import Query
 from repro.tables.ctable import CTable
 
@@ -51,39 +52,6 @@ def membership_condition(table: CTable, row: Row) -> Formula:
     return conj(table.global_condition, disj(*branches))
 
 
-def _is_valid(table: CTable, condition: Formula) -> bool:
-    if table.domains is not None:
-        # Valid over the finite domains iff the negation has no model.
-        relevant = {
-            name: table.domains[name] for name in condition.variables()
-        }
-        if not relevant:
-            from repro.logic.evaluation import partial_evaluate
-            from repro.logic.syntax import TOP
-
-            return partial_evaluate(condition, {}) == TOP
-        return not is_satisfiable_over(neg(condition), relevant)
-    from repro.logic.equality_sat import is_valid_infinite
-
-    return is_valid_infinite(condition)
-
-
-def _is_satisfiable(table: CTable, condition: Formula) -> bool:
-    if table.domains is not None:
-        relevant = {
-            name: table.domains[name] for name in condition.variables()
-        }
-        if not relevant:
-            from repro.logic.evaluation import partial_evaluate
-            from repro.logic.syntax import TOP
-
-            return partial_evaluate(condition, {}) == TOP
-        return is_satisfiable_over(condition, relevant)
-    from repro.logic.equality_sat import is_satisfiable_infinite
-
-    return is_satisfiable_infinite(condition)
-
-
 def _column_constants(table: CTable) -> List[List[Hashable]]:
     """Constants appearing per column, plus condition constants everywhere.
 
@@ -91,8 +59,6 @@ def _column_constants(table: CTable) -> List[List[Hashable]]:
     condition forces it to equal some constant, and condition constants
     are the only candidates — so the pool below is complete.
     """
-    from repro.logic.equality_sat import constants_of
-
     condition_constants: Set[Hashable] = set(
         constants_of(table.global_condition)
     )
@@ -137,7 +103,11 @@ def certain_from_answer(
     rows = [
         candidate
         for candidate in _candidates(answered, max_candidates)
-        if _is_valid(answered, membership_condition(answered, candidate))
+        if decide_condition(
+            membership_condition(answered, candidate),
+            answered.domains,
+            valid=True,
+        )
     ]
     return Instance(rows, arity=answered.arity)
 
@@ -149,8 +119,8 @@ def possible_from_answer(
     rows = [
         candidate
         for candidate in _candidates(answered, max_candidates)
-        if _is_satisfiable(
-            answered, membership_condition(answered, candidate)
+        if decide_condition(
+            membership_condition(answered, candidate), answered.domains
         )
     ]
     return Instance(rows, arity=answered.arity)

@@ -19,7 +19,7 @@ algebra (σ̄ / π̄ / ×̄ / ⋈̄ / ∪̄ / −̄ / ∩̄).
 
 Mod-level checks are no longer capped by enumeration:
 ``ctables_equivalent`` dispatches to symbolic per-tuple condition
-equivalence (:mod:`repro.logic.equivalence`) whose cost scales with
+equivalence (:mod:`repro.logic.equality_sat`) whose cost scales with
 condition size rather than ``2^variables``, so the
 :data:`LARGE_TABLES` profile fuzzes with a 72-name variable pool —
 dozens of distinct variables per case, far beyond any enumerable

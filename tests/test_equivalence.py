@@ -1,15 +1,20 @@
-"""Tests for the symbolic condition-equivalence engine.
+"""Tests for symbolic condition equivalence.
 
-Three layers of evidence that :mod:`repro.logic.equivalence` is an
-honest replacement for world enumeration:
+Three layers of evidence that
+:func:`repro.logic.equality_sat.equivalent_conditions` (the SAT +
+equality-theory loop) is an honest replacement for world enumeration:
 
 1. **Engine agreement** — randomized seeded formulas (propositional,
-   equality, and mixed) through the SAT and BDD provers independently,
-   plus ``engine="both"`` which raises on any disagreement.
-2. **Oracle agreement** — the same verdicts cross-checked against
-   brute-force valuation enumeration (propositional formulas) and
-   :func:`repro.logic.equality_sat.equivalent_infinite` (equality
-   formulas), the two pre-existing enumeration/small-model oracles.
+   equality, and mixed) decided by the loop, by an independent
+   test-side BDD decider, and by the enumeration oracle,
+   ``is_satisfiable_finite`` over the ``witness_domain`` of the
+   symmetric difference.
+2. **Oracle agreement** — the verdicts of the loop (``sat``) and of the
+   BDD decider (``bdd``) cross-checked against
+   brute-force truth tables (propositional formulas) and the
+   witness-domain oracle (equality formulas); the adversarial edge
+   cases run through both deciders and through ``both``, which asserts
+   that they agree.
 3. **Table level** — ``ctables_equivalent_symbolic`` against enumerated
    world-set comparison on small corpora, the documented conservative
    case, the dispatcher's ``enumerate=`` forcing knob, and a
@@ -23,19 +28,30 @@ import random
 
 import pytest
 
-from repro.errors import ConditionError, UnsupportedOperationError
+from repro.errors import UnsupportedOperationError
 from repro.logic.atoms import Var, boolvar, eq, ne
-from repro.logic.equality_sat import equivalent_infinite
-from repro.logic.equivalence import (
-    ENGINES,
+from repro.logic.bdd import ONE, ZERO, Bdd
+from repro.logic.equality_sat import (
     distinguishing_assignment,
     equivalent_conditions,
-    is_contradiction,
-    is_tautology,
+    is_satisfiable_finite,
+    witness_domain,
     xor_condition,
 )
 from repro.logic.evaluation import evaluate
-from repro.logic.syntax import BOTTOM, TOP, conj, disj, neg
+from repro.logic.syntax import (
+    BOTTOM,
+    TOP,
+    And,
+    Bottom,
+    Formula,
+    Not,
+    Or,
+    Top,
+    conj,
+    disj,
+    neg,
+)
 from repro.tables.ctable import CTable
 from repro.worlds.compare import (
     SYMBOLIC_VARIABLE_BUDGET,
@@ -86,6 +102,88 @@ def random_equality_formula(rng, names=("x", "y", "z"), depth=3):
     )
 
 
+def oracle_equivalent(left, right):
+    """Equivalence by enumerating the difference's witness domain."""
+    difference = xor_condition(left, right)
+    return not is_satisfiable_finite(difference, witness_domain(difference))
+
+
+def _compile_opaque(manager, names, formula):
+    """Compile *formula* with every atom as one opaque BDD variable."""
+    if isinstance(formula, Top):
+        return manager.true()
+    if isinstance(formula, Bottom):
+        return manager.false()
+    if formula in names:
+        return manager.var(names[formula])
+    if isinstance(formula, Not):
+        return manager.neg(_compile_opaque(manager, names, formula.child))
+    if isinstance(formula, And):
+        node = ONE
+        for child in formula.children:
+            node = manager.conj(node, _compile_opaque(manager, names, child))
+        return node
+    if isinstance(formula, Or):
+        node = ZERO
+        for child in formula.children:
+            node = manager.disj(node, _compile_opaque(manager, names, child))
+        return node
+    raise TypeError(f"cannot compile {formula!r}")
+
+
+def bdd_equivalent(left, right):
+    """Equivalence by an opaque-atom BDD of the symmetric difference.
+
+    Each root-to-⊤ path of the reduced BDD is a conjunction of atom
+    literals; the pair is equivalent iff no path is consistent over the
+    infinite domain, which the witness-domain oracle checks path by
+    path.  Nothing here runs the SAT + equality-theory loop.
+    """
+    atoms = sorted(left.atoms() | right.atoms(), key=repr)
+    names = {atom: f"a{index}" for index, atom in enumerate(atoms)}
+    manager = Bdd([names[atom] for atom in atoms])
+    left_node = _compile_opaque(manager, names, left)
+    right_node = _compile_opaque(manager, names, right)
+    difference = manager.disj(
+        manager.conj(left_node, manager.neg(right_node)),
+        manager.conj(manager.neg(left_node), right_node),
+    )
+
+    def consistent_path(node, position, literals):
+        if node == ZERO:
+            return False
+        if node == ONE:
+            path: Formula = conj(*literals)
+            return is_satisfiable_finite(path, witness_domain(path))
+        atom = atoms[position]
+        low = manager.restrict(node, names[atom], False)
+        high = manager.restrict(node, names[atom], True)
+        if low == high:
+            return consistent_path(low, position + 1, literals)
+        return consistent_path(
+            low, position + 1, literals + [neg(atom)]
+        ) or consistent_path(high, position + 1, literals + [atom])
+
+    return not consistent_path(difference, 0, [])
+
+
+DECIDERS = ("sat", "bdd", "both")
+
+
+def decide_equivalent(left, right, decider):
+    """Decide equivalence with the loop, the BDD decider, or both."""
+    if decider == "sat":
+        return equivalent_conditions(left, right)
+    if decider == "bdd":
+        return bdd_equivalent(left, right)
+    sat_verdict = equivalent_conditions(left, right)
+    bdd_verdict = bdd_equivalent(left, right)
+    assert sat_verdict == bdd_verdict, (
+        f"sat={sat_verdict} bdd={bdd_verdict} on {left!r} vs {right!r}"
+    )
+    return sat_verdict
+
+
 def boolean_truth_table(formula, names):
     rows = []
     for values in itertools.product([False, True], repeat=len(names)):
@@ -105,8 +203,10 @@ class TestEngineAgreement:
         for _ in range(40):
             left = random_boolean_formula(rng)
             right = random_boolean_formula(rng)
-            # "both" raises ConditionError on any disagreement.
-            equivalent_conditions(left, right, engine="both")
+            # "both" asserts that the loop and the BDD decider agree.
+            assert decide_equivalent(
+                left, right, "both"
+            ) == oracle_equivalent(left, right), f"{left!r} vs {right!r}"
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_sat_and_bdd_agree_on_equality_formulas(self, seed):
@@ -114,7 +214,10 @@ class TestEngineAgreement:
         for _ in range(40):
             left = random_equality_formula(rng)
             right = random_equality_formula(rng)
-            equivalent_conditions(left, right, engine="both")
+            # "both" asserts that the loop and the BDD decider agree.
+            assert decide_equivalent(
+                left, right, "both"
+            ) == oracle_equivalent(left, right), f"{left!r} vs {right!r}"
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_sat_and_bdd_agree_on_mixed_formulas(self, seed):
@@ -130,13 +233,22 @@ class TestEngineAgreement:
                 random_boolean_formula(rng, depth=2),
                 random_equality_formula(rng, depth=2),
             )
-            equivalent_conditions(left, left, engine="both")
-            equivalent_conditions(left, right, engine="both")
+            assert decide_equivalent(left, left, "both")
+            # "both" asserts that the loop and the BDD decider agree.
+            assert decide_equivalent(
+                left, right, "both"
+            ) == oracle_equivalent(left, right), f"{left!r} vs {right!r}"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConditionError, match="unknown"):
-            equivalent_conditions(A, B, engine="smt")
-        assert ENGINES == ("sat", "bdd", "both")
+        # One decision procedure: there is no engine to choose.
+        left, right = CTable([((1,), A)]), CTable([((1,), B)])
+        for engine in ("sat", "bdd", "both"):
+            with pytest.raises(TypeError):
+                equivalent_conditions(A, B, engine=engine)
+            with pytest.raises(TypeError):
+                ctables_equivalent_symbolic(left, right, engine=engine)
+            with pytest.raises(TypeError):
+                ctables_equivalent(left, right, engine=engine)
 
 
 # ----------------------------------------------------------------------
@@ -144,9 +256,9 @@ class TestEngineAgreement:
 # ----------------------------------------------------------------------
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("engine", ["sat", "bdd"])
+    @pytest.mark.parametrize("decider", ["sat", "bdd"])
     @pytest.mark.parametrize("seed", [41, 42])
-    def test_boolean_verdicts_match_truth_tables(self, seed, engine):
+    def test_boolean_verdicts_match_truth_tables(self, seed, decider):
         names = ("a", "b", "c", "d")
         rng = random.Random(seed)
         for _ in range(30):
@@ -156,19 +268,21 @@ class TestOracleAgreement:
                 right, names
             )
             assert (
-                equivalent_conditions(left, right, engine=engine) == expected
+                decide_equivalent(left, right, decider) == expected
             ), f"{left!r} vs {right!r}"
 
-    @pytest.mark.parametrize("engine", ["sat", "bdd"])
+    @pytest.mark.parametrize("decider", ["sat", "bdd"])
     @pytest.mark.parametrize("seed", [51, 52])
-    def test_equality_verdicts_match_equivalent_infinite(self, seed, engine):
+    def test_equality_verdicts_match_equivalent_infinite(self, seed, decider):
+        # Expected verdicts: equivalence over the infinite domain, decided
+        # by enumerating the difference's witness domain.
         rng = random.Random(seed)
         for _ in range(30):
             left = random_equality_formula(rng)
             right = random_equality_formula(rng)
-            expected = equivalent_infinite(left, right)
+            expected = oracle_equivalent(left, right)
             assert (
-                equivalent_conditions(left, right, engine=engine) == expected
+                decide_equivalent(left, right, decider) == expected
             ), f"{left!r} vs {right!r}"
 
 
@@ -177,54 +291,52 @@ class TestOracleAgreement:
 # ----------------------------------------------------------------------
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_de_morgan(self, engine):
+    @pytest.mark.parametrize("decider", DECIDERS)
+    def test_de_morgan(self, decider):
         left = neg(conj(A, B))
         right = disj(neg(A), neg(B))
-        assert equivalent_conditions(left, right, engine=engine)
+        assert decide_equivalent(left, right, decider)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_xor_shape_not_equivalent_to_or(self, engine):
+    @pytest.mark.parametrize("decider", DECIDERS)
+    def test_xor_shape_not_equivalent_to_or(self, decider):
         exclusive = xor_condition(A, B)
-        assert not equivalent_conditions(exclusive, disj(A, B), engine=engine)
+        assert not decide_equivalent(exclusive, disj(A, B), decider)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_contradiction_via_distinct_constants(self, engine):
+    @pytest.mark.parametrize("decider", DECIDERS)
+    def test_contradiction_via_distinct_constants(self, decider):
         # x=0 ∧ x=1 is unsat over any domain: the theory closure must
         # reject the propositional model that sets both atoms true.
-        assert is_contradiction(conj(eq(X, 0), eq(X, 1)), engine=engine)
+        assert decide_equivalent(conj(eq(X, 0), eq(X, 1)), BOTTOM, decider)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_tautology_via_excluded_middle_on_equality(self, engine):
-        assert is_tautology(disj(eq(X, 0), ne(X, 0)), engine=engine)
+    @pytest.mark.parametrize("decider", DECIDERS)
+    def test_tautology_via_excluded_middle_on_equality(self, decider):
+        assert decide_equivalent(disj(eq(X, 0), ne(X, 0)), TOP, decider)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_infinite_domain_no_finite_cover(self, engine):
+    @pytest.mark.parametrize("decider", DECIDERS)
+    def test_infinite_domain_no_finite_cover(self, decider):
         # x=0 ∨ x=1 covers a 2-value domain but not the infinite one —
         # the classic place a finite-enumeration mindset goes wrong.
-        assert not is_tautology(disj(eq(X, 0), eq(X, 1)), engine=engine)
+        assert not decide_equivalent(disj(eq(X, 0), eq(X, 1)), TOP, decider)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_congruence_through_transitivity(self, engine):
+    @pytest.mark.parametrize("decider", DECIDERS)
+    def test_congruence_through_transitivity(self, decider):
         # x=y ∧ y=z ∧ x≠z is unsat only through the union-find closure.
         chain = conj(eq(X, Y), eq(Y, Z), ne(X, Z))
-        assert is_contradiction(chain, engine=engine)
+        assert decide_equivalent(chain, BOTTOM, decider)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_constants_pin_variable_equality(self, engine):
+    @pytest.mark.parametrize("decider", DECIDERS)
+    def test_constants_pin_variable_equality(self, decider):
         # Under x=1 ∧ y=1 the atom x=y is forced: the conjunctions with
         # and without it are equivalent — but x=y alone is not implied.
         pinned = conj(eq(X, 1), eq(Y, 1))
-        assert equivalent_conditions(
-            pinned, conj(pinned, eq(X, Y)), engine=engine
-        )
-        assert not equivalent_conditions(pinned, eq(X, Y), engine=engine)
+        assert decide_equivalent(pinned, conj(pinned, eq(X, Y)), decider)
+        assert not decide_equivalent(pinned, eq(X, Y), decider)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_boolvar_is_two_valued_not_domain_valued(self, engine):
+    @pytest.mark.parametrize("decider", DECIDERS)
+    def test_boolvar_is_two_valued_not_domain_valued(self, decider):
         # a ∨ ¬a is a tautology for propositions — no infinite-domain
         # caveat applies to BoolVar atoms.
-        assert is_tautology(disj(A, neg(A)), engine=engine)
+        assert decide_equivalent(disj(A, neg(A)), TOP, decider)
 
     def test_distinguishing_assignment_is_a_real_witness(self):
         left = conj(A, B)

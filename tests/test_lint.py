@@ -477,6 +477,16 @@ class TestEnumeration:
         assert codes(findings) == ["EXP001"]
         assert "probability_shannon" in findings[0].message
 
+    def test_is_satisfiable_finite_import_flagged(self):
+        source = parse(
+            "from repro.logic.equality_sat import is_satisfiable_finite, witness_domain\n"
+            "def sat(condition):\n"
+            "    return is_satisfiable_finite(condition, witness_domain(condition))\n"
+        )
+        findings = lint_enumeration(source)
+        assert codes(findings) == ["EXP001"]
+        assert "is_satisfiable_finite" in findings[0].message
+
     def test_tuple_probability_naive_attribute_call_flagged(self):
         source = parse(
             "import repro.prob.tuple_prob as tp\n"

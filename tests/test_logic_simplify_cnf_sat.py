@@ -7,7 +7,7 @@ import pytest
 from repro.logic.atoms import BoolVar, Var, eq, ne
 from repro.logic.cnf import AtomMap, to_cnf_clauses, tseitin_clauses
 from repro.logic.evaluation import evaluate
-from repro.logic.sat import Solver, is_satisfiable_clauses, solve_clauses
+from repro.logic.sat import is_satisfiable_clauses, solve_clauses
 from repro.logic.simplify import formula_size, nnf, simplify
 from repro.logic.syntax import BOTTOM, TOP, And, Not, Or, conj, disj, neg
 
@@ -127,18 +127,6 @@ class TestSolver:
         assert model is not None
         for clause in clauses:
             assert any(model[abs(l)] == (l > 0) for l in clause)
-
-    def test_enumerate_counts_models(self):
-        # a | b  has three models over {a, b}.
-        clauses = [frozenset({1, 2})]
-        models = list(Solver().enumerate(clauses))
-        assert len(models) == 3
-
-    def test_enumerate_distinct(self):
-        clauses = [frozenset({1, 2})]
-        models = list(Solver().enumerate(clauses))
-        signatures = {tuple(sorted(m.items())) for m in models}
-        assert len(signatures) == len(models)
 
 
 class TestAtomMap:

@@ -15,8 +15,9 @@ from repro.core.idatabase import IDatabase
 from repro.logic.atoms import BoolVar, Const, Var, eq, ne
 from repro.logic.counting import probability, probability_enumerate, uniform
 from repro.logic.equality_sat import (
+    is_satisfiable_finite,
     is_satisfiable_infinite,
-    is_satisfiable_skeleton,
+    witness_domain,
 )
 from repro.logic.evaluation import evaluate, partial_evaluate
 from repro.logic.models import count_models, enumerate_valuations
@@ -118,8 +119,8 @@ class TestFormulaInvariants:
     @given(equality_formulas())
     @settings(max_examples=40, deadline=None)
     def test_sat_engines_agree(self, formula):
-        assert is_satisfiable_skeleton(formula) == is_satisfiable_infinite(
-            formula
+        assert is_satisfiable_infinite(formula) == is_satisfiable_finite(
+            formula, witness_domain(formula)
         )
 
     @given(equality_formulas())

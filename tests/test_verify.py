@@ -12,8 +12,8 @@ structural checks alone (translation validation stubbed out),
 documented miss — the column-erasing conjunct keys cannot see a
 predicate applied to the wrong join side when the atom shapes survive
 — and must catch at least 8 of the 12 seeded mutations.  Translation
-validation (symbolic execution on abstract tables plus SAT/BDD
-condition equivalence) closes exactly that blind spot, so the full
+validation (symbolic execution on abstract tables plus SAT +
+equality-theory condition equivalence) closes exactly that blind spot, so the full
 verifier must catch all 12.
 
 The wrong-side query joins on *different* columns than it filters

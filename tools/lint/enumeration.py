@@ -15,8 +15,11 @@ Flagged, outside the whitelisted oracle packages:
 - calls to the enumeration methods ``.possible_worlds(...)``,
   ``.mod(...)``, ``.mod_over(...)``, ``.valuations(...)``,
   ``.valuation_space(...)``;
-- calls to :func:`repro.logic.models.enumerate_valuations`,
-  :func:`repro.logic.counting.probability_enumerate`,
+- calls to :func:`repro.logic.models.enumerate_valuations` and
+  :func:`repro.logic.equality_sat.is_satisfiable_finite` — valuation
+  enumeration, the latter the witness-domain oracle of the SAT +
+  equality-theory loop that decides every condition in production;
+- calls to :func:`repro.logic.counting.probability_enumerate`,
   :func:`repro.logic.counting.probability_shannon` and
   :func:`repro.prob.tuple_prob.tuple_probability_naive` — the
   exponential probability baselines, kept as oracles only (production
@@ -50,11 +53,13 @@ ENUMERATION_METHODS = frozenset(
 )
 
 #: Module-level enumeration entry points (flagged by imported name or as
-#: attribute calls): valuation enumeration plus the exponential
-#: probability baselines kept only as differential oracles.
+#: attribute calls): valuation enumeration, the witness-domain
+#: satisfiability oracle, and the exponential probability baselines kept
+#: only as differential oracles.
 ENUMERATION_FUNCTIONS = frozenset(
     {
         "enumerate_valuations",
+        "is_satisfiable_finite",
         "probability_enumerate",
         "probability_shannon",
         "tuple_probability_naive",
@@ -176,7 +181,7 @@ def lint_enumeration(source: Source) -> List[Finding]:
                     f"{label} enumerates possible worlds "
                     f"(exponential in variables) outside the oracle "
                     f"modules; decide symbolically "
-                    f"(ctables_equivalent / repro.logic.equivalence) or "
+                    f"(ctables_equivalent / repro.logic.equality_sat) or "
                     f"waive with '# enumeration-ok: <reason>'"
                 ),
             )

@@ -10,7 +10,7 @@ Columns here are 0-based; the paper's subscripts are 1-based.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from repro.core.instance import Instance
 from repro.logic.syntax import Formula, conj
@@ -39,11 +39,6 @@ def singleton(*values: Hashable) -> ConstRel:
     ``{4} × {5}`` pre-multiplied.
     """
     return ConstRel(Instance([tuple(values)]))
-
-
-def const_rel(rows: Iterable[Sequence[Hashable]], arity: int = None) -> ConstRel:
-    """A constant relation with the given rows."""
-    return ConstRel(Instance(rows, arity=arity))
 
 
 def proj(child: Query, columns: Sequence[int]) -> Project:

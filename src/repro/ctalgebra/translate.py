@@ -20,8 +20,9 @@ name(s) resolve to caller-supplied c-tables.  Two knobs:
   different plans).
 - ``optimize`` runs the Theorem-4-sound rewrite rules of
   :mod:`repro.ctalgebra.optimize` (selection/projection pushdown, join
-  reordering, dead-branch pruning) before execution — benchmarks
-  E21–E24 ablate the planner.
+  reordering, dead-branch pruning) before execution
+  (``tests/test_planner.py`` checks optimized answers ``Mod``-equal to
+  verbatim ones).
 
 Since the engine redesign, :func:`translate_query` and
 :func:`apply_query_to_ctable` are thin shims over the module-level

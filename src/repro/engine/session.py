@@ -56,12 +56,12 @@ from repro.errors import ProbabilityError, QueryError, TableError, nearest_name
 from repro.core.domain import Domain
 from repro.core.instance import Instance, Row
 from repro.logic.counting import ValidatedDistributions, merge_distributions
-from repro.logic.syntax import BOTTOM, Formula
+from repro.logic.syntax import Formula
 from repro.algebra.ast import Query
 from repro.algebra.parser import parse_query
 from repro.tables.base import Table
 from repro.tables.codd import CoddTable
-from repro.tables.ctable import BooleanCTable, CRow, CTable, make_row
+from repro.tables.ctable import CTable, coerce_row, make_row
 from repro.tables.convert import ctable_of
 from repro.ctalgebra.plan import (
     PlanNode,
@@ -603,10 +603,12 @@ class Session:
 
         Rows take the same shapes the :class:`~repro.tables.ctable.CTable`
         constructor accepts — :class:`CRow`, ``(values, condition)``
-        pairs, or bare value tuples.  The mutation rolls the cached
-        statistics forward from the row delta, invalidates exactly the
-        cached plans/answers/circuits that read *name*, and hands every
-        standing materialized view a signed
+        pairs, or bare value tuples.  Only these rows are validated
+        (arity, domain coverage, the boolean c-table rules); a malformed
+        one raises :class:`TableError` and changes nothing.  The
+        mutation rolls the cached statistics forward from the row delta,
+        invalidates exactly the cached plans/answers/circuits that read
+        *name*, and hands every standing materialized view a signed
         :class:`~repro.ivm.delta.DeltaBatch` (consumed on its next
         ``refresh``).  The coerced table object changes;
         :meth:`source` keeps returning the originally registered object.
@@ -636,42 +638,6 @@ class Session:
             news.append(new)
         return self._mutate(name, tuple(olds), tuple(news), "update")
 
-    @staticmethod
-    def _coerce_rows(rows: Sequence[object]) -> List[CRow]:
-        """Normalize mutation-API rows like the ``CTable`` constructor."""
-        normalized: List[CRow] = []
-        for row in rows:
-            if isinstance(row, CRow):
-                normalized.append(row)
-            elif (
-                isinstance(row, tuple)
-                and len(row) == 2
-                and isinstance(row[1], Formula)
-                and isinstance(row[0], (tuple, list))
-            ):
-                normalized.append(make_row(row[0], row[1]))
-            else:
-                normalized.append(make_row(row))  # type: ignore[arg-type]
-        return normalized
-
-    @staticmethod
-    def _rebuild_table(old: CTable, rows: Sequence[CRow]) -> CTable:
-        """A same-metadata table with the mutated row sequence.
-
-        The constructor re-validates arity and finite-domain coverage,
-        so a malformed mutation raises before any state changes.
-        """
-        if isinstance(old, BooleanCTable):
-            return BooleanCTable(
-                rows, arity=old.arity, global_condition=old.global_condition
-            )
-        return CTable(
-            rows,
-            arity=old.arity,
-            domains=old.domains,
-            global_condition=old.global_condition,
-        )
-
     def _mutate(
         self,
         name: str,
@@ -681,16 +647,12 @@ class Session:
     ) -> "Session":
         entry = self._entry(name)
         old_table = entry.ctable
-        delete_rows = self._coerce_rows(deletes)
-        # Rows whose condition is already false can never appear — the
-        # c-table constructor drops them, so the delta must too.
-        insert_rows = [
-            row for row in self._coerce_rows(inserts)
-            if row.condition != BOTTOM
-        ]
+        # A false-condition row is kept here: no table holds one, so
+        # deleting it raises like any other absent row.
+        delete_rows = [coerce_row(row) for row in deletes]
         working = list(old_table.rows)
         ids = list(entry.row_ids)
-        removed: List[Tuple[int, CRow]] = []
+        delete_ids: List[int] = []
         for row in delete_rows:
             for index in range(len(working) - 1, -1, -1):
                 if working[index] == row:
@@ -700,36 +662,35 @@ class Session:
                     f"cannot delete from {name!r}: row {row!r} is not present"
                 )
             working.pop(index)
-            removed.append((ids.pop(index), row))
-        next_id = entry.next_row_id
-        added = [
-            (next_id + offset, row) for offset, row in enumerate(insert_rows)
-        ]
-        new_table = self._rebuild_table(
-            old_table, working + [row for _, row in added]
-        )
+            delete_ids.append(ids.pop(index))
+        # Only the inserted rows are validated; a malformed one raises
+        # here, before any state changes.
+        new_table = old_table.spliced(working, inserts)
+        insert_rows = new_table.rows[len(working):]
         if self._engine.config.verify_plans:
             PlanVerifier().verify_ctable(name, new_table)
+        next_id = entry.next_row_id
+        added = tuple(
+            zip(range(next_id, next_id + len(insert_rows)), insert_rows)
+        )
         entry.ctable = new_table
         entry.row_ids = ids + [row_id for row_id, _ in added]
         entry.next_row_id = next_id + len(added)
-        entry.accumulator.remove_rows(row for _, row in removed)
+        entry.accumulator.remove_rows(delete_rows)
         entry.accumulator.add_rows(insert_rows)
         entry.stats = entry.accumulator.stats()
         engine = self._engine
         engine._plan_cache.invalidate(self._id, (name,))
         engine._result_cache.invalidate(self._id, (name,))
         engine._circuit_cache.invalidate(self._id, (name,))
-        batch = DeltaBatch.from_rows(
-            name, new_table, tuple(removed), tuple(added)
-        )
+        batch = DeltaBatch(name, tuple(delete_ids), added)
         for view in self._views.values():
             if name in view.relations:
                 view.push(batch)
         engine._metrics.counter(IVM_MUTATIONS_TOTAL, labels={"op": op})
-        if removed:
+        if delete_ids:
             engine._metrics.counter(
-                IVM_DELTA_ROWS_TOTAL, len(removed), labels={"sign": "delete"}
+                IVM_DELTA_ROWS_TOTAL, len(delete_ids), labels={"sign": "delete"}
             )
         if added:
             engine._metrics.counter(

@@ -1,9 +1,10 @@
 """Incremental view maintenance: the physical operators run on deltas.
 
 The mutation API (:meth:`repro.engine.session.Session.insert` /
-``delete`` / ``update``) turns each data change into a
-:class:`~repro.ivm.delta.DeltaBatch` — columnar signed row batches with
-interned per-row conditions — and every standing prepared query's
+``delete`` / ``update``) validates each write's inserted rows once and
+turns the change into a :class:`~repro.ivm.delta.DeltaBatch` in row
+form — the deleted row ids plus the inserted ``(row_id, CRow)`` pairs,
+conditions interned — and every standing prepared query's
 :class:`~repro.ivm.view.MaterializedView` folds those batches into one
 keyed row store per operator of its lowered plan.  Each operator's
 delta rule runs that operator's own ``compute`` body over the rows a

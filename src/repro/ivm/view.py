@@ -13,7 +13,8 @@ whose ascending order is the order a from-scratch run produces:
 
 Building a view is one ``compute_tracked`` pass per operator.  A
 mutation of a registered relation arrives as a
-:class:`~repro.ivm.delta.DeltaBatch` and is propagated bottom-up: each
+:class:`~repro.ivm.delta.DeltaBatch` — the deleted row ids and the
+inserted ``(row_id, CRow)`` pairs — and is propagated bottom-up: each
 operator's ``delta`` turns its inputs' signed row changes into its own,
 running the operator's own body over the rows the change can reach, and
 its store absorbs the result; subtrees no delta reaches do no work.
@@ -261,7 +262,7 @@ class MaterializedView:
                     return None
                 return node.apply(
                     [(row_id,) for row_id in batch.delete_ids],
-                    [((row_id,), row) for row_id, row in batch.inserted_rows()],
+                    [((row_id,), row) for row_id, row in batch.inserted],
                 )
             deltas = [run(child) for child in node.children]
             if all(delta is None for delta in deltas):

@@ -33,13 +33,11 @@ oracle the tests compare the loop against; no production path calls it.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import (
     Dict,
     FrozenSet,
     Hashable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -313,71 +311,3 @@ def decide_condition(
         return not is_satisfiable_over(neg(condition), relevant)
     return is_satisfiable_over(condition, relevant)
 
-
-def equivalence_classes(
-    valuation_pairs: Sequence[Tuple[str, Hashable]]
-) -> List[FrozenSet[str]]:
-    """Group variable names by equal assigned value (a testing helper)."""
-    groups: Dict[Hashable, set] = {}
-    for name, value in valuation_pairs:
-        groups.setdefault(value, set()).add(name)
-    return [frozenset(group) for group in groups.values()]
-
-
-def all_partitions(
-    items: Sequence[str],
-) -> Iterator[List[FrozenSet[str]]]:
-    """Yield every partition of *items* into non-empty blocks.
-
-    Used by exhaustive separation proofs (benchmark E19): valuations over
-    an infinite domain matter only through the partition they induce on
-    variables plus their agreement with constants.
-    """
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in all_partitions(rest):
-        for index in range(len(partition)):
-            updated = [list(block) for block in partition]
-            updated[index].append(first)
-            yield [frozenset(block) for block in updated]
-        yield [frozenset({first})] + [frozenset(block) for block in partition]
-
-
-def satisfying_partition_count(formula: Formula) -> int:
-    """Count variable partitions consistent with *formula* (diagnostics).
-
-    Each partition is realized by assigning a shared fresh value per
-    block; the count is a domain-independent measure of how constrained a
-    condition is.
-    """
-    domain_vars, boolean_vars = _split_variables(formula)
-    count = 0
-    constants = sorted(constants_of(formula), key=repr)
-    for partition in all_partitions(domain_vars):
-        block_values = fresh_values(len(partition))
-        valuation: Dict[str, Hashable] = {}
-        for block, value in zip(partition, block_values):
-            for name in block:
-                valuation[name] = value
-        # Blocks may alternatively collapse onto constants; enumerate the
-        # choice of "block -> fresh or block -> constant" assignments.
-        choices = [[value] + list(constants) for value in block_values]
-        for combo in itertools.product(*choices):
-            if len(set(combo)) != len(combo):
-                continue
-            candidate = {}
-            for block, value in zip(partition, combo):
-                for name in block:
-                    candidate[name] = value
-            for booleans in itertools.product(
-                (False, True), repeat=len(boolean_vars)
-            ):
-                candidate.update(dict(zip(boolean_vars, booleans)))
-                from repro.logic.evaluation import evaluate
-
-                if evaluate(formula, candidate):
-                    count += 1
-    return count

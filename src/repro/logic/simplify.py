@@ -9,7 +9,6 @@ simplification; benchmark E08 measures the effect).
 
 from __future__ import annotations
 
-from repro.logic.atoms import BoolVar, Eq
 from repro.logic.syntax import (
     And,
     Bottom,
@@ -118,10 +117,3 @@ def formula_size(formula: Formula) -> int:
     if isinstance(formula, Not):
         return 1 + formula_size(formula.child)
     return 1 + sum(formula_size(child) for child in formula.children)
-
-
-def is_boolean_skeleton_literal(formula: Formula) -> bool:
-    """Return True for an atom or a negated atom (an NNF literal)."""
-    if isinstance(formula, (Eq, BoolVar)):
-        return True
-    return isinstance(formula, Not) and isinstance(formula.child, (Eq, BoolVar))

@@ -13,8 +13,8 @@ identity: same rows, same interned condition objects, same order.  The
 engine's ``ExecutionConfig.executor`` knob flips between the two
 executors — ``"interpreted"`` (the lifted-operator oracle) and
 ``"vectorized"`` (this batch runtime).  Both produce byte-for-byte the
-same answer tables; the differential harness (``tests/harness.py``) and
-benchmarks E28–E30 check them against each other.
+same answer tables; the differential harness (``tests/harness.py``)
+checks them against each other.
 """
 
 from repro.physical.batch import Batch, merge_metadata

@@ -112,15 +112,9 @@ class Batch:
     @classmethod
     def from_ctable(cls, table: CTable) -> "Batch":
         """Columnar-ize *table* (one transpose; conditions stay interned)."""
-        rows = table.rows
-        if rows:
-            columns = tuple(zip(*(row.values for row in rows)))
-        else:
-            columns = tuple(() for _ in range(table.arity))
-        return cls(
-            columns,
-            tuple(row.condition for row in rows),
-            arity=table.arity,
+        return cls.from_rows(
+            table.rows,
+            table.arity,
             domains=table.domains,
             global_condition=table.global_condition,
         )
@@ -133,13 +127,14 @@ class Batch:
         domains: Optional[Dict[str, tuple]] = None,
         global_condition: Formula = TOP,
     ) -> "Batch":
-        """Columnar-ize a bare row sequence under the given metadata.
+        """Columnar-ize a row sequence under the given metadata.
 
-        Used for fragments rather than whole tables — the signed halves
-        of a :class:`~repro.ivm.delta.DeltaBatch`, and the rows of a
-        maintained operand an operator's delta rule runs over — so the
-        metadata is supplied by the caller instead of read off a
-        :class:`CTable`.
+        :meth:`from_ctable` passes a whole table's rows and metadata; an
+        operator's delta rule passes the rows of a maintained operand
+        it runs over, whose metadata lives on the view node rather than
+        on a :class:`CTable`.  Deltas themselves stay in row form
+        (:class:`~repro.ivm.delta.DeltaBatch`) until an operator's rule
+        reaches them.
         """
         if rows:
             columns = tuple(zip(*[row.values for row in rows]))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Hashable, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.errors import ProbabilityError
+from repro.errors import ProbabilityError, TableError
 from repro.core.instance import Instance, Row
 from repro.logic.counting import check_distribution
 from repro.prob.pdatabase import PDatabase
@@ -242,19 +242,17 @@ class DependentPCTable:
 
     def tuple_probability(self, row: Row) -> Fraction:
         """P[row ∈ I], marginalizing the joint distribution."""
-        from repro.prob.pctable import PCTable
-
-        # Reuse PCTable's membership-condition construction; evaluate it
-        # against the joint rather than the product space.
-        row = tuple(row)
-        condition = PCTable(
-            self._table.without_domains(),
-            {
-                name: _uniform_placeholder(self._network.outcomes_of(name))
-                for name in self._table.variables()
-            },
-        ).membership_condition(row)
         from repro.logic.evaluation import evaluate
+        from repro.worlds import symbolic_answers
+
+        # The membership condition, evaluated against the joint rather
+        # than the product space.
+        row = tuple(row)
+        if len(row) != self.arity:
+            raise TableError(
+                f"tuple {row!r} has arity {len(row)}, table has {self.arity}"
+            )
+        condition = symbolic_answers.membership_condition(self._table, row)
 
         return self._network.probability_of_event(
             lambda valuation: evaluate(condition, valuation)
@@ -267,7 +265,3 @@ class DependentPCTable:
         answered = apply_query_to_ctable(query, self._table)
         return DependentPCTable(answered.without_domains(), self._network)
 
-
-def _uniform_placeholder(values) -> Dict[Hashable, Fraction]:
-    share = Fraction(1, len(values))
-    return {value: share for value in values}

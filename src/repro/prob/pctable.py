@@ -25,15 +25,15 @@ from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
 from repro.errors import ProbabilityError, TableError
 from repro.core.instance import Instance, Row
 from repro.core.idatabase import IDatabase
-from repro.logic.atoms import Const, eq
 from repro.logic.counting import (
     ValidatedDistributions,
     check_distributions,
     probability as formula_probability,
 )
-from repro.logic.syntax import Formula, conj, disj
+from repro.logic.syntax import Formula
 from repro.prob.pdatabase import PDatabase
 from repro.tables.ctable import BooleanCTable, CTable
+from repro.worlds import symbolic_answers
 
 
 class PCTable:
@@ -175,16 +175,7 @@ class PCTable:
             raise TableError(
                 f"tuple {row!r} has arity {len(row)}, table has {self.arity}"
             )
-        branches = []
-        for crow in self._table.rows:
-            matches = conj(
-                *(
-                    eq(term, Const(value))
-                    for term, value in zip(crow.values, row)
-                )
-            )
-            branches.append(conj(crow.condition, matches))
-        return conj(self._table.global_condition, disj(*branches))
+        return symbolic_answers.membership_condition(self._table, row)
 
     def tuple_probability(self, row: Row) -> Fraction:
         """Return ``P[row ∈ I]`` by counting the membership condition.

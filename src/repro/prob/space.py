@@ -164,10 +164,3 @@ def product_space(*spaces: FiniteProbSpace) -> FiniteProbSpace:
 def point_mass(outcome: Hashable) -> FiniteProbSpace:
     """The space putting probability 1 on a single outcome."""
     return FiniteProbSpace({outcome: Fraction(1)})
-
-
-def space_from_distribution(
-    distribution: Mapping[Hashable, Fraction]
-) -> FiniteProbSpace:
-    """Build a space from a value distribution (validated)."""
-    return FiniteProbSpace(distribution)

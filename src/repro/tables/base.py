@@ -18,7 +18,7 @@ Tables are immutable values, like everything else in the library.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence, Union
+from typing import FrozenSet, Sequence, Union
 
 from repro.errors import TableError, UnsupportedOperationError
 from repro.core.domain import Domain
@@ -80,11 +80,3 @@ class Table:
             raise TableError(
                 f"row of length {length} in table of arity {self.arity}"
             )
-
-
-def check_probability_like(value, what: str) -> None:
-    """Shared validation for optional-labels-with-probability subclasses."""
-    if value is None:
-        return
-    if not 0 <= value <= 1:
-        raise TableError(f"{what} must lie in [0, 1], got {value!r}")

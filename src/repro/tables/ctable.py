@@ -101,6 +101,24 @@ def make_row(values: Iterable, condition: Formula = TOP) -> CRow:
     return CRow(tuple(_coerce_term(value) for value in values), condition)
 
 
+def coerce_row(row: object) -> CRow:
+    """Return *row* as a :class:`CRow`, in any shape :class:`CTable` takes.
+
+    A ``CRow`` passes through; a ``(values, condition)`` pair and a bare
+    value tuple go through :func:`make_row`.
+    """
+    if isinstance(row, CRow):
+        return row
+    if (
+        isinstance(row, tuple)
+        and len(row) == 2
+        and isinstance(row[1], Formula)
+        and isinstance(row[0], (tuple, list))
+    ):
+        return make_row(row[0], row[1])
+    return make_row(row)  # type: ignore[arg-type]
+
+
 class CTable(Table):
     """A c-table, optionally with finite variable domains.
 
@@ -130,21 +148,10 @@ class CTable(Table):
         domains: Optional[Mapping[str, Iterable[Hashable]]] = None,
         global_condition: Formula = TOP,
     ) -> None:
-        normalized = []
-        for row in rows:
-            if isinstance(row, CRow):
-                normalized.append(row)
-            elif (
-                isinstance(row, tuple)
-                and len(row) == 2
-                and isinstance(row[1], Formula)
-                and isinstance(row[0], (tuple, list))
-            ):
-                normalized.append(make_row(row[0], row[1]))
-            else:
-                normalized.append(make_row(row))
         # Rows whose condition is syntactically false can never appear.
-        normalized = [row for row in normalized if row.condition != BOTTOM]
+        normalized = [
+            row for row in map(coerce_row, rows) if row.condition != BOTTOM
+        ]
         if normalized:
             arities = {len(row.values) for row in normalized}
             if len(arities) != 1:
@@ -193,9 +200,9 @@ class CTable(Table):
         the declared arity with an interned condition other than
         ``false`` (the rows the constructor would keep), and that
         *domains* (tuple-valued, or ``None``) already covers the
-        variables.  Built for hot producers like incremental view
-        materialization whose row sources are prior c-table machinery
-        output.
+        variables.  Built for hot producers whose row sources are prior
+        c-table machinery output: incremental view materialization, and
+        :meth:`spliced` for writes.
         """
         table = cls.__new__(cls)
         table._rows = tuple(rows)
@@ -204,6 +211,37 @@ class CTable(Table):
         table._vars_cache = None
         table._domains = domains
         return table
+
+    def spliced(self, kept: Sequence[CRow], added: Iterable) -> "CTable":
+        """This table's metadata over the rows *kept*, then *added*.
+
+        The write path of :class:`~repro.engine.session.Session`.  A
+        write changes rows, never the domains or the global condition
+        (Lemma 1: every condition composes per row), so only *added*
+        runs through the constructor — coerced, false-condition rows
+        dropped, checked for arity, domain coverage and the boolean
+        rules — and raises :class:`TableError` if malformed.  *kept*
+        must be rows this table holds; they are taken as they are.  The
+        added rows are the result's rows from ``len(kept)`` on.
+
+        A boolean c-table stays one; any other table becomes a plain
+        :class:`CTable`, so a write may add conditions to a v-table.
+        """
+        delta = self._delta_table(added)
+        return type(delta).from_normalized_rows(
+            (*kept, *delta._rows),
+            self._arity,
+            domains=self._domains,
+            global_condition=self._global,
+        )
+
+    def _delta_table(self, rows: Iterable) -> "CTable":
+        return CTable(
+            rows,
+            arity=self._arity,
+            domains=self._domains,
+            global_condition=self._global,
+        )
 
     # ------------------------------------------------------------------
     # Structure
@@ -503,6 +541,11 @@ class BooleanCTable(CTable):
     ) -> None:
         super().__init__(
             rows, arity=arity, domains=None, global_condition=global_condition
+        )
+
+    def _delta_table(self, rows: Iterable) -> "CTable":
+        return BooleanCTable(
+            rows, arity=self._arity, global_condition=self._global
         )
 
     def _validate(self) -> None:

@@ -168,8 +168,9 @@ def ctables_equivalent_symbolic(
 
     Cost scales with the number of distinct tuples and condition sizes —
     never with ``2^variables`` — which is what lifts the table-size caps
-    in the differential harness (see the 100-variable pair in benchmark
-    E34, far beyond any enumerable witness domain).
+    in the differential harness (see the 100-variable pair in
+    ``tests/test_equivalence.py``, far beyond any enumerable witness
+    domain).
 
     With ``strict=False`` the Mod-semantics eligibility check is skipped
     and every ``BoolVar`` is interpreted as a two-valued proposition —

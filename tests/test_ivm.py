@@ -231,6 +231,61 @@ class TestMutationAPI:
             IVM_DELTA_ROWS_TOTAL, {"sign": "insert"}
         ) == 1.0
 
+    @pytest.mark.parametrize(
+        "table,bad_row",
+        [
+            (small_tables()["V"], ((1, 2, 3), TOP)),
+            (
+                CTable([((1, X), TOP)], arity=2, domains={"x": (1, 2)}),
+                ((Y, 1), TOP),
+            ),
+            (BooleanCTable([((1, 2), BoolVar("b"))], arity=2), ((X, 1), TOP)),
+            (BooleanCTable([((1, 2), BoolVar("b"))], arity=2), ((3, 4), eq(X, 1))),
+        ],
+        ids=[
+            "wrong_arity",
+            "variable_missing_from_domains",
+            "variable_entry_in_boolean_ctable",
+            "non_boolean_condition_in_boolean_ctable",
+        ],
+    )
+    def test_malformed_insert_raises_and_changes_nothing(self, table, bad_row):
+        session = Engine().session(V=table)
+        prepared = session.prepare(proj(rel("V", 2), [1, 0]))
+        before = prepared.refresh()
+        held, stats = session.table("V"), session.stats("V")
+        with pytest.raises(TableError):
+            # The well-formed first row must not land either.
+            session.insert("V", [((5, 6), TOP), bad_row])
+        assert session.table("V") is held
+        assert session.stats("V") == stats
+        assert_structurally_identical(before, prepared.refresh())
+
+    def test_delete_of_false_condition_row_raises(self):
+        session = Engine().session(**small_tables())
+        # (0, 1) is present under TOP; under BOTTOM no table can hold it.
+        with pytest.raises(TableError):
+            session.delete("V", [((0, 1), BOTTOM)])
+
+    def test_insert_validates_only_the_delta(self, monkeypatch):
+        n, k = 300, 4
+        session = Engine().session(
+            V=CTable([((i, i % 7), TOP) for i in range(n)], arity=2)
+        )
+        constructed = []
+        original = CTable.__init__
+
+        def counting_init(self, rows=(), *args, **kwargs):
+            rows = list(rows)
+            constructed.append(len(rows))
+            original(self, rows, *args, **kwargs)
+
+        monkeypatch.setattr(CTable, "__init__", counting_init)
+        session.insert("V", [((n + i, 0), eq(X, i)) for i in range(k)])
+        monkeypatch.undo()
+        assert constructed == [k]
+        assert len(session.table("V").rows) == n + k
+
 
 # ----------------------------------------------------------------------
 # What a refresh does, read from counters rather than a clock

@@ -20,7 +20,18 @@ Lemma 1, which the property tests check against random valuations.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ArityError, TableError
 from repro.logic.atoms import Const, Term, eq
@@ -33,7 +44,17 @@ from repro.algebra.predicates import (
 from repro.tables.ctable import CRow, CTable
 
 
-def _merge_domains(left: CTable, right: CTable) -> Optional[Dict[str, tuple]]:
+class Operand(Protocol):
+    """What the domain-merge rule reads of an operand: a :class:`CTable`
+    here, a :class:`~repro.physical.batch.Batch` in the physical runtime."""
+
+    @property
+    def domains(self) -> Optional[Mapping[str, tuple]]: ...
+
+    def variables(self) -> FrozenSet[str]: ...
+
+
+def merge_domains(left: Operand, right: Operand) -> Optional[Dict[str, tuple]]:
     """Merge the finite domains of two operand tables.
 
     Shared variables must agree exactly.  A table with variables but no
@@ -68,7 +89,7 @@ def _combine(
     return CTable(
         rows,
         arity=arity,
-        domains=_merge_domains(left, right),
+        domains=merge_domains(left, right),
         global_condition=conj(left.global_condition, right.global_condition),
     )
 

@@ -760,23 +760,25 @@ def explain(
 # Execution
 # ----------------------------------------------------------------------
 
-def resolve_scan(node: Scan, tables: Mapping[str, CTable]) -> CTable:
-    """The bound table of a :class:`Scan`, arity-checked.
+def resolve_scan(
+    name: str, rel_arity: int, tables: Mapping[str, CTable]
+) -> CTable:
+    """The table bound to *name*, checked to have arity *rel_arity*.
 
-    Shared with the physical runtime (:mod:`repro.physical`), which
-    resolves leaves the same way before columnar-izing them.
+    Shared by both executors: ``execute_plan`` here and the physical
+    runtime's ``ScanOp`` (:mod:`repro.physical`) resolve leaves alike.
     """
-    table = tables.get(node.name)
+    table = tables.get(name)
     if table is None:
-        hint = nearest_name(node.name, sorted(tables))
+        hint = nearest_name(name, sorted(tables))
         raise QueryError(
-            f"no c-table bound for name {node.name!r}; bound names are "
+            f"no c-table bound for name {name!r}; bound names are "
             f"{sorted(tables)}{hint}"
         )
-    if table.arity != node.rel_arity:
+    if table.arity != rel_arity:
         raise QueryError(
-            f"c-table {node.name!r} has arity {table.arity}, "
-            f"query expects {node.rel_arity}"
+            f"c-table {name!r} has arity {table.arity}, "
+            f"query expects {rel_arity}"
         )
     return table
 
@@ -800,7 +802,7 @@ def empty_table(node: EmptyNode, tables: Mapping[str, CTable]) -> CTable:
     global_condition = TOP
     for source in node.sources:
         if isinstance(source, Scan):
-            table = resolve_scan(source, tables)
+            table = resolve_scan(source.name, source.rel_arity, tables)
         elif isinstance(source, ConstScan):
             table = const_table(source.instance)
         else:
@@ -841,7 +843,7 @@ def execute_plan(
 
     def recurse(node: PlanNode) -> CTable:
         if isinstance(node, Scan):
-            return resolve_scan(node, tables)
+            return resolve_scan(node.name, node.rel_arity, tables)
         if isinstance(node, ConstScan):
             return const_table(node.instance)
         if isinstance(node, EmptyNode):

@@ -4,8 +4,9 @@ A mutation of a registered relation (``Session.insert`` / ``delete`` /
 ``update``) is described by one :class:`DeltaBatch`: the *row ids* it
 removes and the ``(row_id, CRow)`` pairs it adds.  That is all a write
 changes — the relation's domains and global condition stay put, and
-Lemma 1 composes each row's condition locally — so the delta stays in
-row form; an operator's delta rule transposes only the rows it reaches.
+Lemma 1 composes each row's condition locally — so the delta is in
+the row form every layer shares, down to the physical operators whose
+delta rules run over the rows it reaches.
 Row ids are assigned once, monotonically, when a row enters a relation
 (registration numbers the initial rows ``0..n-1``; every later insert
 takes fresh ids), and they never recycle.  They are the backbone of the

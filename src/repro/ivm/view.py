@@ -69,16 +69,15 @@ class ViewNode:
         op: PhysicalOp,
         children: Tuple["ViewNode", ...],
         keys: List[Key],
-        rows: List[CRow],
         batch: Batch,
     ) -> None:
         self.op = op
         self.children = children
-        self.rows: Dict[Key, CRow] = dict(zip(keys, rows))
+        self.rows: Dict[Key, CRow] = dict(zip(keys, batch.rows))
         self.order = keys
-        # Row objects in the same order as ``order``, so materializing
-        # is one pass over a ready-made list.
-        self.ordered_rows = rows
+        # The batch's row objects in the same order as ``order``, so
+        # materializing is one pass over a ready-made list.
+        self.ordered_rows = list(batch.rows)
         self.domains = batch.domains
         self.global_condition = batch.global_condition
         self.index: Any = op.maintenance_index(children)
@@ -234,21 +233,18 @@ class MaterializedView:
             built = [build(child) for child in op.children()]
             children = tuple(node for node, _ in built)
             keys: List[Key]
-            if isinstance(op, ScanOp):
-                batch = op.compute(ctx, ())
-                keys = [(row_id,) for row_id in bindings[op.name][1]]
-                rows = list(tables[op.name].rows)
+            if children:
+                batch, positions = op.compute_tracked(
+                    ctx, tuple(batch for _, batch in built)
+                )
+                keys = op.keys(positions, [c.order for c in children])
             else:
-                if children:
-                    batch, positions = op.compute_tracked(
-                        ctx, tuple(batch for _, batch in built)
-                    )
-                    keys = op.keys(positions, [c.order for c in children])
+                batch = op.compute(ctx, ())
+                if isinstance(op, ScanOp):
+                    keys = [(row_id,) for row_id in bindings[op.name][1]]
                 else:  # A constant or pruned leaf.
-                    batch = op.compute(ctx, ())
                     keys = [(position,) for position in range(len(batch))]
-                rows = list(map(CRow, batch.rows(), batch.conditions))
-            return ViewNode(op, children, keys, rows, batch), batch
+            return ViewNode(op, children, keys, batch), batch
 
         self.root = build(self.physical)[0]
 

@@ -4,8 +4,9 @@ This package sits between the logical plan IR of
 :mod:`repro.ctalgebra.plan` and the prepared-query layer that caches
 plans: a *physical* runtime that makes a cached plan fast.
 :func:`lower` turns an optimized :class:`~repro.ctalgebra.plan.PlanNode`
-tree into a tree of pull-based batch operators over the columnar
-:class:`~repro.physical.batch.Batch` representation;
+tree into a tree of pull-based batch operators over
+:class:`~repro.physical.batch.Batch` fragments — the c-table row form
+itself, ``CRow`` objects plus the table metadata;
 :func:`execute_physical` runs it.
 
 The contract with the interpreted path (``execute_plan``) is structural
@@ -17,7 +18,7 @@ same answer tables; the differential harness (``tests/harness.py``)
 checks them against each other.
 """
 
-from repro.physical.batch import Batch, merge_metadata
+from repro.physical.batch import Batch
 from repro.physical.operators import (
     ConstScanOp,
     DifferenceOp,
@@ -57,5 +58,4 @@ __all__ = [
     "execute_plan_vectorized",
     "explain_physical",
     "lower",
-    "merge_metadata",
 ]

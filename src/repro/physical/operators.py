@@ -1,7 +1,10 @@
-"""Vectorized physical operators over columnar batches.
+"""Vectorized physical operators over row-form batches.
 
 Each operator pulls the batches of its children on demand and processes
-their rows column-wise.  The runtime contract — checked by the
+all their rows in one pass: it reads each
+:class:`~repro.tables.ctable.CRow`'s values and condition and emits
+``CRow`` objects, passing a row whose condition it leaves unchanged
+through as the same object.  The runtime contract — checked by the
 executor-equivalence tests — is *structural identity* with the
 interpreted lifted operators of :mod:`repro.ctalgebra.lifted`: the same
 rows, composed of the same interned condition objects, in the same
@@ -65,16 +68,23 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.instance import Instance
-    from repro.ctalgebra.plan import PlanNode
     from repro.ivm.view import ViewNode
     from repro.obs.trace import TraceCollector
 
-from repro.errors import ArityError, QueryError, nearest_name
+from repro.errors import ArityError, QueryError
 from repro.logic.atoms import Const, Term, eq
 from repro.logic.syntax import BOTTOM, TOP, Formula, conj, disj, neg
 from repro.logic.evaluation import substitute
 from repro.tables.ctable import CRow, CTable
-from repro.physical.batch import Batch, merge_metadata
+from repro.ctalgebra.lifted import merge_domains
+from repro.ctalgebra.plan import (
+    EmptyNode,
+    PlanNode,
+    const_table,
+    empty_table,
+    resolve_scan,
+)
+from repro.physical.batch import Batch
 
 #: (left row, group bit, right row, composed condition) emitted by
 #: join/product loops; the group bit orders a left row's pairs (see
@@ -102,7 +112,6 @@ class ExecContext:
         "tables",
         "simplify_conditions",
         "collector",
-        "_scan_batches",
         "_simplify_memo",
     )
 
@@ -117,29 +126,7 @@ class ExecContext:
         #: Per-operator actuals sink (EXPLAIN ANALYZE / tracing); None —
         #: the overwhelmingly common case — keeps execution untouched.
         self.collector = collector
-        self._scan_batches: Dict[str, Batch] = {}
         self._simplify_memo: Dict[Formula, Formula] = {}
-
-    def scan_batch(self, name: str, rel_arity: int) -> Batch:
-        """The columnar batch of a bound table (built once per execution,
-        so self-joins transpose the table a single time)."""
-        batch = self._scan_batches.get(name)
-        if batch is None:
-            table = self.tables.get(name)
-            if table is None:
-                hint = nearest_name(name, sorted(self.tables))
-                raise QueryError(
-                    f"no c-table bound for name {name!r}; bound names are "
-                    f"{sorted(self.tables)}{hint}"
-                )
-            batch = Batch.from_ctable(table)
-            self._scan_batches[name] = batch
-        if batch.arity != rel_arity:
-            raise QueryError(
-                f"c-table {name!r} has arity {batch.arity}, "
-                f"query expects {rel_arity}"
-            )
-        return batch
 
     def simplified(self, condition: Formula) -> Formula:
         """Memoized condition simplification (interned nodes hash O(1))."""
@@ -152,50 +139,53 @@ class ExecContext:
         return cached
 
 
+def _restamped(row: CRow, condition: Formula) -> CRow:
+    """*row* under *condition*: the row object itself if that is its own."""
+    return row if condition is row.condition else CRow(row.values, condition)
+
+
 def _finish(
     ctx: ExecContext,
-    columns: Sequence[Sequence[Term]],
-    conditions: Sequence[Formula],
+    rows: Sequence[CRow],
     arity: int,
-    domains: Optional[Dict[str, tuple]],
-    global_condition: Formula,
+    inputs: Tuple[Batch, ...],
     positions: Sequence[Any],
 ) -> Tuple[Batch, Sequence[Any]]:
-    """Seal an operator's output, mirroring ``execute_plan``'s optional
-    per-operator ``simplified()`` pass (leaf scans are exempt there too).
+    """Seal an operator's output rows under its inputs' metadata.
 
-    *positions* runs parallel to the rows and loses the dropped ones.
+    One input lends its domains and global condition; two merge them
+    by the lifted operators' rule.  The optional ``simplified()`` pass
+    mirrors ``execute_plan``'s per-operator one (leaf scans are exempt
+    there too); *positions* runs parallel to the rows and loses the
+    dropped ones.
     """
+    if len(inputs) == 1:
+        (child,) = inputs
+        domains = child.domains
+        global_condition = child.global_condition
+    else:
+        left, right = inputs
+        domains = merge_domains(left, right)
+        global_condition = conj(left.global_condition, right.global_condition)
     if ctx.simplify_conditions:
         keep: List[int] = []
-        simplified: List[Formula] = []
-        for index, condition in enumerate(conditions):
-            folded = ctx.simplified(condition)
+        simplified: List[CRow] = []
+        for index, row in enumerate(rows):
+            folded = ctx.simplified(row.condition)
             if folded is not BOTTOM:
                 keep.append(index)
-                simplified.append(folded)
-        if len(keep) != len(conditions):
-            columns = [
-                tuple(column[index] for index in keep) for column in columns
-            ]
+                simplified.append(_restamped(row, folded))
+        if len(keep) != len(rows):
             positions = [positions[index] for index in keep]
-        conditions = simplified
+        rows = simplified
         global_condition = ctx.simplified(global_condition)
     batch = Batch(
-        tuple(tuple(column) for column in columns),
-        tuple(conditions),
-        arity=arity,
+        tuple(rows),
+        arity,
         domains=domains,
         global_condition=global_condition,
     )
     return batch, positions
-
-
-def _row_tuples(
-    columns: Sequence[Sequence[Term]], count: int
-) -> Iterable[Tuple[Term, ...]]:
-    """The *count* rows of *columns* as tuples (empty without columns)."""
-    return zip(*columns) if columns else [()] * count
 
 
 def _constant_key(terms: Iterable[Term]) -> Optional[tuple]:
@@ -225,22 +215,17 @@ class _KeyIndex:
         self.symbolic: list = []
 
     @classmethod
-    def of_batch(cls, batch: Batch, columns: Sequence[int]) -> "_KeyIndex":
+    def over(
+        cls, columns: Sequence[int], refs: Iterable[Any], rows: Sequence[CRow]
+    ) -> "_KeyIndex":
+        """Index *rows* under their ascending references *refs*."""
         index = cls(columns)
-        key_columns = [batch.columns[c] for c in index.columns]
-        for row, terms in enumerate(_row_tuples(key_columns, len(batch))):
-            key = _constant_key(terms)
+        for ref, row in zip(refs, rows):
+            key = index.key(row.values)
             if key is None:
-                index.symbolic.append(row)
+                index.symbolic.append(ref)
             else:
-                index.buckets.setdefault(key, []).append(row)
-        return index
-
-    @classmethod
-    def of_node(cls, node: "ViewNode", columns: Sequence[int]) -> "_KeyIndex":
-        index = cls(columns)
-        for key, row in zip(node.order, node.ordered_rows):
-            index.add(key, row.values)
+                index.buckets.setdefault(key, []).append(ref)
         return index
 
     def key(self, values: Sequence[Term]) -> Optional[tuple]:
@@ -275,8 +260,8 @@ class _KeyIndex:
 
 
 def _rows_batch(node: "ViewNode", rows: Sequence[CRow]) -> Batch:
-    """Rows of a maintained operand, columnar, under its metadata."""
-    return Batch.from_rows(
+    """Some rows of a maintained operand under its metadata."""
+    return Batch(
         tuple(rows),
         node.op.arity,
         domains=node.domains,
@@ -363,7 +348,7 @@ class PhysicalOp:
             ctx, tuple(_rows_batch(node, rows) for node, _, rows in operands)
         )
         keys = self.keys(positions, [keys for _, keys, _ in operands])
-        return list(zip(keys, map(CRow, batch.rows(), batch.conditions)))
+        return list(zip(keys, batch.rows))
 
     def label(self) -> str:
         raise NotImplementedError
@@ -379,7 +364,7 @@ class PhysicalOp:
 # ----------------------------------------------------------------------
 
 class ScanOp(PhysicalOp):
-    """Columnar scan of a bound input c-table."""
+    """Scan of a bound input c-table: its rows, as they are."""
 
     __slots__ = ("name", "rel_arity")
 
@@ -393,7 +378,9 @@ class ScanOp(PhysicalOp):
         return self.rel_arity
 
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
-        return ctx.scan_batch(self.name, self.rel_arity)
+        return Batch.from_ctable(
+            resolve_scan(self.name, self.rel_arity, ctx.tables)
+        )
 
     def label(self) -> str:
         return f"Scan({self.name})"
@@ -413,8 +400,6 @@ class ConstScanOp(PhysicalOp):
         return self.instance.arity
 
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
-        from repro.ctalgebra.plan import const_table
-
         return Batch.from_ctable(const_table(self.instance))
 
     def label(self) -> str:
@@ -427,7 +412,7 @@ class EmptyOp(PhysicalOp):
     __slots__ = ("empty_arity", "sources")
 
     def __init__(
-        self, empty_arity: int, sources: "Tuple[PlanNode, ...]"
+        self, empty_arity: int, sources: Tuple[PlanNode, ...]
     ) -> None:
         super().__init__()
         self.empty_arity = empty_arity
@@ -438,8 +423,6 @@ class EmptyOp(PhysicalOp):
         return self.empty_arity
 
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
-        from repro.ctalgebra.plan import EmptyNode, empty_table
-
         node = EmptyNode(self.empty_arity, self.sources)
         return Batch.from_ctable(empty_table(node, ctx.tables))
 
@@ -457,10 +440,10 @@ class FilterOp(PhysicalOp):
     The predicate's column variables and their ``@i`` names are resolved
     at lowering time; execution takes one pass over the batch, looking
     each row's *signature* (its terms in the predicate columns) up in a
-    memo of residual formulas.  A residual of ``true`` keeps the row's
-    original interned condition object untouched — no conjunction is
-    allocated at all (the ``select_bar`` fast exit, vectorized); a
-    residual of ``false`` drops the row before it is ever materialized.
+    memo of residual formulas.  A residual of ``true`` keeps the row
+    object itself — no conjunction is allocated at all (the
+    ``select_bar`` fast exit, vectorized); a residual of ``false`` drops
+    the row.
 
     ``memoize=False`` (chosen by ``lower()`` when the estimates say
     nearly every row has a distinct signature) skips the memo and
@@ -495,51 +478,38 @@ class FilterOp(PhysicalOp):
         self, ctx: ExecContext, inputs: Tuple[Batch, ...]
     ) -> Tuple[Batch, Sequence[Any]]:
         (child,) = inputs
-        signature_columns = [child.columns[c] for c in self._pred_columns]
-        conditions = child.conditions
+        columns = self._pred_columns
         predicate = self.predicate
         names = self._names
         memoize = self.memoize
         memo: Dict[Tuple[Term, ...], Formula] = {}
         keep: List[int] = []
-        kept_conditions: List[Formula] = []
-        # Whether every row survived with its original condition object.
+        kept: List[CRow] = []
+        # Whether every row survived as its own object.
         unchanged = True
-        for row in range(len(conditions)):
-            signature = tuple(column[row] for column in signature_columns)
+        for position, row in enumerate(child.rows):
+            values = row.values
+            signature = tuple([values[c] for c in columns])
             residual = memo.get(signature) if memoize else None
             if residual is None:
                 residual = substitute(predicate, dict(zip(names, signature)))
                 if memoize:
                     memo[signature] = residual
-            if residual is TOP:
-                keep.append(row)
-                kept_conditions.append(conditions[row])
-                continue
-            condition = conj(conditions[row], residual)
-            if condition is BOTTOM:
-                unchanged = False
-                continue
-            keep.append(row)
-            kept_conditions.append(condition)
-            if condition is not conditions[row]:
-                unchanged = False
+            if residual is not TOP:
+                condition = conj(row.condition, residual)
+                if condition is BOTTOM:
+                    unchanged = False
+                    continue
+                if condition is not row.condition:
+                    unchanged = False
+                    row = CRow(values, condition)
+            keep.append(position)
+            kept.append(row)
         # The select_bar fast exit: a fully-unchanged batch is returned
         # as the child object itself.
-        if unchanged and len(keep) == len(conditions):
-            if not ctx.simplify_conditions:
-                return child, keep
-            columns: Sequence[Sequence[Term]] = child.columns
-        elif len(keep) == len(conditions):
-            columns = child.columns
-        else:
-            columns = [
-                tuple(column[row] for row in keep) for column in child.columns
-            ]
-        return _finish(
-            ctx, columns, kept_conditions, self.arity,
-            child.domains, child.global_condition, keep,
-        )
+        if unchanged and not ctx.simplify_conditions:
+            return child, keep
+        return _finish(ctx, kept, self.arity, inputs, keep)
 
     def delta(
         self, ctx: ExecContext, node: "ViewNode", deltas: Sequence[Delta]
@@ -564,7 +534,7 @@ class ProjectOp(PhysicalOp):
 
     One hash pass groups rows whose projected value-tuples became
     identical and disjoins their conditions in row order — exactly
-    ``project_bar``'s merge, without building intermediate rows.
+    ``project_bar``'s merge, building one row per group.
 
     A group's position is its first member.  Its delta keeps each
     group's member keys and re-projects just the changed groups.
@@ -588,31 +558,22 @@ class ProjectOp(PhysicalOp):
         self, ctx: ExecContext, inputs: Tuple[Batch, ...]
     ) -> Tuple[Batch, Sequence[Any]]:
         (child,) = inputs
-        conditions = child.conditions
-        projected = _row_tuples(
-            [child.columns[index] for index in self.columns], len(conditions)
-        )
+        columns = self.columns
         grouped: Dict[Tuple[Term, ...], List[Formula]] = {}
-        order: List[Tuple[Term, ...]] = []
         first: List[int] = []
-        for row, key in enumerate(projected):
+        for position, row in enumerate(child.rows):
+            values = row.values
+            key = tuple([values[c] for c in columns])
             bucket = grouped.get(key)
             if bucket is None:
-                grouped[key] = [conditions[row]]
-                order.append(key)
-                first.append(row)
+                grouped[key] = [row.condition]
+                first.append(position)
             else:
-                bucket.append(conditions[row])
-        merged = [disj(*grouped[key]) for key in order]
-        columns = (
-            list(zip(*order))
-            if order
-            else [() for _ in range(self.arity)]
-        )
-        return _finish(
-            ctx, columns, merged, self.arity,
-            child.domains, child.global_condition, first,
-        )
+                bucket.append(row.condition)
+        rows = [
+            CRow(key, disj(*conditions)) for key, conditions in grouped.items()
+        ]
+        return _finish(ctx, rows, self.arity, inputs, first)
 
     def _group(self, values: Sequence[Term]) -> Tuple[Term, ...]:
         return tuple([values[index] for index in self.columns])
@@ -681,23 +642,13 @@ class _PairComposer:
     condition structurally identical to the full instantiation.
     """
 
-    __slots__ = (
-        "predicate", "left", "right",
-        "_full_spec", "_res_spec", "_full_inst", "_res_inst", "_conj",
-    )
+    __slots__ = ("_full_spec", "_res_spec", "_full_inst", "_res_inst", "_conj")
 
     def __init__(
-        self,
-        predicate: Formula,
-        residual: Formula,
-        left: Batch,
-        right: Batch,
+        self, predicate: Formula, residual: Formula, left_arity: int
     ) -> None:
-        self.left = left
-        self.right = right
-        self.predicate = predicate
-        self._full_spec = self._spec(predicate, left.arity)
-        self._res_spec = self._spec(residual, left.arity)
+        self._full_spec = self._spec(predicate, left_arity)
+        self._res_spec = self._spec(residual, left_arity)
         self._full_inst: Dict[tuple, Formula] = {}
         self._res_inst: Dict[tuple, Formula] = {}
         self._conj: Dict[tuple, Formula] = {}
@@ -721,13 +672,15 @@ class _PairComposer:
         self,
         spec: Tuple[Formula, Tuple[str, ...], Tuple[int, ...], Tuple[int, ...]],
         memo: Dict[tuple, Formula],
-        i: int,
-        j: int,
+        left: CRow,
+        right: CRow,
     ) -> Formula:
         predicate, names, left_pred, right_pred = spec
-        signature = tuple(
-            self.left.columns[c][i] for c in left_pred
-        ) + tuple(self.right.columns[c][j] for c in right_pred)
+        left_values = left.values
+        right_values = right.values
+        signature = tuple([left_values[c] for c in left_pred]) + tuple(
+            [right_values[c] for c in right_pred]
+        )
         instantiated = memo.get(signature)
         if instantiated is None:
             instantiated = substitute(predicate, dict(zip(names, signature)))
@@ -745,40 +698,35 @@ class _PairComposer:
             self._conj[key] = composed
         return composed
 
-    def condition(self, i: int, j: int) -> Formula:
+    def condition(self, left: CRow, right: CRow) -> Formula:
         """``conj(l.condition, r.condition, c(t₁t₂))``, full predicate."""
         return self._compose(
-            self.left.conditions[i],
-            self.right.conditions[j],
-            self._instantiate(self._full_spec, self._full_inst, i, j),
+            left.condition,
+            right.condition,
+            self._instantiate(self._full_spec, self._full_inst, left, right),
         )
 
-    def matched_condition(self, i: int, j: int) -> Formula:
+    def matched_condition(self, left: CRow, right: CRow) -> Formula:
         """The pair condition when the constant equijoin keys agree."""
         return self._compose(
-            self.left.conditions[i],
-            self.right.conditions[j],
-            self._instantiate(self._res_spec, self._res_inst, i, j),
+            left.condition,
+            right.condition,
+            self._instantiate(self._res_spec, self._res_inst, left, right),
         )
 
 
 def _pairs_batch(
-    ctx: ExecContext, left: Batch, right: Batch, pairs: List[_Pair]
+    ctx: ExecContext, inputs: Tuple[Batch, ...], pairs: List[_Pair]
 ) -> Tuple[Batch, Sequence[Any]]:
     """The output batch of the surviving (i, g, j, condition) pairs."""
-    left_index = [i for i, _, _, _ in pairs]
-    right_index = [j for _, _, j, _ in pairs]
-    columns: List[Sequence[Term]] = [
-        tuple(column[i] for i in left_index) for column in left.columns
+    left, right = inputs
+    left_rows = left.rows
+    right_rows = right.rows
+    rows = [
+        CRow(left_rows[i].values + right_rows[j].values, condition)
+        for i, _, j, condition in pairs
     ]
-    columns.extend(
-        tuple(column[j] for j in right_index) for column in right.columns
-    )
-    domains, global_condition = merge_metadata(left, right)
-    return _finish(
-        ctx, columns, [condition for _, _, _, condition in pairs],
-        left.arity + right.arity, domains, global_condition, pairs,
-    )
+    return _finish(ctx, rows, left.arity + right.arity, inputs, pairs)
 
 
 class _PairOp(PhysicalOp):
@@ -830,8 +778,8 @@ class _PairOp(PhysicalOp):
     ) -> Tuple[_KeyIndex, _KeyIndex]:
         left, right = children
         return (
-            _KeyIndex.of_node(left, self.left_keys),
-            _KeyIndex.of_node(right, self.right_keys),
+            _KeyIndex.over(self.left_keys, left.order, left.ordered_rows),
+            _KeyIndex.over(self.right_keys, right.order, right.ordered_rows),
         )
 
     def delta(
@@ -917,27 +865,32 @@ class HashJoinOp(_PairOp):
         self, ctx: ExecContext, inputs: Tuple[Batch, ...]
     ) -> Tuple[Batch, Sequence[Any]]:
         left, right = inputs
-        composer = _PairComposer(self.predicate, self.residual, left, right)
+        left_rows = left.rows
+        right_rows = right.rows
+        composer = _PairComposer(self.predicate, self.residual, left.arity)
         build_left = self.build_side == "left"
         # Hash-partition the build side once.
-        index = (
-            _KeyIndex.of_batch(left, self.left_keys)
-            if build_left
-            else _KeyIndex.of_batch(right, self.right_keys)
-        )
+        if build_left:
+            index = _KeyIndex.over(
+                self.left_keys, range(len(left_rows)), left_rows
+            )
+        else:
+            index = _KeyIndex.over(
+                self.right_keys, range(len(right_rows)), right_rows
+            )
         buckets = index.buckets
         symbolic = index.symbolic
         pairs: List[_Pair] = []
         if not build_left:
             # Probe left rows in order against the right build
             # (join_bar's loop).
-            all_right = range(len(right))
-            probe_columns = [left.columns[c] for c in self.left_keys]
-            for i, terms in enumerate(_row_tuples(probe_columns, len(left))):
-                key = _constant_key(terms)
+            probe_keys = self.left_keys
+            for i, left_row in enumerate(left_rows):
+                values = left_row.values
+                key = _constant_key([values[c] for c in probe_keys])
                 if key is None:
-                    for j in all_right:
-                        condition = composer.condition(i, j)
+                    for j, right_row in enumerate(right_rows):
+                        condition = composer.condition(left_row, right_row)
                         if condition is not BOTTOM:
                             pairs.append((i, 0, j, condition))
                     continue
@@ -946,11 +899,13 @@ class HashJoinOp(_PairOp):
                     # Constant keys agree: the equijoin conjuncts fold to
                     # true, only the residual predicate needs instantiating.
                     for j in matched:
-                        condition = composer.matched_condition(i, j)
+                        condition = composer.matched_condition(
+                            left_row, right_rows[j]
+                        )
                         if condition is not BOTTOM:
                             pairs.append((i, 0, j, condition))
                 for j in symbolic:
-                    condition = composer.condition(i, j)
+                    condition = composer.condition(left_row, right_rows[j])
                     if condition is not BOTTOM:
                         pairs.append((i, 1, j, condition))
         else:
@@ -958,31 +913,33 @@ class HashJoinOp(_PairOp):
             # pairs.  A pair survives iff either key is symbolic or both
             # constants agree — the same set as probing left — and
             # sorting by the unique rank (i, g, j) restores that order.
-            all_left = range(len(left))
             group = [1] * len(left)
             for i in symbolic:
                 group[i] = 0
-            probe_columns = [right.columns[c] for c in self.right_keys]
-            for j, terms in enumerate(_row_tuples(probe_columns, len(right))):
-                key = _constant_key(terms)
+            probe_keys = self.right_keys
+            for j, right_row in enumerate(right_rows):
+                values = right_row.values
+                key = _constant_key([values[c] for c in probe_keys])
                 if key is None:
-                    for i in all_left:
-                        condition = composer.condition(i, j)
+                    for i, left_row in enumerate(left_rows):
+                        condition = composer.condition(left_row, right_row)
                         if condition is not BOTTOM:
                             pairs.append((i, group[i], j, condition))
                     continue
                 matched = buckets.get(key)
                 if matched is not None:
                     for i in matched:
-                        condition = composer.matched_condition(i, j)
+                        condition = composer.matched_condition(
+                            left_rows[i], right_row
+                        )
                         if condition is not BOTTOM:
                             pairs.append((i, 0, j, condition))
                 for i in symbolic:
-                    condition = composer.condition(i, j)
+                    condition = composer.condition(left_rows[i], right_row)
                     if condition is not BOTTOM:
                         pairs.append((i, 0, j, condition))
             pairs.sort(key=lambda pair: pair[:3])
-        return _pairs_batch(ctx, left, right, pairs)
+        return _pairs_batch(ctx, inputs, pairs)
 
     def label(self) -> str:
         return f"HashJoin[{self.predicate!r}] build={self.build_side}"
@@ -1002,8 +959,9 @@ class ProductOp(_PairOp):
         left, right = inputs
         memo: Dict[Tuple[Formula, Formula], Formula] = {}
         pairs: List[_Pair] = []
-        right_conditions = right.conditions
-        for i, left_condition in enumerate(left.conditions):
+        right_conditions = [row.condition for row in right.rows]
+        for i, left_row in enumerate(left.rows):
+            left_condition = left_row.condition
             for j, right_condition in enumerate(right_conditions):
                 key = (left_condition, right_condition)
                 condition = memo.get(key)
@@ -1012,7 +970,7 @@ class ProductOp(_PairOp):
                     memo[key] = condition
                 if condition is not BOTTOM:
                     pairs.append((i, 0, j, condition))
-        return _pairs_batch(ctx, left, right, pairs)
+        return _pairs_batch(ctx, inputs, pairs)
 
     def label(self) -> str:
         return "Product"
@@ -1030,7 +988,7 @@ def _check_same_arity(left: PhysicalOp, right: PhysicalOp) -> None:
 
 
 class UnionOp(PhysicalOp):
-    """``∪̄``: columnar concatenation; a row is keyed by its side first."""
+    """``∪̄``: row concatenation; a row is keyed by its side first."""
 
     __slots__ = ("left", "right")
 
@@ -1051,16 +1009,8 @@ class UnionOp(PhysicalOp):
         self, ctx: ExecContext, inputs: Tuple[Batch, ...]
     ) -> Tuple[Batch, Sequence[Any]]:
         left, right = inputs
-        columns = [
-            left_column + right_column
-            for left_column, right_column in zip(left.columns, right.columns)
-        ]
-        conditions = list(left.conditions + right.conditions)
-        domains, global_condition = merge_metadata(left, right)
-        return _finish(
-            ctx, columns, conditions, self.arity, domains, global_condition,
-            range(len(conditions)),
-        )
+        rows = left.rows + right.rows
+        return _finish(ctx, rows, self.arity, inputs, range(len(rows)))
 
     def keys(
         self, positions: Sequence[Any], input_keys: Sequence[Sequence[Key]]
@@ -1102,18 +1052,20 @@ class _MembershipIndex:
     rows (common after projections) pay for it once.
     """
 
-    __slots__ = ("right", "_index", "_eq", "_memo")
+    __slots__ = ("rows", "_index", "_eq", "_memo")
 
     def __init__(self, right: Batch) -> None:
-        self.right = right
-        self._index = _KeyIndex.of_batch(right, range(right.arity))
+        self.rows = right.rows
+        self._index = _KeyIndex.over(
+            range(right.arity), range(len(self.rows)), self.rows
+        )
         self._eq: Dict[Tuple[tuple, int], Formula] = {}
         self._memo: Dict[tuple, Formula] = {}
 
     def _candidates(self, values: tuple) -> Sequence[int]:
         key = _constant_key(values)
         if key is None:
-            return range(len(self.right))
+            return range(len(self.rows))
         symbolic = self._index.symbolic
         matched = self._index.buckets.get(key)
         if matched is None:
@@ -1125,12 +1077,8 @@ class _MembershipIndex:
     def _equal_condition(self, values: tuple, j: int) -> Formula:
         cached = self._eq.get((values, j))
         if cached is None:
-            cached = conj(
-                *(
-                    eq(term, column[j])
-                    for term, column in zip(values, self.right.columns)
-                )
-            )
+            other = self.rows[j].values
+            cached = conj(*(eq(a, b) for a, b in zip(values, other)))
             self._eq[(values, j)] = cached
         return cached
 
@@ -1140,9 +1088,9 @@ class _MembershipIndex:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        right_conditions = self.right.conditions
+        rows = self.rows
         parts = [
-            conj(right_conditions[j], self._equal_condition(values, j))
+            conj(rows[j].condition, self._equal_condition(values, j))
             for j in self._candidates(values)
         ]
         if negated:
@@ -1185,34 +1133,25 @@ class _SetDifferenceBase(PhysicalOp):
     ) -> Tuple[Batch, Sequence[Any]]:
         left, right = inputs
         index = _MembershipIndex(right)
-        keep: List[int] = []
-        conditions: List[Formula] = []
-        left_columns = left.columns
-        left_conditions = left.conditions
         negated = self._negated
-        rows = _row_tuples(left_columns, len(left_conditions))
-        for i, values in enumerate(rows):
-            condition = conj(
-                left_conditions[i], index.membership(values, negated)
-            )
+        keep: List[int] = []
+        rows: List[CRow] = []
+        for i, row in enumerate(left.rows):
+            membership = index.membership(row.values, negated)
+            condition = conj(row.condition, membership)
             if condition is not BOTTOM:
                 keep.append(i)
-                conditions.append(condition)
-        if len(keep) == len(left_conditions):
-            columns: Sequence[Sequence[Term]] = left_columns
-        else:
-            columns = [tuple(column[i] for i in keep) for column in left_columns]
-        domains, global_condition = merge_metadata(left, right)
-        return _finish(
-            ctx, columns, conditions, self.arity, domains, global_condition,
-            keep,
-        )
+                rows.append(_restamped(row, condition))
+        return _finish(ctx, rows, self.arity, inputs, keep)
 
     def maintenance_index(
         self, children: Sequence["ViewNode"]
     ) -> Tuple[_KeyIndex, ...]:
         columns = range(self.arity)
-        return tuple(_KeyIndex.of_node(child, columns) for child in children)
+        return tuple(
+            _KeyIndex.over(columns, child.order, child.ordered_rows)
+            for child in children
+        )
 
     def delta(
         self, ctx: ExecContext, node: "ViewNode", deltas: Sequence[Delta]

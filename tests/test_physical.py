@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro import (
+    TOP,
     CTable,
     Engine,
     Instance,
@@ -45,6 +46,8 @@ from repro.ctalgebra.plan import (
 from repro.ctalgebra.lifted import select_bar
 from repro.ctalgebra.translate import plan_for_query
 from repro.engine.cache import ResultCache
+from repro.errors import QueryError
+from repro.obs.names import IVM_REFRESH_TOTAL
 from repro.physical import (
     FilterOp,
     HashJoinOp,
@@ -52,6 +55,8 @@ from repro.physical import (
     explain_physical,
     lower,
 )
+
+from harness import assert_structurally_identical
 
 X, Y = Var("x"), Var("y")
 
@@ -74,6 +79,7 @@ def both_ways(query, tables, optimize=True, simplify_conditions=False):
 def assert_identical(query, tables, **kwargs):
     interpreted, vectorized = both_ways(query, tables, **kwargs)
     assert vectorized == interpreted, (query, interpreted, vectorized)
+    assert_structurally_identical(interpreted, vectorized, repr(query))
     assert ctables_equivalent(interpreted, vectorized)
     return vectorized
 
@@ -191,6 +197,25 @@ class TestOperatorGrid:
             execute_plan(plan, tables)
         with pytest.raises(TableError):
             execute_plan_vectorized(plan, tables)
+
+    def test_scan_errors_match_in_both(self):
+        # Both executors resolve a leaf through one function, so an
+        # unbound name (with its nearest-name hint) and an arity
+        # mismatch fail with the same error in each.
+        table = mixed_table(3)
+        plan = plan_for_query(rel("people", 2), {"people": table})
+        wider = CTable([(1, 2, 3)], arity=3)
+        for tables, expected in (
+            ({"peeple": table}, "did you mean 'peeple'?"),
+            ({"people": wider}, "has arity 3, query expects 2"),
+        ):
+            messages = []
+            for run in (execute_plan, execute_plan_vectorized):
+                with pytest.raises(QueryError) as caught:
+                    run(plan, tables)
+                messages.append(str(caught.value))
+            assert messages[0] == messages[1]
+            assert expected in messages[0]
 
     def test_arity_zero_projection(self):
         # A boolean query: π̄_∅ produces arity-0 rows whose presence is
@@ -489,6 +514,55 @@ class TestExplainPhysical:
         filters = [op for op in lowered.walk() if isinstance(op, FilterOp)]
         assert filters and filters[0].memoize
         assert "per-row" not in explain_physical(lowered)
+
+
+class TestRowsPassThrough:
+    """A row whose condition an operator leaves unchanged comes out as
+    the input's own ``CRow`` object, from a one-shot execution and from
+    a standing view alike."""
+
+    @staticmethod
+    def table():
+        # The selection below leaves the outer rows' conditions alone
+        # and conjoins x = 1 onto the middle one.
+        return CTable([((1, 2), ne(Y, 0)), ((X, 2), ne(X, 0)), ((1, 3), TOP)])
+
+    QUERIES = {
+        "scan": (rel("V", 2), [True, True, True]),
+        "select": (sel(rel("V", 2), col_eq_const(0, 1)), [True, False, True]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_vectorized_execution(self, name):
+        query, same = self.QUERIES[name]
+        tables = {"V": self.table()}
+        answer = execute_plan_vectorized(plan_for_query(query, tables), tables)
+        source = tables["V"].rows
+        assert [
+            after is before for after, before in zip(answer.rows, source)
+        ] == same
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_view_refresh(self, name):
+        query, same = self.QUERIES[name]
+        engine = Engine()
+        session = engine.session(V=self.table())
+        prepared = session.prepare(query)
+        built = prepared.refresh()
+        source = session.table("V").rows
+        assert [
+            after is before for after, before in zip(built.rows, source)
+        ] == same
+        session.insert("V", [((1, 4), TOP)])
+        refreshed = prepared.refresh()
+        assert engine.metrics.counter_value(
+            IVM_REFRESH_TOTAL, {"mode": "delta"}
+        ) == 1
+        source = session.table("V").rows
+        assert len(refreshed.rows) == len(source) == 4
+        assert [
+            after is before for after, before in zip(refreshed.rows, source)
+        ] == same + [True]
 
 
 class TestSelectBarFastExit:

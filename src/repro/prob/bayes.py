@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Hashable, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.errors import ProbabilityError, TableError
+from repro.errors import ProbabilityError
 from repro.core.instance import Instance, Row
 from repro.logic.counting import check_distribution
 from repro.prob.pdatabase import PDatabase
@@ -247,11 +247,6 @@ class DependentPCTable:
 
         # The membership condition, evaluated against the joint rather
         # than the product space.
-        row = tuple(row)
-        if len(row) != self.arity:
-            raise TableError(
-                f"tuple {row!r} has arity {len(row)}, table has {self.arity}"
-            )
         condition = symbolic_answers.membership_condition(self._table, row)
 
         return self._network.probability_of_event(

@@ -170,11 +170,6 @@ class PCTable:
         and its terms evaluate to *row*"; the probability of this formula
         is ``P[row ∈ I]``.
         """
-        row = tuple(row)
-        if len(row) != self.arity:
-            raise TableError(
-                f"tuple {row!r} has arity {len(row)}, table has {self.arity}"
-            )
         return symbolic_answers.membership_condition(self._table, row)
 
     def tuple_probability(self, row: Row) -> Fraction:

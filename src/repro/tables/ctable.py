@@ -27,6 +27,7 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
+    List,
     Mapping,
     Optional,
     Sequence,
@@ -90,6 +91,10 @@ class CRow:
         return f"({body} : {self.condition!r})"
 
 
+#: ``(exact, residual)`` row positions; see :meth:`CTable.row_index`.
+RowIndex = Tuple[Dict[Tuple[Hashable, ...], List[int]], List[int]]
+
+
 def _coerce_term(value) -> Term:
     if isinstance(value, (Var, Const)):
         return value
@@ -137,7 +142,9 @@ class CTable(Table):
         Extension: a condition every valuation must satisfy.
     """
 
-    __slots__ = ("_rows", "_arity", "_domains", "_global", "_vars_cache")
+    __slots__ = (
+        "_rows", "_arity", "_domains", "_global", "_vars_cache", "_index_cache"
+    )
 
     system_name = "c-table"
 
@@ -169,6 +176,7 @@ class CTable(Table):
         self._arity = arity
         self._global = global_condition
         self._vars_cache: Optional[FrozenSet[str]] = None
+        self._index_cache: Optional[RowIndex] = None
         if domains is not None:
             domains = {name: tuple(values) for name, values in domains.items()}
             missing = self.variables() - set(domains)
@@ -209,6 +217,7 @@ class CTable(Table):
         table._arity = arity
         table._global = global_condition
         table._vars_cache = None
+        table._index_cache = None
         table._domains = domains
         return table
 
@@ -305,6 +314,30 @@ class CTable(Table):
                 names |= row.all_variables()
             self._vars_cache = frozenset(names)
         return self._vars_cache
+
+    def row_index(self) -> "RowIndex":
+        """Row positions by the constant tuples the rows can produce.
+
+        Returns ``(exact, residual)``: *exact* maps the value tuple of
+        every all-constant row to its positions, and *residual* lists the
+        positions of the rows with a variable entry.  A constant tuple
+        ``t`` can only be produced by the rows at ``exact.get(t)`` and
+        *residual*; every other row has a constant that differs from
+        ``t``.  Both hold positions in table order.  Cached: the table is
+        immutable, and symbolic certain/possible answers look up one
+        candidate tuple after another.  Callers must not mutate it.
+        """
+        if self._index_cache is None:
+            exact: Dict[Tuple[Hashable, ...], List[int]] = {}
+            residual: List[int] = []
+            for position, row in enumerate(self._rows):
+                if all(isinstance(term, Const) for term in row.values):
+                    key = tuple(term.value for term in row.values)
+                    exact.setdefault(key, []).append(position)
+                else:
+                    residual.append(position)
+            self._index_cache = (exact, residual)
+        return self._index_cache
 
     def constants(self) -> FrozenSet[Hashable]:
         """Return every constant in tuples, conditions, and the global condition."""

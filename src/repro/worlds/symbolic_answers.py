@@ -17,18 +17,28 @@ the variable domains directly.
 Candidate generation: a certain tuple survives into worlds where every
 variable takes a fresh value, so its entries must be constants of the
 answer table; the candidate pool is the product of per-column constants
-(guarded by ``max_candidates``).  Possible answers over an infinite
-domain form an infinite set in general (rows with variable entries
-denote tuple *patterns*); :func:`possible_answer_symbolic` therefore
-returns the constant possible answers, which is what applications
-display — the full description *is* the answer c-table.
+(guarded by ``max_candidates``).  A column holding a variable also takes
+the condition constants and, in a finite-domain table, the variable's
+domain.
+
+Cost: the answer table is indexed once (:meth:`CTable.row_index`), so
+each candidate's membership condition is built from its matching
+all-constant rows plus the rows with a variable entry.  The work before
+solving is candidates × (matching rows + residual rows), not candidates
+× rows.
+
+Possible answers over an infinite domain form an infinite set in
+general (rows with variable entries denote tuple *patterns*);
+:func:`possible_answer_symbolic` therefore returns the constant possible
+answers, which is what applications display — the full description
+*is* the answer c-table.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterator, List, Set, Tuple
 
-from repro.errors import UnsupportedOperationError
+from repro.errors import TableError, UnsupportedOperationError
 from repro.core.instance import Instance, Row
 from repro.logic.atoms import Const, eq
 from repro.logic.equality_sat import constants_of, decide_condition
@@ -38,10 +48,25 @@ from repro.tables.ctable import CTable
 
 
 def membership_condition(table: CTable, row: Row) -> Formula:
-    """The condition under which constant tuple *row* belongs to ν(T)."""
+    """The condition under which constant tuple *row* belongs to ν(T).
+
+    The global condition and the disjunction, in table order, of "this
+    row's condition holds and its terms equal *row*".  Only the rows
+    :meth:`CTable.row_index` says can produce *row* are visited: every
+    other row has a constant that differs from *row*, so its branch
+    folds to ``false`` and :func:`disj` would drop it.  The result is
+    the same interned formula as the disjunction over every row.
+    """
     row = tuple(row)
+    if len(row) != table.arity:
+        raise TableError(
+            f"tuple {row!r} has arity {len(row)}, table has {table.arity}"
+        )
+    exact, residual = table.row_index()
+    rows = table.rows
     branches = []
-    for crow in table.rows:
+    for position in sorted(exact.get(row, []) + residual):
+        crow = rows[position]
         matches = conj(
             *(
                 eq(term, Const(value))
@@ -53,12 +78,16 @@ def membership_condition(table: CTable, row: Row) -> Formula:
 
 
 def _column_constants(table: CTable) -> List[List[Hashable]]:
-    """Constants appearing per column, plus condition constants everywhere.
+    """Constants appearing per column, plus, at a variable position, the
+    condition constants and the variable's finite domain.
 
-    A variable entry can only produce a *certain* constant when its
-    condition forces it to equal some constant, and condition constants
-    are the only candidates — so the pool below is complete.
+    Over the infinite domain a variable entry can only produce a
+    *certain* constant when its condition forces it to equal some
+    constant, and condition constants are the only candidates.  Over a
+    finite domain it takes only values of its domain.  So the pool below
+    is complete.
     """
+    domains = table.domains
     condition_constants: Set[Hashable] = set(
         constants_of(table.global_condition)
     )
@@ -71,6 +100,8 @@ def _column_constants(table: CTable) -> List[List[Hashable]]:
                 columns[index].add(term.value)
             else:
                 columns[index] |= condition_constants
+                if domains is not None:
+                    columns[index].update(domains[term.name])
     return [sorted(values, key=repr) for values in columns]
 
 
@@ -98,7 +129,11 @@ def certain_from_answer(
 
     The candidate/validity machinery without the query evaluation — this
     is what :class:`~repro.engine.Dataset` terminals call, so certain and
-    possible answers share one evaluation of ``q̄(T)``.
+    possible answers share one evaluation of ``q̄(T)``.  The candidates
+    are the product of per-column constants, with the condition
+    constants and any finite domain at variable positions.  Building
+    their membership conditions costs candidates × (matching rows +
+    residual rows), where the residual rows are those with a variable.
     """
     rows = [
         candidate

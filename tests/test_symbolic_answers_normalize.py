@@ -1,13 +1,18 @@
 """Tests for symbolic answers and c-table normalization."""
 
+import itertools
 import random
 
 import pytest
 
+import repro.worlds.symbolic_answers as symbolic_answers
+from harness import random_case
+from harness import random_ctable as harness_ctable
 from repro.core.instance import Instance, relation
+from repro.engine import Engine
 from repro.errors import UnsupportedOperationError
-from repro.logic.atoms import Var, eq, ne
-from repro.logic.syntax import conj, disj
+from repro.logic.atoms import Const, Var, eq, ne
+from repro.logic.syntax import TOP, conj, disj
 from repro.algebra import (
     col_eq,
     col_eq_const,
@@ -28,6 +33,7 @@ from repro.worlds.answers import certain_answer_table, possible_answer_table
 from repro.worlds.compare import witness_domain_for
 from repro.worlds.symbolic_answers import (
     certain_answer_symbolic,
+    membership_condition,
     possible_answer_symbolic,
 )
 from tests.conftest import random_ctable
@@ -121,6 +127,205 @@ class TestSymbolicPossibleAnswers:
         table = CTable([((1,), conj(eq(X, 1), ne(X, 1)))], arity=1)
         possible = possible_answer_symbolic(rel("V", 1), table)
         assert len(possible) == 0
+
+
+def _random_finite_domain_table(rng: random.Random) -> CTable:
+    """≤ 3 rows over values 1–3 and ≤ 3 variables, each with a domain."""
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        values = tuple(
+            Var(rng.choice("xyz")) if rng.random() < 0.5 else rng.randint(1, 3)
+            for _ in range(2)
+        )
+        roll = rng.random()
+        if roll < 0.3:
+            condition = TOP
+        else:
+            atom = eq if roll < 0.65 else ne
+            condition = atom(Var(rng.choice("xyz")), rng.randint(1, 3))
+        rows.append((values, condition))
+    names = CTable(rows, arity=2).variables()
+    domains = {
+        name: rng.sample([1, 2, 3], rng.randint(1, 3)) for name in names
+    }
+    return CTable(rows, arity=2, domains=domains)
+
+
+class TestFiniteDomainCandidates:
+    """A variable position's candidates include the variable's domain."""
+
+    def test_single_variable_certain(self):
+        table = CTable([(X,)], arity=1, domains={"x": [1]})
+        dataset = Engine().session(V=table).query("V")
+        assert dataset.certain() == relation((1,))
+        assert dataset.certain() == dataset.certain(method="worlds")
+
+    def test_single_variable_possible(self):
+        table = CTable([(X,)], arity=1, domains={"x": [1]})
+        dataset = Engine().session(V=table).query("V")
+        assert dataset.possible() == relation((1,))
+        assert dataset.possible() == dataset.possible(method="worlds")
+
+    def test_agrees_with_worlds_on_random_finite_domain_tables(self):
+        rng = random.Random(2306)
+        for trial in range(60):
+            table = _random_finite_domain_table(rng)
+            dataset = Engine().session(V=table).query("V")
+            assert dataset.certain() == dataset.certain(
+                method="worlds"
+            ), (trial, table)
+            assert dataset.possible() == dataset.possible(
+                method="worlds"
+            ), (trial, table)
+
+
+class TestMixedTableAnswers:
+    """A variable row pairs every column constant with every other."""
+
+    TABLE = CTable([("a", "b"), (X, Y), ("c", "d")])
+
+    def test_possible_takes_the_column_pool(self):
+        assert possible_answer_symbolic(rel("V", 2), self.TABLE) == Instance(
+            [("a", "b"), ("a", "d"), ("c", "b"), ("c", "d")], arity=2
+        )
+
+    def test_certain_is_the_constant_rows(self):
+        assert certain_answer_symbolic(rel("V", 2), self.TABLE) == Instance(
+            [("a", "b"), ("c", "d")], arity=2
+        )
+
+
+class TestRowVisitsAreLinear:
+    """Each candidate builds equalities only for the rows it can match."""
+
+    @staticmethod
+    def _eq_calls(monkeypatch, n: int) -> int:
+        calls = [0]
+
+        def counting_eq(left, right):
+            calls[0] += 1
+            return eq(left, right)
+
+        monkeypatch.setattr(symbolic_answers, "eq", counting_eq)
+        table = CTable([(index, "k") for index in range(n)])
+        dataset = Engine().session(V=table).query("V")
+        assert len(dataset.certain()) == n
+        assert len(dataset.possible()) == n
+        return calls[0]
+
+    def test_eq_calls_grow_linearly(self, monkeypatch):
+        small = self._eq_calls(monkeypatch, 200)
+        large = self._eq_calls(monkeypatch, 400)
+        arity = 2
+        assert large <= 4 * 400 * arity
+        assert 1.5 <= large / small <= 2.5
+
+
+def _full_scan(table: CTable, row) -> object:
+    """The membership condition as the disjunction over every row."""
+    return conj(
+        table.global_condition,
+        disj(
+            *(
+                conj(
+                    crow.condition,
+                    *(
+                        eq(term, Const(value))
+                        for term, value in zip(crow.values, row)
+                    ),
+                )
+                for crow in table.rows
+            )
+        ),
+    )
+
+
+def _probes(table: CTable):
+    """Every tuple over the table's constants and one outside value."""
+    values = sorted(table.constants() | {99}, key=repr)
+    return itertools.product(values, repeat=table.arity)
+
+
+class TestMembershipConditionUnchanged:
+    """The row index returns the full scan's interned formula."""
+
+    @staticmethod
+    def _assert_full_scan(table: CTable) -> None:
+        for row in _probes(table):
+            assert membership_condition(table, row) is _full_scan(
+                table, row
+            ), (table, row)
+
+    def test_random_harness_tables(self):
+        rng = random.Random(2307)
+        for _ in range(40):
+            self._assert_full_scan(harness_ctable(rng))
+
+    def test_random_conftest_tables(self):
+        rng = random.Random(2308)
+        for _ in range(40):
+            self._assert_full_scan(random_ctable(rng, arity=2, max_rows=4))
+
+    def test_variable_rows_interleaved(self):
+        self._assert_full_scan(
+            CTable(
+                [
+                    ((1, 2), eq(X, 1)),
+                    ((X, 2), ne(Y, 3)),
+                    (3, 4),
+                    ((1, Y), eq(Y, 2)),
+                    ((1, 2), ne(X, 2)),
+                    ((X, Z), eq(X, Z)),
+                    ((3, 4), eq(Z, 1)),
+                ]
+            )
+        )
+
+    def test_global_condition(self):
+        self._assert_full_scan(
+            CTable(
+                [((1, X), eq(Y, 2)), (1, 2), ((Y, 3), ne(X, 3))],
+                global_condition=conj(ne(X, 1), disj(eq(Y, 2), eq(Y, 3))),
+            )
+        )
+
+    def test_repeated_constant_tuple(self):
+        self._assert_full_scan(
+            CTable(
+                [
+                    ((1, 2), eq(X, 1)),
+                    (3, 4),
+                    ((1, 2), eq(Y, 2)),
+                    ((1, 2), conj(ne(X, 1), ne(Y, 2))),
+                ]
+            )
+        )
+
+    def test_equal_keys_of_different_types(self):
+        table = CTable(
+            [
+                ((1,), eq(X, 1)),
+                ((True,), eq(Y, 2)),
+                ((X,), ne(X, 3)),
+                ((1.0,), ne(Z, 3)),
+                ((0,), eq(Z, 1)),
+            ]
+        )
+        for row in [(1,), (True,), (1.0,), (0,), (False,), (0.0,), (2,)]:
+            assert membership_condition(table, row) is _full_scan(
+                table, row
+            ), row
+
+    def test_dataset_lineage(self):
+        rng = random.Random(2309)
+        for _ in range(25):
+            query, tables = random_case(rng)
+            dataset = Engine().session(**tables).query(query)
+            answered = dataset.collect()
+            for row in _probes(answered):
+                assert dataset.lineage(row) is _full_scan(
+                    answered, row
+                ), (query, row)
 
 
 class TestNormalization:

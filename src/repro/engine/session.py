@@ -61,7 +61,7 @@ from repro.algebra.ast import Query
 from repro.algebra.parser import parse_query
 from repro.tables.base import Table
 from repro.tables.codd import CoddTable
-from repro.tables.ctable import CTable, coerce_row, make_row
+from repro.tables.ctable import CRow, CTable, coerce_row, make_row
 from repro.tables.convert import ctable_of
 from repro.ctalgebra.plan import (
     PlanNode,
@@ -622,7 +622,11 @@ class Session:
         occurrence (same values, same interned condition) — so an
         insert followed by a delete of the same rows restores the
         relation byte-identically even when earlier duplicates exist.
-        A row that is not present raises :class:`TableError`.
+        A row given twice removes its last two occurrences, and so on in
+        turn.  A row that is not present, or asked for more times than
+        the relation holds it, raises :class:`TableError` and changes
+        nothing.  Deleting k rows from an n-row relation costs one
+        backward pass over it, O(n + k).
         """
         return self._mutate(name, tuple(rows), (), "delete")
 
@@ -650,19 +654,40 @@ class Session:
         # A false-condition row is kept here: no table holds one, so
         # deleting it raises like any other absent row.
         delete_rows = [coerce_row(row) for row in deletes]
-        working = list(old_table.rows)
-        ids = list(entry.row_ids)
+        working: Sequence[CRow] = old_table.rows
+        ids: List[int] = entry.row_ids
         delete_ids: List[int] = []
-        for row in delete_rows:
+        if delete_rows:
+            # Each request removes the last equal occurrence earlier
+            # requests left, so one backward pass hands a row's
+            # occurrences, last first, to its requests in order.  Each
+            # row's open requests are stacked latest first.
+            waiting: Dict[CRow, List[int]] = {}
+            for request in range(len(delete_rows) - 1, -1, -1):
+                waiting.setdefault(delete_rows[request], []).append(request)
+            positions: List[int] = [-1] * len(delete_rows)
+            open_count = len(delete_rows)
             for index in range(len(working) - 1, -1, -1):
-                if working[index] == row:
+                if not open_count:
                     break
-            else:
+                stack = waiting.get(working[index])
+                if stack:
+                    positions[stack.pop()] = index
+                    open_count -= 1
+            if open_count:
+                missing = delete_rows[positions.index(-1)]
                 raise TableError(
-                    f"cannot delete from {name!r}: row {row!r} is not present"
+                    f"cannot delete from {name!r}: row {missing!r} is not present"
                 )
-            working.pop(index)
-            delete_ids.append(ids.pop(index))
+            removed = set(positions)
+            working = [
+                row for index, row in enumerate(working) if index not in removed
+            ]
+            delete_ids = [ids[index] for index in positions]
+            ids = [
+                row_id for index, row_id in enumerate(ids)
+                if index not in removed
+            ]
         # Only the inserted rows are validated; a malformed one raises
         # here, before any state changes.
         new_table = old_table.spliced(working, inserts)

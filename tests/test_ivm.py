@@ -31,6 +31,7 @@ import pytest
 from repro import (
     BooleanCTable,
     ConstRel,
+    CRow,
     CTable,
     Engine,
     TableError,
@@ -77,6 +78,7 @@ from repro.physical.operators import (
     ScanOp,
     UnionOp,
 )
+from repro.tables.ctable import coerce_row
 
 from harness import (
     CHURN_UPDATES,
@@ -177,11 +179,9 @@ class TestMutationAPI:
         duplicated = CTable([((1, 1), TOP), ((2, 2), TOP), ((1, 1), TOP)], arity=2)
         session = engine.session(V=duplicated, W=small_tables()["W"])
         session.delete("V", [((1, 1), TOP)])
-        values = [row.values for row in session.table("V").rows]
-        assert values.count(session.table("V").rows[0].values) >= 1
-        assert len(session.table("V").rows) == 2
         # The FIRST (1,1) survived — last-occurrence semantics.
-        assert session.table("V").rows[0].values == duplicated.rows[0].values
+        assert session.table("V").rows == duplicated.rows[:2]
+        assert session._entry("V").row_ids == [0, 1]
 
     def test_delete_missing_row_raises(self):
         session = Engine().session(**small_tables())
@@ -285,6 +285,135 @@ class TestMutationAPI:
         monkeypatch.undo()
         assert constructed == [k]
         assert len(session.table("V").rows) == n + k
+
+    @pytest.mark.parametrize(
+        "requests",
+        [[((0, 1), TOP), ((9, 9), TOP)], [((0, 1), TOP), ((0, 1), TOP)]],
+        ids=["present_then_absent", "more_copies_than_held"],
+    )
+    def test_failed_delete_raises_and_changes_nothing(self, requests):
+        engine = Engine()
+        session = engine.session(**small_tables())
+        prepared = session.prepare(proj(rel("V", 2), [1, 0]))
+        before = prepared.refresh()
+        held, stats = session.table("V"), session.stats("V")
+        with pytest.raises(TableError):
+            # The present first row must not go either.
+            session.delete("V", requests)
+        assert session.table("V") is held
+        assert session.stats("V") == stats
+        noops = engine.metrics.counter_value(IVM_REFRESH_TOTAL, {"mode": "noop"})
+        assert_structurally_identical(before, prepared.refresh())
+        assert engine.metrics.counter_value(
+            IVM_REFRESH_TOTAL, {"mode": "noop"}
+        ) == noops + 1
+
+    def test_delete_cost_is_linear_in_the_relation(self, monkeypatch):
+        touches = [0]
+        equals, hashes = CRow.__eq__, CRow.__hash__
+
+        def counting_eq(self, other):
+            touches[0] += 1
+            return equals(self, other)
+
+        def counting_hash(self):
+            touches[0] += 1
+            return hashes(self)
+
+        def delete_touches(n):
+            session = Engine().session(
+                V=CTable([((i, i % 7), TOP) for i in range(n)], arity=2)
+            )
+            oldest = list(session.table("V").rows[: n // 10])
+            touches[0] = 0
+            monkeypatch.setattr(CRow, "__eq__", counting_eq)
+            monkeypatch.setattr(CRow, "__hash__", counting_hash)
+            try:
+                session.delete("V", oldest)
+            finally:
+                monkeypatch.undo()
+            assert len(session.table("V").rows) == n - n // 10
+            return touches[0]
+
+        small, large = delete_touches(400), delete_touches(800)
+        # O(n + k) doubles with n; the per-row search, O(k·n), quadruples.
+        assert 1.5 <= large / small <= 2.5, (small, large)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_pass_equals_sequential_rule(self, seed):
+        rng = random.Random(seed)
+        pool = CTable(
+            [
+                (values, condition)
+                for values in [(0, 0), (0, 1), (1, 1), (X, 1)]
+                for condition in [TOP, eq(X, 1), ne(Y, 0)]
+            ],
+            arity=2,
+        ).rows
+        for case in range(20):
+            context = f"seed={seed} case={case}"
+            present = pool[: rng.randint(1, 6)]
+            session = Engine().session(
+                V=CTable(
+                    [rng.choice(present) for _ in range(rng.randint(0, 16))],
+                    arity=2,
+                )
+            )
+            prepared = session.prepare(proj(rel("V", 2), [1, 0]))
+            prepared.refresh()
+            view = next(iter(session._views.values()))
+            if rng.random() < 0.5:
+                # Move the row ids off 0..n-1 before the checked write.
+                session.insert("V", [rng.choice(present) for _ in range(2)])
+                session.delete("V", [session.table("V").rows[0]])
+            rows, ids = session.table("V").rows, session._entry("V").row_ids
+            requests = [
+                rng.choice(pool if rng.random() < 0.05 else present)
+                for _ in range(rng.randint(1, 5))
+            ]
+            expected = sequential_delete(rows, ids, requests)
+            news = [rng.choice(present) for _ in requests]
+            appended = len(news) if rng.random() < 0.5 else 0
+
+            def write():
+                if appended:
+                    session.update("V", zip(requests, news))
+                else:
+                    session.delete("V", requests)
+
+            if isinstance(expected, CRow):
+                held, pending = session.table("V"), len(view.pending)
+                with pytest.raises(TableError) as error:
+                    write()
+                assert f"row {expected!r} is not present" in str(error.value), context
+                assert session.table("V") is held, context
+                assert len(view.pending) == pending, context
+                continue
+            write()
+            kept, kept_ids, delete_ids = expected
+            table = session.table("V")
+            assert table.rows[: len(table.rows) - appended] == tuple(kept), context
+            assert session._entry("V").row_ids[: len(kept)] == kept_ids, context
+            assert view.pending[-1].delete_ids == tuple(delete_ids), context
+            assert_delta_equals_rerun(prepared, check_mod=False, context=context)
+
+
+def sequential_delete(rows, ids, requests):
+    """The per-request backward search, the rule one delete pass keeps.
+
+    Returns ``(kept rows, kept ids, delete ids in request order)``, or
+    the first request that finds no occurrence left.
+    """
+    working, ids, delete_ids = list(rows), list(ids), []
+    for row in map(coerce_row, requests):
+        for index in range(len(working) - 1, -1, -1):
+            if working[index] == row:
+                break
+        else:
+            return row
+        working.pop(index)
+        delete_ids.append(ids.pop(index))
+    return working, ids, delete_ids
 
 
 # ----------------------------------------------------------------------

@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, NoReturn, Optional, Set, Tuple
 from repro.errors import PlanVerificationError, QueryError, nearest_name
 from repro.logic.atoms import Const, Eq, Term, Var, boolvar
 from repro.logic.equality_sat import is_satisfiable_infinite
-from repro.logic.syntax import Bottom, Formula, is_atom, is_interned, walk
+from repro.logic.syntax import And, Bottom, Formula, is_atom, is_interned, walk
 from repro.algebra.ast import Query, RelVar
 from repro.algebra.predicates import column_index, is_column_var
 from repro.ctalgebra.plan import (
@@ -88,7 +88,7 @@ from repro.tables.ctable import CTable, make_row
 _ABSTRACT_ROWS = 2
 
 if TYPE_CHECKING:  # pragma: no cover - layering: imported lazily at runtime
-    from repro.physical.operators import PhysicalOp
+    from repro.physical.operators import FilterOp, PhysicalOp
 
 #: Logical operators that carry a column-space predicate.
 _PREDICATED = (SelectNode, JoinNode)
@@ -603,6 +603,7 @@ class PlanVerifier:
                 self._verify_predicate(
                     node.predicate, node.arity, rule, node
                 )
+                self._verify_pins(node, rule)
             if isinstance(node, ProjectOp):
                 child_arity = node.child.arity
                 bad = [
@@ -618,6 +619,48 @@ class PlanVerifier:
                         rule=rule,
                         node=node,
                     )
+
+    def _verify_pins(self, node: "FilterOp", rule: Optional[str]) -> None:
+        """Each pin is a top-level conjunct ``@c = constant`` in range.
+
+        The one soundness condition of the filter's index path: a row
+        whose constant at ``c`` differs instantiates such a conjunct, and
+        so the whole predicate, to ``false`` — an atom under an ``Or`` or
+        a ``Not`` promises nothing.
+        """
+        predicate = node.predicate
+        conjuncts = (
+            predicate.children if isinstance(predicate, And) else (predicate,)
+        )
+        arity = node.child.arity
+        for pin in node.pins:
+            if not any(pin is part for part in conjuncts):
+                raise PlanVerificationError(
+                    "lowering",
+                    f"filter pin {pin!r} is not a top-level conjunct of "
+                    f"its predicate {predicate!r}",
+                    rule=rule,
+                    node=node,
+                )
+            terms = (pin.left, pin.right) if isinstance(pin, Eq) else ()
+            columns = [column_index(t) for t in terms if is_column_var(t)]
+            if len(columns) != 1 or not any(
+                isinstance(t, Const) for t in terms
+            ):
+                raise PlanVerificationError(
+                    "lowering",
+                    f"filter pin {pin!r} is not a column = constant atom",
+                    rule=rule,
+                    node=node,
+                )
+            if columns[0] >= arity:
+                raise PlanVerificationError(
+                    "arity",
+                    f"filter pin {pin!r} references column {columns[0]} "
+                    f"but the operand arity is {arity}",
+                    rule=rule,
+                    node=node,
+                )
 
     def _verify_hash_join(self, node: "PhysicalOp", rule: Optional[str]) -> None:
         if node.build_side not in ("left", "right"):

@@ -15,6 +15,11 @@ the binary operators with the lifted operators' own rule
 (:func:`repro.ctalgebra.lifted.merge_domains`), so the final
 :meth:`Batch.to_ctable` is structurally identical to what the
 interpreted evaluation would have produced.
+
+A batch that scans a c-table remembers it as its :attr:`Batch.source`,
+so an operator reading it can ask the table's cached per-column index
+(:meth:`~repro.tables.ctable.CTable.column_index`) which rows a key can
+reach instead of visiting them all.
 """
 
 from __future__ import annotations
@@ -41,7 +46,9 @@ class Batch:
     never a different one.
     """
 
-    __slots__ = ("rows", "arity", "domains", "global_condition", "_vars")
+    __slots__ = (
+        "rows", "arity", "domains", "global_condition", "source", "_vars"
+    )
 
     def __init__(
         self,
@@ -54,6 +61,10 @@ class Batch:
         self.arity = arity
         self.domains = domains
         self.global_condition = global_condition
+        #: The scanned table whose rows these are (``rows is
+        #: source.rows``), set only by :meth:`from_ctable`; None for
+        #: every batch an operator builds.
+        self.source: Optional[CTable] = None
         self._vars: Optional[FrozenSet[str]] = None
 
     def __len__(self) -> int:
@@ -80,7 +91,8 @@ class Batch:
         """Wrap *table*'s rows and metadata (no row is copied).
 
         The variable set is the table's own, which the table caches, so
-        scans of a bound table share it across executions.
+        scans of a bound table share it across executions; the batch
+        records *table* as its :attr:`source`.
         """
         batch = cls(
             table.rows,
@@ -88,6 +100,7 @@ class Batch:
             domains=table.domains,
             global_condition=table.global_condition,
         )
+        batch.source = table
         batch._vars = table.variables()
         return batch
 

@@ -13,11 +13,20 @@ engine flip executors without observable changes.
 
 Where the speed comes from:
 
+- a point read costs its matches, not the relation: over a batch that
+  scans a c-table (:attr:`Batch.source`), :class:`FilterOp` visits only
+  the rows the table's cached per-column index
+  (:meth:`~repro.tables.ctable.CTable.column_index`) gives for the
+  constants its predicate pins, and :class:`HashJoinOp` probes only the
+  rows whose key is a build key or holds a variable — the rows Lemma 1
+  does not already send to ``false``;
 - :class:`FilterOp` partially evaluates the selection predicate **once
   per distinct constant signature** (the tuple of terms in the
   predicate's columns) and reuses the residual formula across all rows
   sharing the signature, instead of re-walking the predicate and
-  rebuilding a substitution per row the way ``select_bar`` does;
+  rebuilding a substitution per row the way ``select_bar`` does, and
+  drops a row whose residual is ``false`` without composing its
+  condition;
 - :class:`HashJoinOp` generalizes the fused ``join_bar`` to any equijoin
   keys the planner found, with the *build side chosen by the
   cardinality estimates* and the same per-signature predicate memo plus
@@ -40,10 +49,11 @@ positions into row keys whose ascending order is the output order, and
 ``delta`` is an operator's rule for a signed change of its inputs: it
 keeps the operator's index over its maintained inputs up to date, picks
 the input rows a change can reach, and runs ``compute_tracked`` over
-just those rows.  Lemma 1 is what makes that exact — each lifted
-operator composes a row's condition from the rows it pairs, so a delta
-row comes out as the very object a rerun would build.  Helpers remain
-only where they hide an algorithm: the constant-key index, the
+just those rows, in batches with no source table.  Lemma 1 is what
+makes that exact — each lifted operator composes a row's condition from
+the rows it pairs, so a delta row comes out as the very object a rerun
+would build.  Helpers remain only where they hide an algorithm: the
+scanned-row lookup and the constant-key index, the
 pair-condition composer of joins and products, the membership index of
 difference and intersection, and the output sealing of ``_finish`` and
 ``_pairs_batch``.
@@ -57,6 +67,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -72,8 +83,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.obs.trace import TraceCollector
 
 from repro.errors import ArityError, QueryError
-from repro.logic.atoms import Const, Term, eq
-from repro.logic.syntax import BOTTOM, TOP, Formula, conj, disj, neg
+from repro.logic.atoms import Const, Eq, Term, eq
+from repro.logic.syntax import BOTTOM, TOP, And, Formula, conj, disj, neg
 from repro.logic.evaluation import substitute
 from repro.tables.ctable import CRow, CTable
 from repro.ctalgebra.lifted import merge_domains
@@ -196,6 +207,24 @@ def _constant_key(terms: Iterable[Term]) -> Optional[tuple]:
             return None
         key.append(term.value)
     return tuple(key)
+
+
+def _scanned_rows(
+    source: CTable, columns: Tuple[int, ...], keys: Iterable[tuple]
+) -> List[int]:
+    """The positions of *source*'s rows that a key in *keys* at
+    *columns* can reach, ascending: their exact buckets plus the rows
+    with a variable in one of *columns* (the table's cached
+    :meth:`~repro.tables.ctable.CTable.column_index`).  Every other row
+    holds a constant there that no key equals."""
+    exact, residual = source.column_index(columns)
+    found = list(residual)
+    for key in keys:
+        found.extend(exact.get(key, ()))
+    # Each list is ascending and the buckets are disjoint: the sort
+    # merges sorted runs.
+    found.sort()
+    return found
 
 
 class _KeyIndex:
@@ -434,6 +463,34 @@ class EmptyOp(PhysicalOp):
 # Filter
 # ----------------------------------------------------------------------
 
+def _pinned(atom: Formula) -> Optional[Tuple[int, Hashable]]:
+    """``(c, value)`` when *atom* is ``@c = value`` for a constant value."""
+    from repro.algebra.predicates import column_index, is_column_var
+
+    if isinstance(atom, Eq):
+        for column, value in ((atom.left, atom.right), (atom.right, atom.left)):
+            if is_column_var(column) and isinstance(value, Const):
+                return column_index(column), value.value
+    return None
+
+
+def _filter_pins(predicate: Formula) -> Tuple[Formula, ...]:
+    """The conjuncts ``@c = constant`` of *predicate*, the first per column.
+
+    Only the predicate itself or a top-level child of its ``And`` can
+    pin: a row whose constant at ``c`` differs then instantiates the
+    whole predicate to ``false``.  An atom under an ``Or`` or a ``Not``
+    never pins.
+    """
+    conjuncts = predicate.children if isinstance(predicate, And) else (predicate,)
+    pins: Dict[int, Formula] = {}
+    for part in conjuncts:
+        pinned = _pinned(part)
+        if pinned is not None:
+            pins.setdefault(pinned[0], part)
+    return tuple(pins.values())
+
+
 class FilterOp(PhysicalOp):
     """Vectorized ``σ̄``: one predicate instantiation per constant signature.
 
@@ -449,11 +506,21 @@ class FilterOp(PhysicalOp):
     nearly every row has a distinct signature) skips the memo and
     instantiates per row — still with the hoisted column resolution.
 
+    The predicate's *pins* (:func:`_filter_pins`, its top-level
+    ``@c = constant`` conjuncts) name the only rows of a scanned table
+    it can keep: over a batch with a :attr:`~Batch.source`, the loop
+    visits just the rows the table's column index gives for the pinned
+    key.  Every skipped row would have instantiated to ``false``, so
+    the output is the same rows, conditions and order either way.
+
     A row's position is its input row; its delta filters the inserted
     input rows.
     """
 
-    __slots__ = ("child", "predicate", "memoize", "_pred_columns", "_names")
+    __slots__ = (
+        "child", "predicate", "memoize", "pins", "_pred_columns", "_names",
+        "_pin_columns", "_pin_key",
+    )
 
     def __init__(
         self, child: PhysicalOp, predicate: Formula, memoize: bool = True
@@ -466,6 +533,13 @@ class FilterOp(PhysicalOp):
         self.memoize = memoize
         self._pred_columns = tuple(sorted(predicate_columns(predicate)))
         self._names = tuple(col(index).name for index in self._pred_columns)
+        self.pins = _filter_pins(predicate)
+        pinned = sorted(
+            (found for found in map(_pinned, self.pins) if found is not None),
+            key=lambda found: found[0],
+        )
+        self._pin_columns = tuple(column for column, _ in pinned)
+        self._pin_key = tuple(value for _, value in pinned)
 
     @property
     def arity(self) -> int:
@@ -485,9 +559,16 @@ class FilterOp(PhysicalOp):
         memo: Dict[Tuple[Term, ...], Formula] = {}
         keep: List[int] = []
         kept: List[CRow] = []
+        rows = child.rows
+        visit: Sequence[int] = range(len(rows))
+        if child.source is not None and self.pins:
+            visit = _scanned_rows(
+                child.source, self._pin_columns, (self._pin_key,)
+            )
         # Whether every row survived as its own object.
-        unchanged = True
-        for position, row in enumerate(child.rows):
+        unchanged = len(visit) == len(rows)
+        for position in visit:
+            row = rows[position]
             values = row.values
             signature = tuple([values[c] for c in columns])
             residual = memo.get(signature) if memoize else None
@@ -495,6 +576,9 @@ class FilterOp(PhysicalOp):
                 residual = substitute(predicate, dict(zip(names, signature)))
                 if memoize:
                     memo[signature] = residual
+            if residual is BOTTOM:
+                unchanged = False
+                continue
             if residual is not TOP:
                 condition = conj(row.condition, residual)
                 if condition is BOTTOM:
@@ -832,6 +916,11 @@ class HashJoinOp(_PairOp):
     never built.  Rows with a variable in a key column stay symbolic and
     pair with every opposite row (Lemma 1 quantifies over one valuation).
 
+    When the build side has no symbolic row and the probe side scans a
+    c-table, only the probe rows whose key is a build key or holds a
+    variable can pair, so only those — read off the table's column index
+    on the probe keys — are probed.
+
     ``build_side`` is chosen by ``lower()`` from the cardinality
     estimates.  Building on the left streams the (usually larger) right
     side through the hash table; the emitted pairs are then re-ranked to
@@ -880,12 +969,19 @@ class HashJoinOp(_PairOp):
             )
         buckets = index.buckets
         symbolic = index.symbolic
+        probe = right if build_left else left
+        probe_keys = self.right_keys if build_left else self.left_keys
+        probed: Sequence[int] = range(len(probe.rows))
+        if probe.source is not None and not symbolic:
+            # Only a probe row whose key is some build key, or holds a
+            # variable, can pair with a build row that holds none.
+            probed = _scanned_rows(probe.source, probe_keys, buckets)
         pairs: List[_Pair] = []
         if not build_left:
             # Probe left rows in order against the right build
             # (join_bar's loop).
-            probe_keys = self.left_keys
-            for i, left_row in enumerate(left_rows):
+            for i in probed:
+                left_row = left_rows[i]
                 values = left_row.values
                 key = _constant_key([values[c] for c in probe_keys])
                 if key is None:
@@ -916,8 +1012,8 @@ class HashJoinOp(_PairOp):
             group = [1] * len(left)
             for i in symbolic:
                 group[i] = 0
-            probe_keys = self.right_keys
-            for j, right_row in enumerate(right_rows):
+            for j in probed:
+                right_row = right_rows[j]
                 values = right_row.values
                 key = _constant_key([values[c] for c in probe_keys])
                 if key is None:

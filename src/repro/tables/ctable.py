@@ -91,7 +91,7 @@ class CRow:
         return f"({body} : {self.condition!r})"
 
 
-#: ``(exact, residual)`` row positions; see :meth:`CTable.row_index`.
+#: ``(exact, residual)`` row positions; see :meth:`CTable.column_index`.
 RowIndex = Tuple[Dict[Tuple[Hashable, ...], List[int]], List[int]]
 
 
@@ -176,7 +176,7 @@ class CTable(Table):
         self._arity = arity
         self._global = global_condition
         self._vars_cache: Optional[FrozenSet[str]] = None
-        self._index_cache: Optional[RowIndex] = None
+        self._index_cache: Dict[Tuple[int, ...], RowIndex] = {}
         if domains is not None:
             domains = {name: tuple(values) for name, values in domains.items()}
             missing = self.variables() - set(domains)
@@ -217,7 +217,7 @@ class CTable(Table):
         table._arity = arity
         table._global = global_condition
         table._vars_cache = None
-        table._index_cache = None
+        table._index_cache = {}
         table._domains = domains
         return table
 
@@ -315,29 +315,45 @@ class CTable(Table):
             self._vars_cache = frozenset(names)
         return self._vars_cache
 
-    def row_index(self) -> "RowIndex":
-        """Row positions by the constant tuples the rows can produce.
+    def column_index(self, columns: Tuple[int, ...]) -> "RowIndex":
+        """Row positions by their constants at *columns*.
 
-        Returns ``(exact, residual)``: *exact* maps the value tuple of
-        every all-constant row to its positions, and *residual* lists the
-        positions of the rows with a variable entry.  A constant tuple
-        ``t`` can only be produced by the rows at ``exact.get(t)`` and
-        *residual*; every other row has a constant that differs from
-        ``t``.  Both hold positions in table order.  Cached: the table is
-        immutable, and symbolic certain/possible answers look up one
-        candidate tuple after another.  Callers must not mutate it.
+        Returns ``(exact, residual)``: *exact* maps the key of every row
+        whose entries at *columns* are all constants — the tuple of
+        those constants' values — to its positions, and *residual* lists
+        the positions of the rows with a variable in one of *columns*.
+        Keys compare as Python values do, the way :func:`eq` folds two
+        constants: ``1``, ``True`` and ``1.0`` share one key.  So a
+        constant tuple ``k`` at *columns* can only come from the rows at
+        ``exact.get(k)`` and *residual*; every other row has a constant
+        there that differs from ``k``, and a predicate pinning *columns*
+        to ``k`` instantiates to ``false`` on it.  Both hold positions in
+        ascending table order.
+
+        Cached per column tuple: the table is immutable, and point reads
+        and symbolic answers look up one key after another.  Callers must
+        not mutate the result.  The value is deterministic, so a racing
+        rebuild stores an equal one and readers need no lock.
         """
-        if self._index_cache is None:
+        index = self._index_cache.get(columns)
+        if index is None:
             exact: Dict[Tuple[Hashable, ...], List[int]] = {}
             residual: List[int] = []
             for position, row in enumerate(self._rows):
-                if all(isinstance(term, Const) for term in row.values):
-                    key = tuple(term.value for term in row.values)
+                terms = [row.values[c] for c in columns]
+                key = tuple([term.value for term in terms if isinstance(term, Const)])
+                if len(key) == len(columns):
                     exact.setdefault(key, []).append(position)
                 else:
                     residual.append(position)
-            self._index_cache = (exact, residual)
-        return self._index_cache
+            index = self._index_cache[columns] = (exact, residual)
+        return index
+
+    def row_index(self) -> "RowIndex":
+        """:meth:`column_index` over every column: the constant tuples
+        the rows can produce.  Symbolic certain/possible answers look up
+        one candidate tuple after another in it."""
+        return self.column_index(tuple(range(self._arity)))
 
     def constants(self) -> FrozenSet[Hashable]:
         """Return every constant in tuples, conditions, and the global condition."""

@@ -578,3 +578,209 @@ class TestSelectBarFastExit:
         selected = select_bar(table, col_eq_const(0, 1))
         assert len(selected) == 1
         assert selected.rows[0] is table.rows[0]
+
+
+def _keyed_table(rng, rows, variable_column=None):
+    """A random 3-column table for index-path tests.
+
+    Keys repeat, ``1``, ``True`` and ``1.0`` (one key under ``==``) all
+    occur, some rows hold a variable where a key could be, some rows are
+    conditioned, and *variable_column* holds only variables.
+    """
+    keys = ("a", "b", 1, True, 1.0, 2)
+    entries = []
+    for _ in range(rows):
+        values = tuple(
+            rng.choice((X, Y))
+            if column == variable_column or rng.random() < 0.2
+            else rng.choice(keys)
+            for column in range(3)
+        )
+        condition = rng.choice((TOP, TOP, eq(X, rng.choice(keys)), ne(Y, "a")))
+        entries.append((values, condition))
+    return CTable(entries, arity=3)
+
+
+@pytest.fixture
+def index_lookups(monkeypatch):
+    """The column tuples :meth:`CTable.column_index` is asked for."""
+    looked_up = []
+    original = CTable.column_index
+
+    def spy(table, columns):
+        looked_up.append(columns)
+        return original(table, columns)
+
+    monkeypatch.setattr(CTable, "column_index", spy)
+    return looked_up
+
+
+class TestIndexPathIdentity:
+    """Selections and joins over scanned tables read the tables' column
+    indexes; the answers stay structurally identical to the oracle."""
+
+    @staticmethod
+    def _predicates(rng):
+        k, k2 = rng.choice(("a", 1, True, 1.0)), rng.choice(("b", 2, 1))
+        return [
+            col_eq_const(0, k),  # one pin
+            col_eq_const(0, k) & col_eq_const(2, k2),  # two pins
+            col_eq_const(0, k) & col_ne_const(1, "a"),  # pin plus residual
+            col_eq_const(0, k) | col_eq_const(1, k2),  # under Or: no pin
+            ~col_eq_const(0, k),  # under Not: no pin
+            col_eq_const(2, k),  # a column of variables only
+        ]
+
+    def test_selections(self, index_lookups):
+        rng = random.Random(2501)
+        for trial in range(40):
+            variable_column = 2 if trial % 4 == 0 else None
+            tables = {"T": _keyed_table(rng, rng.randint(0, 10), variable_column)}
+            for predicate in self._predicates(rng):
+                assert_identical(sel(rel("T", 3), predicate), tables)
+        assert (0,) in index_lookups and (0, 2) in index_lookups
+        assert (1,) not in index_lookups  # an Or/Not atom never pins
+
+    @staticmethod
+    def _each_build_side(query, tables):
+        plan = plan_for_query(query, tables, optimize=True)
+        reference = execute_plan(plan, tables)
+        from repro.physical import execute_physical
+
+        for side in ("left", "right"):
+            lowered = lower(plan, collect_stats(tables))
+            joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
+            assert joins, query
+            for op in joins:
+                op.build_side = side
+            answered = execute_physical(lowered, tables)
+            assert_structurally_identical(
+                reference, answered, f"{query!r} build={side}"
+            )
+
+    def test_joins_on_both_build_sides(self, index_lookups):
+        rng = random.Random(2502)
+        for trial in range(30):
+            # Every third trial, L's join column holds only variables:
+            # every left build row is symbolic, so the probe reads all
+            # of R (the fallback).
+            variable_column = 1 if trial % 3 == 0 else None
+            tables = {
+                "L": _keyed_table(rng, rng.randint(1, 8), variable_column),
+                "R": _keyed_table(rng, rng.randint(1, 10)),
+            }
+            k = rng.choice(("a", 1, True))
+            for query in (
+                sel(prod(rel("L", 3), rel("R", 3)), col_eq(1, 3)),
+                sel(
+                    prod(rel("L", 3), rel("R", 3)),
+                    col_eq_const(0, k) & col_eq(1, 3),
+                ),
+                proj(
+                    sel(
+                        prod(rel("L", 3), rel("R", 3)),
+                        col_eq(1, 3) & col_eq(2, 5),
+                    ),
+                    [0, 4],
+                ),
+            ):
+                self._each_build_side(query, tables)
+        assert (0,) in index_lookups and (1,) in index_lookups
+        assert (0, 2) in index_lookups  # two-column probe keys
+
+
+class TestPointReadCost:
+    """A warm point read costs its matches, not the relation: growing
+    the relation from n to 2n keys, with the rows per key fixed, leaves
+    the per-row calls of a point selection and a point join flat."""
+
+    PER_KEY = 6
+
+    def _tables(self, keys):
+        left = CTable(
+            [
+                ((f"k{k}", f"j{k}"), ne(X, r) if r % 2 else TOP)
+                for k in range(keys)
+                for r in range(self.PER_KEY)
+            ],
+            arity=2,
+        )
+        right = CTable(
+            [
+                ((f"j{k}", r), eq(Y, r) if r % 3 else TOP)
+                for k in range(keys)
+                for r in range(self.PER_KEY)
+            ],
+            arity=2,
+        )
+        return {"L": left, "R": right}
+
+    def _calls(self, monkeypatch, query, keys):
+        from repro.physical import execute_physical
+        from repro.physical import operators
+
+        tables = self._tables(keys)
+        plan = plan_for_query(query, tables, optimize=True)
+        lowered = lower(plan, collect_stats(tables))
+        warm = execute_physical(lowered, tables)
+        counts = {"conj": 0, "_constant_key": 0}
+
+        def counting(name):
+            original = getattr(operators, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in counts:
+                patch.setattr(operators, name, counting(name))
+            answered = execute_physical(lowered, tables)
+        assert answered == warm == execute_plan(plan, tables)
+        assert len(answered) > 0
+        return counts
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            sel(rel("L", 2), col_eq_const(0, "k7")),
+            proj(
+                sel(
+                    prod(rel("L", 2), rel("R", 2)),
+                    col_eq_const(0, "k7") & col_eq(1, 2),
+                ),
+                [0, 3],
+            ),
+        ],
+        ids=["selection", "join"],
+    )
+    def test_calls_do_not_grow_with_the_relation(self, monkeypatch, query):
+        small = self._calls(monkeypatch, query, 200)
+        large = self._calls(monkeypatch, query, 400)
+        for name in small:
+            assert large[name] <= small[name] + 4, (name, small, large)
+
+    def test_point_reads_see_every_write(self):
+        session = Engine().session(**self._tables(20))
+        point = sel(rel("L", 2), col_eq_const(0, "k3"))
+        fresh = sel(rel("L", 2), col_eq_const(0, "new"))
+
+        def check(query, expected_rows):
+            answered = session.query(query).collect()
+            reference = execute_plan(
+                plan_for_query(query, {"L": session.table("L")}),
+                {"L": session.table("L")},
+            )
+            assert_structurally_identical(reference, answered, repr(query))
+            assert len(answered) == expected_rows
+
+        check(point, self.PER_KEY)  # warms L's index on column 0
+        check(fresh, 0)
+        session.insert("L", [(("new", "j3"), TOP), (("k3", "j9"), ne(X, 9))])
+        check(point, self.PER_KEY + 1)
+        check(fresh, 1)
+        session.delete("L", [(("new", "j3"), TOP), (("k3", "j9"), ne(X, 9))])
+        check(point, self.PER_KEY)
+        check(fresh, 0)

@@ -49,8 +49,9 @@ from repro.ctalgebra.translate import plan_for_query
 from repro.ctalgebra.verify import PlanVerifier
 from repro.engine import Engine
 from repro.engine.config import ExecutionConfig, _env_flag
-from repro.logic.atoms import Const, Var, eq
+from repro.logic.atoms import Const, Eq, Var, eq
 from repro.logic.syntax import Not, TOP, conj, is_interned
+from repro.physical import operators
 from repro.physical.lower import lower
 from repro.tables.ctable import CRow, CTable
 
@@ -514,6 +515,47 @@ class TestVerifyPhysical:
         with pytest.raises(PlanVerificationError) as excinfo:
             PlanVerifier(stats).verify_physical(op)
         assert excinfo.value.check == "estimates"
+
+    #: A pin under an ``Or``: rows (1, 1) and (2, 3) satisfy the
+    #: predicate, yet neither holds the key (1, 3) such pins would ask
+    #: R's column index for.
+    EITHER = SelectNode(Scan("R", 2), col_eq_const(0, 1) | col_eq_const(1, 3))
+
+    def test_clean_filter_pins_verify(self):
+        tables = small_tables()
+        stats = collect_stats(tables)
+        for predicate in (
+            col_eq_const(0, 1),
+            conj(col_eq_const(0, 1), Not(col_eq_const(1, 2))),
+            self.EITHER.predicate,
+        ):
+            plan = SelectNode(Scan("R", 2), predicate)
+            lower(plan, stats, verifier=PlanVerifier(stats))
+
+    def test_pin_from_under_an_or_is_rejected(self, monkeypatch):
+        def broken_filter_pins(predicate):
+            # Seeded mutation: every column = constant atom pins, even
+            # one under an Or.
+            return tuple(
+                atom
+                for atom in predicate.atoms()
+                if isinstance(atom, Eq)
+                and any(isinstance(term, Const) for term in (atom.left, atom.right))
+            )
+
+        monkeypatch.setattr(operators, "_filter_pins", broken_filter_pins)
+        tables = small_tables()
+        stats = collect_stats(tables)
+        with pytest.raises(PlanVerificationError) as excinfo:
+            lower(self.EITHER, stats, verifier=PlanVerifier(stats))
+        assert excinfo.value.check == "lowering"
+        assert excinfo.value.rule == "lower"
+        assert "top-level conjunct" in str(excinfo.value)
+        # Unverified, the mutation silently drops both matching rows.
+        from repro.physical import execute_physical
+
+        answered = execute_physical(lower(self.EITHER, stats), tables)
+        assert len(answered) == 0
 
 
 # ----------------------------------------------------------------------

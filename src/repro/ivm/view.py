@@ -33,7 +33,9 @@ whose metadata is derived from rows (boolean c-tables).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.tables.ctable import CRow, CTable
 from repro.ctalgebra.plan import PlanNode, Scan
@@ -53,6 +55,21 @@ from repro.ivm.delta import DeltaBatch
 #: One registered relation as the view machinery sees it: the current
 #: c-table plus the row ids aligned with its rows.
 Binding = Tuple[CTable, Sequence[int]]
+
+
+_T = TypeVar("_T")
+
+
+def _drop(items: List[_T], cuts: List[int]) -> None:
+    """Delete the entries at the ascending positions *cuts* from *items*
+    in one splice: the kept slices after the first cut, joined, replace
+    everything from it on.  The list stays the same object, so a store
+    that has aged into the collector's oldest generation is not copied
+    into a young list that every minor collection walks again."""
+    tail: List[_T] = []
+    for cut, end in zip(cuts, [*cuts[1:], len(items)]):
+        tail += items[cut + 1 : end]
+    items[cuts[0] :] = tail
 
 
 class ViewNode:
@@ -88,7 +105,14 @@ class ViewNode:
 
         A key always names the same values, so a row deleted and
         re-inserted with the same condition is left alone: a change
-        that cancels out reaches no parent."""
+        that cancels out reaches no parent.
+
+        The *k* deleted keys leave ``order`` and ``ordered_rows`` in one
+        splice (:func:`_drop`): their positions are found by bisection
+        and sorted, and each list is rebuilt once from the slices
+        between them.  That is O(n + k log n) per refresh, where
+        deleting key by key shifts the tail once per key, O(k·n) — and
+        the oldest rows, the ones deletes hit, sit in front."""
         rows = self.rows
         gone = {key for key in doomed if key in rows}
         fresh: Keyed = []
@@ -101,12 +125,11 @@ class ViewNode:
             return None
         order = self.order
         ordered = self.ordered_rows
-        deleted: Keyed = []
-        for key in gone:
-            index = bisect_left(order, key)
-            del order[index]
-            del ordered[index]
-            deleted.append((key, rows.pop(key)))
+        deleted: Keyed = [(key, rows.pop(key)) for key in gone]
+        if gone:
+            cuts = sorted([bisect_left(order, key) for key in gone])
+            _drop(order, cuts)
+            _drop(ordered, cuts)
         for key, row in fresh:
             index = bisect_left(order, key)
             order.insert(index, key)

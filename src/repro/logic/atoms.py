@@ -9,6 +9,10 @@ paper's conditions (for instance Example 2's ``x = y ∧ z ≠ 2``).
 Boolean c-tables (Section 3 of the paper) use :class:`BoolVar` atoms:
 two-valued variables that may appear only in conditions, never as
 attribute values.
+
+A term hashes like its payload (name or value): no term hash builds a
+tuple or depends on object identity.  Equality still requires the same
+term class, so a constant never equals a variable.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from repro.errors import ConditionError
 from repro.logic.syntax import Formula, Not, hashcons, neg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var:
     """A domain variable, identified by name."""
 
@@ -28,17 +32,38 @@ class Var:
 
     __slots__ = ("name",)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const:
-    """A domain constant wrapping any hashable Python value."""
+    """A domain constant wrapping any hashable Python value.
+
+    Constants compare by ``==`` on their values and hash like them, so
+    ``Const(1)``, ``Const(True)`` and ``Const(1.0)`` are one constant.
+    """
 
     value: Hashable
 
     __slots__ = ("value",)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        value = other.value  # type: ignore[attr-defined]
+        return self.value is value or self.value == value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def __repr__(self) -> str:
         return repr(self.value)

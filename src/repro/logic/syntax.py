@@ -163,7 +163,7 @@ class Formula:
             return self._hash
         except AttributeError:
             value = hash((self.__class__, self._fields()))
-            object.__setattr__(self, "_hash", value)
+            object.__setattr__(self, "_hash", value)  # row-attr-ok: a formula's own hash
             return value
 
     def __and__(self, other: "Formula") -> "Formula":

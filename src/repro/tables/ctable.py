@@ -20,7 +20,6 @@ classical semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -47,12 +46,41 @@ from repro.logic.syntax import BOTTOM, TOP, Formula, conj, walk
 from repro.tables.base import Table
 
 
-@dataclass(frozen=True)
 class CRow:
-    """One row of a c-table: a tuple of terms plus a condition."""
+    """One row of a c-table: a tuple of terms plus a condition.
 
-    values: Tuple[Term, ...]
-    condition: Formula = TOP
+    Rows are immutable by convention: nothing outside this module
+    assigns ``values``, ``condition`` or ``_hash``, and the ROW001 lint
+    (:mod:`tools.lint.rows`) enforces it.  A runtime guard would cost
+    as much as the row itself.  Two rows are equal when they hold equal
+    values and an equal condition; the hash is computed once, on first
+    use (threads racing on it store equal values).
+    """
+
+    __slots__ = ("values", "condition", "_hash")
+
+    def __init__(
+        self, values: Tuple[Term, ...], condition: Formula = TOP
+    ) -> None:
+        self.values = values
+        self.condition = condition
+        self._hash: Optional[int] = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.values != other.values:  # type: ignore[attr-defined]
+            return False
+        condition = other.condition  # type: ignore[attr-defined]
+        return self.condition is condition or self.condition == condition
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = self._hash = hash((self.values, self.condition))
+        return value
 
     def tuple_variables(self) -> FrozenSet[str]:
         """Return the variables appearing in the tuple itself."""

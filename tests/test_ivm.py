@@ -58,7 +58,7 @@ from repro.ctalgebra.plan import (
 from repro.engine import session as session_module
 from repro.engine.config import ExecutionConfig
 from repro.errors import PlanVerificationError
-from repro.logic.atoms import BoolVar
+from repro.logic.atoms import BoolVar, Const
 from repro.logic.syntax import BOTTOM, TOP, conj
 from repro.obs.names import (
     IVM_DELTA_ROWS_TOTAL,
@@ -980,3 +980,116 @@ class TestDeltaPerOperator:
             assert_delta_equals_rerun(prepared, context=f"delete {step}")
             apply_random_updates(rng, session, CHURN_UPDATES)
             assert_delta_equals_rerun(prepared, context=f"churn {step}")
+
+
+# ----------------------------------------------------------------------
+# View-store invariants under front, middle and tail deletes
+# ----------------------------------------------------------------------
+
+#: The three standing-view shapes of the churn benchmark.
+CHURN_VIEWS = (
+    "pi[1,4](sigma[2=3](L x R))",  # join-project
+    "pi[2](sigma[1!='k3'](L))",  # selection-project
+    "pi[2](L) - pi[1](R)",  # difference
+)
+
+CHURN_CONDITIONS = (TOP, eq(X, "a"), ne(Y, "b"), conj(eq(X, "a"), ne(Y, "c")))
+
+
+def churn_tables():
+    left = [
+        ((f"k{i % 7}", f"j{i % 9}"), CHURN_CONDITIONS[i % 4])
+        for i in range(60)
+    ]
+    left += [((X, "j1"), eq(X, "k1")), (("k2", Y), TOP)]
+    right = [((f"j{i % 11}", f"r{i}"), CHURN_CONDITIONS[i % 3]) for i in range(20)]
+    right.append(((Y, "r99"), ne(Y, "j4")))
+    return {"L": CTable(left, arity=2), "R": CTable(right, arity=2)}
+
+
+def view_nodes(node):
+    yield node
+    for child in node.children:
+        yield from view_nodes(child)
+
+
+def assert_store_invariants(node, context):
+    order = node.order
+    assert all(a < b for a, b in zip(order, order[1:])), context
+    assert len(node.ordered_rows) == len(order) == len(node.rows), context
+    assert all(
+        row is node.rows[key] for key, row in zip(order, node.ordered_rows)
+    ), context
+
+
+class TestViewStoreSplice:
+    """Refresh deletes every doomed key of a store in one splice; the
+    stores stay sorted, aligned and equal to a rerun wherever the
+    deleted keys sit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stores_stay_sorted_aligned_and_equal_to_rerun(self, seed):
+        rng = random.Random(seed)
+        session = Engine().session(**churn_tables())
+        prepared = [session.prepare(text) for text in CHURN_VIEWS]
+        for query in prepared:
+            query.refresh()
+        views = [session._views[query._view_key()] for query in prepared]
+        # Per view root: which thirds of the store deletes have hit.
+        thirds = [set() for _ in views]
+        fresh = 0
+        for step in range(12):
+            before = [list(view.root.order) for view in views]
+            for name in ("L", "R"):
+                rows = session.table(name).rows
+                n = len(rows)
+                picks = {0, n // 2 + rng.randrange(-2, 3), n - 1}
+                picks.add(rng.randrange(n))
+                victims = [rows[i] for i in sorted(picks)]
+                if name == "L":
+                    # A projection group's key is its first member's:
+                    # deleting that member moves the group, from the
+                    # front, the middle or the tail of the store.
+                    for view, skip in ((views[1], Const("k3")), (views[2], None)):
+                        groups = view.root.ordered_rows
+                        group = groups[
+                            rng.choice([0, len(groups) // 2, len(groups) - 1])
+                        ].values[0]
+                        victims.append(next(
+                            row for row in rows
+                            if row.values[1] == group and row.values[0] != skip
+                        ))
+                victims = list({id(row): row for row in victims}.values())
+                session.delete(name, victims)
+                # One victim comes back, with another condition, in the
+                # same refresh.
+                back = rng.choice(victims)
+                condition = rng.choice(
+                    [c for c in CHURN_CONDITIONS if c is not back.condition]
+                )
+                added = [(back.values, condition)]
+                for _ in range(rng.randint(2, 4)):
+                    if name == "L":
+                        values = (f"k{rng.randrange(7)}", f"j{rng.randrange(10)}")
+                    else:
+                        values = (f"j{rng.randrange(12)}", f"r{100 + fresh}")
+                    added.append((values, rng.choice(CHURN_CONDITIONS)))
+                    fresh += 1
+                session.insert(name, added)
+            answers = [query.refresh() for query in prepared]
+            tables = {name: session.table(name) for name in ("L", "R")}
+            for index, (view, answer) in enumerate(zip(views, answers)):
+                context = f"seed={seed} step={step} view={CHURN_VIEWS[index]}"
+                for node in view_nodes(view.root):
+                    assert_store_invariants(node, context)
+                assert_structurally_identical(
+                    execute_plan(view.plan, tables), answer, context=context
+                )
+                kept = set(view.root.order)
+                size = len(before[index])
+                thirds[index].update(
+                    3 * position // size
+                    for position, key in enumerate(before[index])
+                    if key not in kept
+                )
+        assert thirds == [{0, 1, 2}] * len(views)

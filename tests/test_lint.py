@@ -9,6 +9,8 @@ the full lint battery over ``src/`` — the same invocation CI uses
 
 from pathlib import Path
 
+import pytest
+
 from tools.lint import (
     ALL_LINTERS,
     Source,
@@ -17,6 +19,7 @@ from tools.lint import (
     lint_locks,
     lint_mutable_defaults,
     lint_obs_names,
+    lint_rows,
     lint_typed_core,
     run_linters,
 )
@@ -650,6 +653,73 @@ class TestObsNames:
             path="src/repro/obs/names.py",
         )
         assert lint_obs_names(source) == []
+
+
+# ----------------------------------------------------------------------
+# ROW001 — c-table rows are immutable
+# ----------------------------------------------------------------------
+
+class TestRowImmutability:
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "row.values = ()",
+            "row.condition = TOP",
+            "row._hash = 0",
+            "row.values += (x,)",
+            "row.condition: object = TOP",
+            "first.values, second = (), 1",
+            "del row._hash",
+            "setattr(row, 'condition', TOP)",
+            "object.__setattr__(row, 'values', ())",
+            'object.__setattr__(row, "_hash", None)',
+        ],
+    )
+    def test_each_mutation_form_flagged(self, statement):
+        findings = lint_rows(parse(f"def mutate(row):\n    {statement}\n"))
+        assert codes(findings) == ["ROW001"]
+        assert findings[0].line == 2
+
+    def test_reads_pass(self):
+        source = parse(
+            "def read(row, other):\n"
+            "    first = row.values[0]\n"
+            "    same = row.condition is other.condition\n"
+            "    key = hash(row), row._hash\n"
+            "    items = getattr(row, 'values')\n"
+            "    row.values[0].name\n"
+            "    other.value = 1\n"
+            "    setattr(row, 'name', first)\n"
+            "    setattr(row, name, first)\n"
+        )
+        assert lint_rows(source) == []
+
+    def test_defining_module_exempt(self):
+        source = parse(
+            "class CRow:\n"
+            "    def __init__(self, values, condition):\n"
+            "        self.values = values\n"
+            "        self.condition = condition\n"
+            "        self._hash = None\n",
+            path="src/repro/tables/ctable.py",
+        )
+        assert lint_rows(source) == []
+
+    def test_same_body_elsewhere_flagged(self):
+        source = parse(
+            "class Copy:\n"
+            "    def __init__(self, values):\n"
+            "        self.values = values\n",
+            path="src/repro/tables/other.py",
+        )
+        assert codes(lint_rows(source)) == ["ROW001"]
+
+    def test_waiver_comment(self):
+        source = parse(
+            "def cache(node, value):\n"
+            "    object.__setattr__(node, '_hash', value)  # row-attr-ok: not a row\n"
+        )
+        assert lint_rows(source) == []
 
 
 # ----------------------------------------------------------------------

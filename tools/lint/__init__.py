@@ -14,7 +14,9 @@ reported.  See the individual modules for the lint rules:
 - :mod:`tools.lint.enumeration` — EXP001, world enumeration outside
   the oracle modules;
 - :mod:`tools.lint.obs_names` — OBS001, metric/span names outside the
-  registered constant table.
+  registered constant table;
+- :mod:`tools.lint.rows` — ROW001, assignment to a c-table row's
+  ``values``, ``condition`` or ``_hash`` outside its defining module.
 """
 
 from tools.lint.common import Finding, Source, iter_python_files, run_linters
@@ -23,6 +25,7 @@ from tools.lint.enumeration import lint_enumeration
 from tools.lint.interning import lint_interning
 from tools.lint.locks import lint_locks
 from tools.lint.obs_names import lint_obs_names
+from tools.lint.rows import lint_rows
 from tools.lint.typed import lint_typed_core
 
 ALL_LINTERS = (
@@ -31,6 +34,7 @@ ALL_LINTERS = (
     lint_locks,
     lint_mutable_defaults,
     lint_obs_names,
+    lint_rows,
     lint_typed_core,
 )
 
@@ -44,6 +48,7 @@ __all__ = [
     "lint_locks",
     "lint_mutable_defaults",
     "lint_obs_names",
+    "lint_rows",
     "lint_typed_core",
     "run_linters",
 ]

@@ -683,6 +683,22 @@ class PlanVerifier:
                 rule=rule,
                 node=node,
             )
+        # The predicates, and any output column, address the pair columns.
+        pair_arity = left_arity + right_arity
+        output = node.output
+        if output is not None:
+            bad_output = [
+                column for column in output
+                if column < 0 or column >= pair_arity
+            ]
+            if bad_output:
+                raise PlanVerificationError(
+                    "arity",
+                    f"hash join output columns {bad_output} outside the "
+                    f"pair arity {pair_arity}",
+                    rule=rule,
+                    node=node,
+                )
         left_rows = node.left.est_rows
         right_rows = node.right.est_rows
         if left_rows is not None and right_rows is not None:
@@ -697,8 +713,8 @@ class PlanVerifier:
                     rule=rule,
                     node=node,
                 )
-        self._verify_predicate(node.predicate, node.arity, rule, node)
-        self._verify_predicate(node.residual, node.arity, rule, node)
+        self._verify_predicate(node.predicate, pair_arity, rule, node)
+        self._verify_predicate(node.residual, pair_arity, rule, node)
 
     # ------------------------------------------------------------------
     # Tables

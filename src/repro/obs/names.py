@@ -37,6 +37,15 @@ SPAN_EXECUTE = "execute"
 SPAN_REFRESH = "refresh"
 
 # ---------------------------------------------------------------------------
+# Span timing keys beside ``seconds`` (rendered only with timings).
+# ---------------------------------------------------------------------------
+
+#: Seconds of cyclic-GC pauses that ran while the span was innermost.
+SPAN_GC_SECONDS = "gc_s"
+#: Those pauses counted per collected generation: ``[gen0, gen1, gen2]``.
+SPAN_GC_PAUSES = "gc_pauses"
+
+# ---------------------------------------------------------------------------
 # Per-Engine metrics.
 # ---------------------------------------------------------------------------
 
@@ -84,6 +93,8 @@ REGISTERED_NAMES = frozenset(
         SPAN_LOWER,
         SPAN_EXECUTE,
         SPAN_REFRESH,
+        SPAN_GC_SECONDS,
+        SPAN_GC_PAUSES,
         QUERIES_TOTAL,
         QUERY_SECONDS,
         IVM_MUTATIONS_TOTAL,
@@ -113,6 +124,8 @@ __all__ = [
     "REGISTERED_NAMES",
     "SAT_SOLVE_TOTAL",
     "SPAN_EXECUTE",
+    "SPAN_GC_PAUSES",
+    "SPAN_GC_SECONDS",
     "SPAN_LOWER",
     "SPAN_OPTIMIZE",
     "SPAN_PARSE",

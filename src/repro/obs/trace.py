@@ -17,10 +17,19 @@ A `TraceCollector` accumulates per-physical-operator actuals (rows
 in/out, batches, wall time) during one execution.  Row counts and
 operator identities are deterministic from run to run; timings
 naturally vary and are excluded from determinism guarantees.
+
+While any tracer is active, one ``gc.callbacks`` hook charges each
+cyclic-GC pause to the innermost open span of the tracer active where
+the collection ran (``Span.gc_s``, plus ``Span.gc_pauses`` per collected
+generation); without it a pause would be self time of whichever layer
+happened to allocate when a threshold tripped.  The hook only reads the
+clock: it never calls into ``gc`` and never changes a threshold.  GC
+time is a timing, so the deterministic view leaves it out.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 from contextlib import contextmanager
@@ -28,7 +37,7 @@ from contextvars import ContextVar
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
-from repro.obs.names import SPAN_QUERY
+from repro.obs.names import SPAN_GC_PAUSES, SPAN_GC_SECONDS, SPAN_QUERY
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.physical.operators import Batch, PhysicalOp
@@ -56,19 +65,26 @@ def current_tracer() -> Optional["Tracer"]:
 class Span:
     """One named, timed node in a trace tree."""
 
-    __slots__ = ("attrs", "children", "name", "seconds")
+    __slots__ = ("attrs", "children", "gc_pauses", "gc_s", "name", "seconds")
 
     def __init__(self, name: str, attrs: Optional[Dict[str, Any]] = None) -> None:
         self.name = name
         self.attrs: Dict[str, Any] = attrs if attrs is not None else {}
         self.seconds: Optional[float] = None
         self.children: List["Span"] = []
+        #: GC pause seconds while this span was innermost, and the
+        #: pauses per collected generation (0, 1, 2).
+        self.gc_s = 0.0
+        self.gc_pauses = [0, 0, 0]
 
     def to_dict(self, timings: bool = True) -> Dict[str, Any]:
         """JSON-ready dict; ``timings=False`` yields the deterministic view."""
         out: Dict[str, Any] = {"name": self.name}
         if timings and self.seconds is not None:
             out["seconds"] = self.seconds
+        if timings and self.gc_s:
+            out[SPAN_GC_SECONDS] = self.gc_s
+            out[SPAN_GC_PAUSES] = list(self.gc_pauses)
         if self.attrs:
             out["attrs"] = dict(sorted(self.attrs.items()))
         if self.children:
@@ -81,11 +97,13 @@ class Tracer:
     closed on the query's scheduling thread only (cross-thread operator
     attribution goes through `TraceCollector` instead)."""
 
-    __slots__ = ("_stack", "root")
+    __slots__ = ("_gc_started", "_stack", "root")
 
     def __init__(self, **attrs: Any) -> None:
         self.root = Span(SPAN_QUERY, dict(attrs))
         self._stack: List[Span] = [self.root]
+        #: When the running collection started (see `_gc_pause`).
+        self._gc_started = 0.0
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
@@ -123,6 +141,8 @@ class Tracer:
         global _ACTIVE_TRACERS
         token = _CURRENT.set(self)
         with _ACTIVATION_LOCK:
+            if _ACTIVE_TRACERS == 0:
+                gc.callbacks.append(_gc_pause)
             _ACTIVE_TRACERS += 1
         started = perf_counter()
         try:
@@ -131,6 +151,8 @@ class Tracer:
             self.root.seconds = perf_counter() - started
             with _ACTIVATION_LOCK:
                 _ACTIVE_TRACERS -= 1
+                if _ACTIVE_TRACERS == 0:
+                    gc.callbacks.remove(_gc_pause)
             _CURRENT.reset(token)
 
     def to_dict(self, timings: bool = True) -> Dict[str, Any]:
@@ -138,6 +160,22 @@ class Tracer:
 
     def to_json(self, timings: bool = True, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(timings), indent=indent, sort_keys=True)
+
+
+def _gc_pause(phase: str, info: Dict[str, int]) -> None:
+    """The ``gc.callbacks`` hook installed while a tracer is active:
+    charge a pause to the innermost open span of the tracer active in
+    the context that triggered it.  A collection runs to its end in
+    that context, so its start and stop reach the same tracer."""
+    tracer = _CURRENT.get()
+    if tracer is None:
+        return
+    if phase == "start":
+        tracer._gc_started = perf_counter()
+        return
+    span = tracer._stack[-1]
+    span.gc_s += perf_counter() - tracer._gc_started
+    span.gc_pauses[info["generation"]] += 1
 
 
 @contextmanager

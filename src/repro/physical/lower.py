@@ -11,6 +11,12 @@ supplied:
   on the smaller estimated input**; without equijoin keys it lowers to
   the ``FilterOp``-over-``ProductOp`` pipeline (the nested-loop shape
   ``join_bar`` falls back to);
+- a :class:`~repro.ctalgebra.plan.ProjectNode` directly over a join
+  that lowers to a hash join hands the join its columns
+  (:attr:`~repro.physical.operators.HashJoinOp.output`, late
+  materialization) and becomes a
+  :class:`~repro.physical.operators.ProjectOp` over the identity
+  columns, which only merges rows with equal values;
 - a :class:`~repro.ctalgebra.plan.SelectNode` becomes a
   :class:`~repro.physical.operators.FilterOp`; the per-signature
   residual memo is disabled when the estimates predict nearly every row
@@ -18,8 +24,9 @@ supplied:
 - the remaining operators map one-to-one.
 
 Every choice preserves the structural-identity contract: whatever the
-lowering picks — build sides, filter strategies — the materialized
-answer equals the interpreted ``execute_plan`` result row-for-row.
+lowering picks — build sides, filter strategies, a join's output
+columns — the materialized answer equals the interpreted
+``execute_plan`` result row-for-row.
 """
 
 from __future__ import annotations
@@ -94,9 +101,12 @@ def lower(
 ) -> PhysicalOp:
     """Choose physical operators for *plan* (estimates-guided when given).
 
-    With a *verifier* (``ExecutionConfig.verify_plans``) the lowered
-    tree is checked for the lowering invariants — arities and hash-join
-    build sides consistent with the estimates — before it is returned.
+    A projection directly over a hash join sets the join's ``output`` to
+    its columns and keeps the identity columns itself.  With a
+    *verifier* (``ExecutionConfig.verify_plans``) the lowered tree is
+    checked for the lowering invariants — arities, join output columns
+    within the pair arity, and hash-join build sides consistent with
+    the estimates — before it is returned.
     """
     if _memo is None:
         _memo = {}
@@ -124,7 +134,14 @@ def lower(
                     f"projection columns {bad} out of range for arity "
                     f"{node.child.arity}"
                 )
-            op = ProjectOp(recurse(node.child), node.columns)
+            child_op = recurse(node.child)
+            columns = node.columns
+            if isinstance(child_op, HashJoinOp):
+                # Late materialization: the join builds only the kept
+                # columns, and the projection over it only merges.
+                child_op.output = tuple(columns)
+                columns = tuple(range(len(columns)))
+            op = ProjectOp(child_op, columns)
         elif isinstance(node, SelectNode):
             check_predicate(node.predicate, node.child.arity)
             child_estimate = found(node.child)

@@ -31,9 +31,18 @@ Where the speed comes from:
   keys the planner found, with the *build side chosen by the
   cardinality estimates* and the same per-signature predicate memo plus
   a condition-composition memo (pairs of interned formulas repeat
-  heavily in generated and real workloads);
+  heavily in generated and real workloads); a residual that reads no
+  column — a pure equijoin's — is instantiated once per call, not once
+  per matched pair;
+- late materialization: under a projection, :class:`HashJoinOp` builds
+  each surviving pair's row from only the projected columns (its
+  ``output``), so a wide join never allocates the full concatenated
+  rows the projection would drop;
 - :class:`ProjectOp` deduplicates projected rows through one hash pass,
-  disjoining the conditions of now-identical rows (the paper's ``π̄``);
+  disjoining the conditions of now-identical rows (the paper's ``π̄``)
+  at one grouping hash per row; over a narrowed join it groups the
+  rows' own value tuples and passes a singleton through as its input
+  row;
 - :class:`DifferenceOp`/:class:`IntersectOp` reuse the constant-tuple
   hash-bucket scheme of the lifted operators and memoize the whole
   membership condition per distinct left value-tuple.
@@ -62,10 +71,12 @@ difference and intersection, and the output sealing of ``_finish`` and
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from operator import itemgetter
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -207,6 +218,18 @@ def _constant_key(terms: Iterable[Term]) -> Optional[tuple]:
             return None
         key.append(term.value)
     return tuple(key)
+
+
+def _picker(columns: Tuple[int, ...]) -> Callable[[Tuple[Term, ...]], tuple]:
+    """A C-level function from a values tuple to its entries at
+    *columns*, always as a tuple: ``itemgetter`` returns a bare entry
+    for one column and takes none for zero, so those take a slice."""
+    if len(columns) > 1:
+        return itemgetter(*columns)
+    if columns:
+        (column,) = columns
+        return itemgetter(slice(column, column + 1))
+    return itemgetter(slice(0, 0))
 
 
 def _scanned_rows(
@@ -618,18 +641,34 @@ class ProjectOp(PhysicalOp):
 
     One hash pass groups rows whose projected value-tuples became
     identical and disjoins their conditions in row order — exactly
-    ``project_bar``'s merge, building one row per group.
+    ``project_bar``'s merge, building one row per group.  Each row costs
+    one grouping hash: the dict gives a projected tuple its group
+    number, and a group of one holds its row, not a list of conditions.
+    A singleton's ``disj(c)`` is memoized per distinct ``c`` (``disj``
+    flattens an un-normalized ``Or``, so it is not skipped).
+
+    Over a :class:`HashJoinOp` whose ``output`` already holds the
+    projected columns, ``lower()`` gives the projection the identity
+    columns: it then groups the rows' own value tuples, and a singleton
+    whose disjunction is its own condition comes out as the input row
+    object itself.
 
     A group's position is its first member.  Its delta keeps each
     group's member keys and re-projects just the changed groups.
     """
 
-    __slots__ = ("child", "columns")
+    __slots__ = ("child", "columns", "_pick")
 
     def __init__(self, child: PhysicalOp, columns: Tuple[int, ...]) -> None:
         super().__init__()
         self.child = child
         self.columns = tuple(columns)
+        #: The projection of a values tuple; None for the identity.
+        self._pick: Optional[Callable[[Tuple[Term, ...]], tuple]] = (
+            None
+            if self.columns == tuple(range(child.arity))
+            else _picker(self.columns)
+        )
 
     @property
     def arity(self) -> int:
@@ -642,25 +681,46 @@ class ProjectOp(PhysicalOp):
         self, ctx: ExecContext, inputs: Tuple[Batch, ...]
     ) -> Tuple[Batch, Sequence[Any]]:
         (child,) = inputs
-        columns = self.columns
-        grouped: Dict[Tuple[Term, ...], List[Formula]] = {}
+        pick = self._pick
+        slots: Dict[Tuple[Term, ...], int] = {}
+        # Per group, in first-seen order: its one row, or the conditions
+        # of its members.
+        groups: List[Any] = []
         first: List[int] = []
         for position, row in enumerate(child.rows):
             values = row.values
-            key = tuple([values[c] for c in columns])
-            bucket = grouped.get(key)
-            if bucket is None:
-                grouped[key] = [row.condition]
+            slot = slots.setdefault(
+                values if pick is None else pick(values), len(groups)
+            )
+            # A new group grew the dict.  The row's identity cannot tell:
+            # one CRow object may occur twice in a batch.
+            if slot == len(groups):
+                groups.append(row)
                 first.append(position)
             else:
-                bucket.append(row.condition)
-        rows = [
-            CRow(key, disj(*conditions)) for key, conditions in grouped.items()
-        ]
+                held = groups[slot]
+                if held.__class__ is list:
+                    held.append(row.condition)
+                else:
+                    groups[slot] = [held.condition, row.condition]
+        single: Dict[Formula, Formula] = {}
+        rows: List[CRow] = []
+        for key, held in zip(slots, groups):
+            if held.__class__ is list:
+                rows.append(CRow(key, disj(*held)))
+                continue
+            condition = held.condition
+            merged = single.get(condition)
+            if merged is None:
+                merged = single[condition] = disj(condition)
+            rows.append(
+                _restamped(held, merged) if pick is None else CRow(key, merged)
+            )
         return _finish(ctx, rows, self.arity, inputs, first)
 
-    def _group(self, values: Sequence[Term]) -> Tuple[Term, ...]:
-        return tuple([values[index] for index in self.columns])
+    def _group(self, values: Tuple[Term, ...]) -> Tuple[Term, ...]:
+        pick = self._pick
+        return values if pick is None else pick(values)
 
     def maintenance_index(
         self, children: Sequence["ViewNode"]
@@ -726,7 +786,10 @@ class _PairComposer:
     condition structurally identical to the full instantiation.
     """
 
-    __slots__ = ("_full_spec", "_res_spec", "_full_inst", "_res_inst", "_conj")
+    __slots__ = (
+        "_full_spec", "_res_spec", "_full_inst", "_res_inst", "_conj",
+        "_res_fixed",
+    )
 
     def __init__(
         self, predicate: Formula, residual: Formula, left_arity: int
@@ -736,6 +799,12 @@ class _PairComposer:
         self._full_inst: Dict[tuple, Formula] = {}
         self._res_inst: Dict[tuple, Formula] = {}
         self._conj: Dict[tuple, Formula] = {}
+        #: A residual that reads no column (a pure equijoin's ``true``)
+        #: is instantiated here, once, instead of once per matched pair.
+        self._res_fixed: Optional[Formula] = None
+        _, _, left_pred, right_pred = self._res_spec
+        if not left_pred and not right_pred:
+            self._res_fixed = substitute(residual, {})
 
     @staticmethod
     def _spec(
@@ -792,25 +861,37 @@ class _PairComposer:
 
     def matched_condition(self, left: CRow, right: CRow) -> Formula:
         """The pair condition when the constant equijoin keys agree."""
-        return self._compose(
-            left.condition,
-            right.condition,
-            self._instantiate(self._res_spec, self._res_inst, left, right),
-        )
+        instantiated = self._res_fixed
+        if instantiated is None:
+            instantiated = self._instantiate(
+                self._res_spec, self._res_inst, left, right
+            )
+        return self._compose(left.condition, right.condition, instantiated)
 
 
 def _pairs_batch(
-    ctx: ExecContext, inputs: Tuple[Batch, ...], pairs: List[_Pair]
+    ctx: ExecContext,
+    inputs: Tuple[Batch, ...],
+    pairs: List[_Pair],
+    output: Optional[Tuple[int, ...]] = None,
 ) -> Tuple[Batch, Sequence[Any]]:
-    """The output batch of the surviving (i, g, j, condition) pairs."""
+    """The output batch of the surviving (i, g, j, condition) pairs: each
+    pair's concatenated values, or only their *output* columns."""
     left, right = inputs
     left_rows = left.rows
     right_rows = right.rows
+    if output is None:
+        rows = [
+            CRow(left_rows[i].values + right_rows[j].values, condition)
+            for i, _, j, condition in pairs
+        ]
+        return _finish(ctx, rows, left.arity + right.arity, inputs, pairs)
+    pick = _picker(output)
     rows = [
-        CRow(left_rows[i].values + right_rows[j].values, condition)
+        CRow(pick(left_rows[i].values + right_rows[j].values), condition)
         for i, _, j, condition in pairs
     ]
-    return _finish(ctx, rows, left.arity + right.arity, inputs, pairs)
+    return _finish(ctx, rows, len(output), inputs, pairs)
 
 
 class _PairOp(PhysicalOp):
@@ -929,9 +1010,17 @@ class HashJoinOp(_PairOp):
     pair ``(i, g, j)``: a keyed left row's bucket matches (``g = 0``)
     come before the symbolic right rows (``g = 1``); every other pairing
     enumerates the right side in its own order (``g = 0``).
+
+    ``output`` (late materialization) is set by ``lower()`` when a
+    :class:`ProjectOp` sits directly on the join: each surviving pair
+    then builds only the projected columns, and the projection above
+    only merges.  It narrows ``arity`` alone.  The predicate, residual
+    and key columns still address the ``left.arity + right.arity`` pair
+    columns, and positions and pair keys are unchanged, so a maintained
+    join store keeps its keys and just holds narrower rows.
     """
 
-    __slots__ = ("predicate", "residual", "build_side")
+    __slots__ = ("predicate", "residual", "build_side", "output")
 
     def __init__(
         self,
@@ -942,6 +1031,7 @@ class HashJoinOp(_PairOp):
         left_keys: Tuple[int, ...],
         right_keys: Tuple[int, ...],
         build_side: str = "right",
+        output: Optional[Tuple[int, ...]] = None,
     ) -> None:
         super().__init__(left, right, left_keys, right_keys)
         if build_side not in ("left", "right"):
@@ -949,6 +1039,15 @@ class HashJoinOp(_PairOp):
         self.predicate = predicate
         self.residual = residual
         self.build_side = build_side
+        #: The pair columns each output row keeps; None keeps them all.
+        self.output = None if output is None else tuple(output)
+
+    @property
+    def arity(self) -> int:
+        output = self.output
+        if output is None:
+            return self.left.arity + self.right.arity
+        return len(output)
 
     def compute_tracked(
         self, ctx: ExecContext, inputs: Tuple[Batch, ...]
@@ -1034,11 +1133,15 @@ class HashJoinOp(_PairOp):
                     condition = composer.condition(left_rows[i], right_row)
                     if condition is not BOTTOM:
                         pairs.append((i, 0, j, condition))
-            pairs.sort(key=lambda pair: pair[:3])
-        return _pairs_batch(ctx, inputs, pairs)
+            # (i, g, j) is unique, so the sort never compares conditions.
+            pairs.sort()
+        return _pairs_batch(ctx, inputs, pairs, self.output)
 
     def label(self) -> str:
-        return f"HashJoin[{self.predicate!r}] build={self.build_side}"
+        label = f"HashJoin[{self.predicate!r}] build={self.build_side}"
+        if self.output is not None:
+            label += f" out=[{','.join(map(str, self.output))}]"
+        return label
 
 
 class ProductOp(_PairOp):

@@ -65,6 +65,7 @@ from repro.obs.names import (
     IVM_MUTATIONS_TOTAL,
     IVM_REFRESH_TOTAL,
 )
+from repro.ivm.view import MaterializedView
 from repro.physical import execute_plan_vectorized
 from repro.physical.operators import (
     ConstScanOp,
@@ -1093,3 +1094,69 @@ class TestViewStoreSplice:
                     if key not in kept
                 )
         assert thirds == [{0, 1, 2}] * len(views)
+
+
+# ----------------------------------------------------------------------
+# Narrowed join stores (a projection fused into the join below it)
+# ----------------------------------------------------------------------
+
+class TestNarrowedJoinStores:
+    """A join whose output a projection narrowed keeps narrow rows in
+    its store under the pair keys a full rebuild gives, and refreshes
+    to the rerun's answer."""
+
+    @staticmethod
+    def _mutate(rng, session, fresh):
+        for name in ("L", "R"):
+            rows = session.table(name).rows
+            picks = rng.sample(range(len(rows)), rng.randint(1, 3))
+            session.delete(name, [rows[i] for i in picks])
+            added = []
+            for _ in range(rng.randint(1, 3)):
+                join = rng.choice((f"j{rng.randrange(10)}", X, Y))
+                if name == "L":
+                    values = (f"k{rng.randrange(7)}", join)
+                else:
+                    values = (join, f"r{100 + fresh}")
+                fresh += 1
+                added.append((values, rng.choice(CHURN_CONDITIONS)))
+            session.insert(name, added)
+        return fresh
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "columns", [[0, 3], [3, 0], [3], []], ids=lambda c: f"pi{c}"
+    )
+    def test_refresh_keeps_rerun_answer_and_rebuild_keys(self, columns, seed):
+        session = Engine().session(**churn_tables())
+        query = proj(sel(prod(rel("L", 2), rel("R", 2)), col_eq(1, 2)), columns)
+        prepared = session.prepare(query)
+        prepared.refresh()
+        view = session._views[prepared._view_key()]
+        rng = random.Random(seed)
+        fresh = 0
+        for step in range(6):
+            fresh = self._mutate(rng, session, fresh)
+            answer = prepared.refresh()
+            context = f"pi{columns} seed={seed} step={step}"
+            tables = {name: session.table(name) for name in ("L", "R")}
+            assert_structurally_identical(
+                execute_plan(view.plan, tables), answer, context=context
+            )
+            rebuilt = MaterializedView(
+                view.plan, view.physical, view.simplify_conditions
+            )
+            assert rebuilt.refresh(session._ivm_bindings(prepared.query))[1] == "build"
+            (join,), (fresh_join,) = (
+                [node for node in view_nodes(root) if isinstance(node.op, HashJoinOp)]
+                for root in (view.root, rebuilt.root)
+            )
+            # The optimizer may narrow an operand first, so only the
+            # output width is fixed.
+            assert len(join.op.output) == len(columns), context
+            assert join.order == fresh_join.order, context
+            for kept, built in zip(join.ordered_rows, fresh_join.ordered_rows):
+                assert kept.values == built.values, context
+                assert len(kept.values) == len(columns), context
+                assert kept.condition is built.condition, context
+            assert_store_invariants(join, context)

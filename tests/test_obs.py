@@ -8,9 +8,11 @@ excluded from the deterministic view (``timings=False``).
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import threading
+from time import perf_counter
 
 import pytest
 
@@ -35,6 +37,8 @@ from repro.obs.names import (
     QUERIES_TOTAL,
     REGISTERED_NAMES,
     SPAN_EXECUTE,
+    SPAN_GC_PAUSES,
+    SPAN_GC_SECONDS,
     SPAN_LOWER,
     SPAN_OPTIMIZE,
     SPAN_PLAN,
@@ -585,3 +589,77 @@ class TestTracedDifferential:
             assert deterministic(vec_ops) == deterministic(analyzed_ops), (
                 context
             )
+
+
+# ----------------------------------------------------------------------
+# GC pauses charged to spans
+# ----------------------------------------------------------------------
+
+class TestGCAttribution:
+    """While a tracer is active, each cyclic-GC pause is charged to the
+    innermost open span: a timing, so the deterministic view omits it."""
+
+    @staticmethod
+    def spans(span):
+        yield span
+        for child in span.children:
+            yield from TestGCAttribution.spans(child)
+
+    def test_span_gc_time_matches_an_independent_hook(self):
+        independent = {"seconds": 0.0, "pauses": 0, "started": 0.0}
+
+        def timer(phase, info):
+            if phase == "start":
+                independent["started"] = perf_counter()
+            else:
+                independent["seconds"] += perf_counter() - independent["started"]
+                independent["pauses"] += 1
+
+        tracer = Tracer()
+        with tracer.activate():
+            gc.callbacks.append(timer)
+            try:
+                with tracer.span(SPAN_EXECUTE):
+                    for _ in range(3):
+                        garbage = [[index] for index in range(30_000)]
+                        del garbage
+                    gc.collect()
+            finally:
+                gc.callbacks.remove(timer)
+        spans = list(self.spans(tracer.root))
+        charged = sum(span.gc_s for span in spans)
+        assert sum(sum(span.gc_pauses) for span in spans) == independent["pauses"]
+        assert independent["pauses"] > 0
+        assert abs(charged - independent["seconds"]) <= 0.1 * independent["seconds"]
+        execute = tracer.root.children[0]
+        assert execute.gc_pauses[2] >= 1  # the explicit full collection
+        rendered = tracer.to_dict()["children"][0]
+        assert rendered[SPAN_GC_SECONDS] == execute.gc_s
+        assert rendered[SPAN_GC_PAUSES] == execute.gc_pauses
+        deterministic = tracer.to_json(timings=False)
+        assert SPAN_GC_SECONDS not in deterministic
+        assert SPAN_GC_PAUSES not in deterministic
+        assert "attrs" not in rendered  # no attr was touched
+
+    def test_hook_is_installed_only_while_a_tracer_is_active(self):
+        from repro.obs.trace import _gc_pause
+
+        assert _gc_pause not in gc.callbacks
+        outer, inner = Tracer(), Tracer()
+        with outer.activate():
+            with inner.activate():
+                assert gc.callbacks.count(_gc_pause) == 1
+            assert gc.callbacks.count(_gc_pause) == 1
+        assert _gc_pause not in gc.callbacks
+
+    def test_traced_answers_equal_untraced(self):
+        tables = {
+            "L": CTable([((i, i % 7), TOP) for i in range(300)], arity=2),
+            "R": CTable([((i % 7, i), TOP) for i in range(200)], arity=2),
+        }
+        answers = []
+        for trace in (False, True):
+            session = Engine().session(**tables)
+            answers.append(session.prepare(JOIN, trace=trace).execute())
+        assert len(answers[0]) > 1000
+        assert_structurally_identical(*answers)

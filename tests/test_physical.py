@@ -48,9 +48,15 @@ from repro.ctalgebra.translate import plan_for_query
 from repro.engine.cache import ResultCache
 from repro.errors import QueryError
 from repro.obs.names import IVM_REFRESH_TOTAL
+from repro.tables.ctable import CRow
+from repro.logic.atoms import Const
+from repro.logic.syntax import Or, disj
 from repro.physical import (
     FilterOp,
     HashJoinOp,
+    ExecContext,
+    ProductOp,
+    ProjectOp,
     execute_plan_vectorized,
     explain_physical,
     lower,
@@ -784,3 +790,122 @@ class TestPointReadCost:
         session.delete("L", [(("new", "j3"), TOP), (("k3", "j9"), ne(X, 9))])
         check(point, self.PER_KEY)
         check(fresh, 0)
+
+
+class TestLateMaterialization:
+    """A projection directly over a hash join hands the join its
+    columns: the join builds only those, the projection over it keeps
+    the identity columns, and the answers stay structurally identical
+    to the oracle's."""
+
+    JOIN = sel(prod(rel("L", 3), rel("R", 3)), col_eq(1, 3))
+    RESIDUAL = sel(prod(rel("L", 3), rel("R", 3)), col_eq(1, 3) & col_ne(0, 5))
+    COLUMNS = ([], [4], [1, 1], [0, 1, 2], [3, 5], [4, 0], [0, 3])
+
+    @staticmethod
+    def _joins(lowered):
+        return [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
+
+    def test_output_is_set_exactly_over_a_hash_join(self):
+        tables = {"L": mixed_table(), "R": mixed_table(5)}
+        join = sel(prod(rel("L", 2), rel("R", 2)), col_eq(1, 2))
+        plan = plan_for_query(proj(join, [0, 3]), tables, optimize=True)
+        lowered = lower(plan, collect_stats(tables))
+        assert isinstance(lowered, ProjectOp) and lowered.columns == (0, 1)
+        (op,) = self._joins(lowered)
+        assert lowered.child is op and op.output == (0, 3) and op.arity == 2
+        assert "out=[0,3]" in explain_physical(lowered)
+        # A bare join, and a join under a filter, keep every pair column.
+        for query in (join, proj(sel(join, col_ne(0, 3)), [0, 3])):
+            lowered = lower(plan_for_query(query, tables, optimize=False))
+            (op,) = self._joins(lowered)
+            assert op.output is None and op.arity == 4
+            assert "out=" not in explain_physical(lowered)
+        # Over a product, or a filter over a product, nothing narrows.
+        for query in (
+            proj(prod(rel("L", 2), rel("R", 2)), [0, 3]),
+            proj(sel(prod(rel("L", 2), rel("R", 2)), col_ne(1, 2)), [0, 3]),
+        ):
+            lowered = lower(plan_for_query(query, tables, optimize=False))
+            assert isinstance(lowered, ProjectOp)
+            assert lowered.columns == (0, 3)
+            assert isinstance(lowered.child, (ProductOp, FilterOp))
+            assert not self._joins(lowered)
+
+    def _check(self, query, tables, context):
+        from repro.physical import execute_physical
+
+        plan = plan_for_query(query, tables, optimize=True)
+        for simplify in (False, True):
+            reference = execute_plan(plan, tables, simplify_conditions=simplify)
+            for side in ("left", "right"):
+                lowered = lower(plan, collect_stats(tables))
+                (op,) = self._joins(lowered)
+                assert op.output is not None, query
+                op.build_side = side
+                answered = execute_physical(
+                    lowered, tables, simplify_conditions=simplify
+                )
+                assert_structurally_identical(
+                    reference,
+                    answered,
+                    f"{context} {query!r} build={side} simplify={simplify}",
+                )
+
+    def test_answers_match_the_oracle(self):
+        rng = random.Random(2701)
+        for trial in range(12):
+            tables = {
+                "L": _keyed_table(rng, rng.randint(1, 9), 1 if trial % 4 == 0 else None),
+                "R": _keyed_table(rng, rng.randint(1, 9)),
+            }
+            for join in (self.JOIN, self.RESIDUAL):
+                for columns in self.COLUMNS:
+                    self._check(proj(join, columns), tables, f"trial={trial}")
+
+    def test_repeated_row_objects_group_like_the_oracle(self):
+        # One CRow object occurs several times: each occurrence is a
+        # member of its group, whether the projection is fused into a
+        # join or is the identity over a scan.
+        shared = CRow((Const(1), X, Const("a")), eq(X, 1))
+        other = CRow((Const(2), Const(1), Const("b")), ne(Y, 2))
+        left = CTable([shared, other, shared, shared], arity=3)
+        right = CTable([shared, other, shared], arity=3)
+        tables = {"L": left, "R": right}
+        for columns in ([0, 3], [2], [0, 1, 2], []):
+            self._check(proj(self.JOIN, columns), tables, "repeated")
+        identity = proj(rel("L", 3), [0, 1, 2])
+        plan = plan_for_query(identity, tables, optimize=False)
+        lowered = lower(plan)
+        assert isinstance(lowered, ProjectOp)
+        assert_structurally_identical(
+            execute_plan(plan, tables),
+            execute_plan_vectorized(plan, tables),
+            "identity over a scan",
+        )
+        # A group's position is its first member: the repeats are not
+        # new groups.
+        ctx = ExecContext(tables)
+        scanned = lowered.child.compute(ctx, ())
+        batch, positions = lowered.compute_tracked(ctx, (scanned,))
+        assert list(positions) == [0, 1]
+        assert batch.rows == (shared, other)
+
+    def test_unnormalized_or_is_disjoined(self):
+        # A raw Or with a repeated child: disj() folds it to the child,
+        # so even a group of one must not keep its condition as is.
+        atom = eq(X, 1)
+        raw = Or((atom, atom))  # interned-ok: a raw, un-normalized Or
+        assert disj(raw) is not raw
+        left = CTable([((1, 2, 3), raw), ((4, 2, 5), TOP)], arity=3)
+        right = CTable([((6, 2, 7), TOP), ((8, 9, 0), raw)], arity=3)
+        tables = {"L": left, "R": right}
+        for columns in ([0, 3], [5, 4, 3, 2, 1, 0], [1]):
+            self._check(proj(self.JOIN, columns), tables, "raw Or")
+        identity = proj(rel("L", 3), [0, 1, 2])
+        plan = plan_for_query(identity, tables, optimize=False)
+        answered = execute_plan_vectorized(plan, tables)
+        assert answered.rows[0].condition is atom
+        assert_structurally_identical(
+            execute_plan(plan, tables), answered, "identity over a scan"
+        )

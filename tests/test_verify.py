@@ -516,6 +516,34 @@ class TestVerifyPhysical:
             PlanVerifier(stats).verify_physical(op)
         assert excinfo.value.check == "estimates"
 
+    @staticmethod
+    def hand_built_join(output):
+        """R ⋈ S on R.1 = S.0 with a residual on S.1, built directly."""
+        return operators.HashJoinOp(
+            operators.ScanOp("R", 2),
+            operators.ScanOp("S", 2),
+            conj(col_eq(1, 2), ~col_eq_const(3, 7)),
+            ~col_eq_const(3, 7),
+            (1,),
+            (0,),
+            output=output,
+        )
+
+    def test_narrowed_join_checks_predicates_against_the_pair_arity(self):
+        # The predicates address all four pair columns, whatever the
+        # output keeps.
+        for output in ((0,), (3, 0), ()):
+            join = self.hand_built_join(output)
+            assert join.arity == len(output)
+            PlanVerifier().verify_physical(join)
+
+    def test_join_output_outside_the_pair_arity(self):
+        for output in ((0, 4), (-1,)):
+            with pytest.raises(PlanVerificationError) as excinfo:
+                PlanVerifier().verify_physical(self.hand_built_join(output))
+            assert excinfo.value.check == "arity"
+            assert "output columns" in str(excinfo.value)
+
     #: A pin under an ``Or``: rows (1, 1) and (2, 3) satisfy the
     #: predicate, yet neither holds the key (1, 3) such pins would ask
     #: R's column index for.

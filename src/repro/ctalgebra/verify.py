@@ -702,14 +702,25 @@ class PlanVerifier:
         left_rows = node.left.est_rows
         right_rows = node.right.est_rows
         if left_rows is not None and right_rows is not None:
-            expected = "left" if left_rows < right_rows else "right"
+            # lower()'s rule: build on a scanned right input, else on the
+            # smaller estimate.
+            from repro.physical.operators import ScanOp
+
+            scanned = isinstance(node.right, ScanOp)
+            expected = (
+                "left" if not scanned and left_rows < right_rows else "right"
+            )
             if node.build_side != expected:
+                rule_text = (
+                    "its right input is a scan, which is always built on"
+                    if scanned
+                    else f"the estimates ({left_rows:.1f} vs "
+                    f"{right_rows:.1f} rows) pick {expected!r} — stale or "
+                    "inconsistent estimates"
+                )
                 raise PlanVerificationError(
                     "estimates",
-                    f"hash join builds on the {node.build_side} side but "
-                    f"the estimates ({left_rows:.1f} vs {right_rows:.1f} "
-                    f"rows) pick {expected!r} — stale or inconsistent "
-                    "estimates",
+                    f"hash join builds on the {node.build_side} side but {rule_text}",
                     rule=rule,
                     node=node,
                 )

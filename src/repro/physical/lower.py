@@ -7,10 +7,11 @@ supplied:
 
 - a :class:`~repro.ctalgebra.plan.JoinNode` whose predicate contains
   cross-operand column equalities becomes a
-  :class:`~repro.physical.operators.HashJoinOp` with the **build side
-  on the smaller estimated input**; without equijoin keys it lowers to
-  the ``FilterOp``-over-``ProductOp`` pipeline (the nested-loop shape
-  ``join_bar`` falls back to);
+  :class:`~repro.physical.operators.HashJoinOp` that **builds on a
+  scanned right input** (its table's cached column index is the hash
+  table) **and otherwise on the smaller estimated input**; without
+  equijoin keys it lowers to the ``FilterOp``-over-``ProductOp``
+  pipeline (the nested-loop shape ``join_bar`` falls back to);
 - a :class:`~repro.ctalgebra.plan.ProjectNode` directly over a join
   that lowers to a hash join hands the join its columns
   (:attr:`~repro.physical.operators.HashJoinOp.output`, late
@@ -101,12 +102,15 @@ def lower(
 ) -> PhysicalOp:
     """Choose physical operators for *plan* (estimates-guided when given).
 
-    A projection directly over a hash join sets the join's ``output`` to
-    its columns and keeps the identity columns itself.  With a
-    *verifier* (``ExecutionConfig.verify_plans``) the lowered tree is
-    checked for the lowering invariants — arities, join output columns
-    within the pair arity, and hash-join build sides consistent with
-    the estimates — before it is returned.
+    A hash join builds on its right input when that input is a scan,
+    and otherwise on the smaller estimated input (right when there are
+    no estimates or they tie).  A projection directly over a hash join
+    sets the join's ``output`` to its columns and keeps the identity
+    columns itself.  With a *verifier*
+    (``ExecutionConfig.verify_plans``) the lowered tree is checked for
+    the lowering invariants — arities, join output columns within the
+    pair arity, and hash-join build sides following that rule — before
+    it is returned.
     """
     if _memo is None:
         _memo = {}
@@ -172,11 +176,15 @@ def lower(
                     product_op.est_rows = left_op.est_rows * right_op.est_rows
                 op = FilterOp(product_op, node.predicate)
             else:
+                # A scanned right side is already hashed by its table's
+                # column index; building left would only add the rank
+                # sort.  Otherwise build on the smaller estimate.
                 build_side = "right"
                 left_estimate = found(node.left)
                 right_estimate = found(node.right)
                 if (
-                    left_estimate is not None
+                    not isinstance(right_op, ScanOp)
+                    and left_estimate is not None
                     and right_estimate is not None
                     and left_estimate.rows < right_estimate.rows
                 ):

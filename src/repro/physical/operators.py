@@ -28,21 +28,26 @@ Where the speed comes from:
   drops a row whose residual is ``false`` without composing its
   condition;
 - :class:`HashJoinOp` generalizes the fused ``join_bar`` to any equijoin
-  keys the planner found, with the *build side chosen by the
-  cardinality estimates* and the same per-signature predicate memo plus
-  a condition-composition memo (pairs of interned formulas repeat
-  heavily in generated and real workloads); a residual that reads no
-  column — a pure equijoin's — is instantiated once per call, not once
-  per matched pair;
+  keys the planner found, with the same per-signature predicate memo
+  plus a condition-composition memo (pairs of interned formulas repeat
+  heavily in generated and real workloads).  A scanned build side is
+  already hashed: its table's cached column index gives the buckets, so
+  no per-call index is built (``lower()`` builds on a scanned right
+  input, and otherwise on the smaller estimated one).  When the
+  residual reads no column — a pure equijoin's — a probe row's
+  condition is composed with a whole bucket once per (condition,
+  bucket) and call, and the bucket's surviving pairs are emitted with
+  one list ``extend``;
 - late materialization: under a projection, :class:`HashJoinOp` builds
   each surviving pair's row from only the projected columns (its
   ``output``), so a wide join never allocates the full concatenated
   rows the projection would drop;
 - :class:`ProjectOp` deduplicates projected rows through one hash pass,
   disjoining the conditions of now-identical rows (the paper's ``π̄``)
-  at one grouping hash per row; over a narrowed join it groups the
-  rows' own value tuples and passes a singleton through as its input
-  row;
+  at one grouping hash per row and none per group; when no two rows
+  merge it emits them with no merge step, and over a narrowed join it
+  groups the rows' own value tuples and passes a singleton through as
+  its input row;
 - :class:`DifferenceOp`/:class:`IntersectOp` reuse the constant-tuple
   hash-bucket scheme of the lifted operators and memoize the whole
   membership condition per distinct left value-tuple.
@@ -95,7 +100,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 from repro.errors import ArityError, QueryError
 from repro.logic.atoms import Const, Eq, Term, eq
-from repro.logic.syntax import BOTTOM, TOP, And, Formula, conj, disj, neg
+from repro.logic.syntax import BOTTOM, TOP, And, Formula, Or, conj, disj, neg
 from repro.logic.evaluation import substitute
 from repro.tables.ctable import CRow, CTable
 from repro.ctalgebra.lifted import merge_domains
@@ -642,10 +647,14 @@ class ProjectOp(PhysicalOp):
     One hash pass groups rows whose projected value-tuples became
     identical and disjoins their conditions in row order — exactly
     ``project_bar``'s merge, building one row per group.  Each row costs
-    one grouping hash: the dict gives a projected tuple its group
-    number, and a group of one holds its row, not a list of conditions.
-    A singleton's ``disj(c)`` is memoized per distinct ``c`` (``disj``
-    flattens an un-normalized ``Or``, so it is not skipped).
+    one grouping hash, and no key is hashed again: the dict gives a
+    projected tuple its group number, and the merge reads the list of
+    those numbers.  When every group is one row (as many groups as
+    rows), the rows come out in order with no merge step; otherwise a
+    group of one holds its row, not a list of conditions.  A singleton
+    keeps its condition unless that is an ``Or``: ``disj`` flattens an
+    un-normalized one, so an ``Or``'s ``disj(c)`` is taken, memoized per
+    distinct ``c``.
 
     Over a :class:`HashJoinOp` whose ``output`` already holds the
     projected columns, ``lower()`` gives the projection the identity
@@ -654,7 +663,9 @@ class ProjectOp(PhysicalOp):
     object itself.
 
     A group's position is its first member.  Its delta keeps each
-    group's member keys and re-projects just the changed groups.
+    group's member keys and re-projects just the changed groups; a
+    changed row's group is looked up once, and its members list is kept
+    from that lookup.
     """
 
     __slots__ = ("child", "columns", "_pick")
@@ -681,42 +692,54 @@ class ProjectOp(PhysicalOp):
         self, ctx: ExecContext, inputs: Tuple[Batch, ...]
     ) -> Tuple[Batch, Sequence[Any]]:
         (child,) = inputs
+        rows = child.rows
         pick = self._pick
-        slots: Dict[Tuple[Term, ...], int] = {}
+        keys = (
+            [row.values for row in rows]
+            if pick is None
+            else [pick(row.values) for row in rows]
+        )
+        # One grouping hash per row: a key's group number is the count of
+        # groups before it.  (A row's identity cannot tell a new group:
+        # one CRow object may occur twice in a batch.)
+        slot_of: Dict[Tuple[Term, ...], int] = {}
+        slots = [slot_of.setdefault(key, len(slot_of)) for key in keys]
         # Per group, in first-seen order: its one row, or the conditions
         # of its members.
-        groups: List[Any] = []
-        first: List[int] = []
-        for position, row in enumerate(child.rows):
-            values = row.values
-            slot = slots.setdefault(
-                values if pick is None else pick(values), len(groups)
-            )
-            # A new group grew the dict.  The row's identity cannot tell:
-            # one CRow object may occur twice in a batch.
-            if slot == len(groups):
-                groups.append(row)
-                first.append(position)
-            else:
-                held = groups[slot]
-                if held.__class__ is list:
-                    held.append(row.condition)
+        groups: Sequence[Any] = rows
+        group_keys: Iterable[Tuple[Term, ...]] = keys
+        first: Sequence[int] = range(len(rows))
+        if len(slot_of) < len(rows):
+            merging: List[Any] = [None] * len(slot_of)
+            starts: List[int] = []
+            for position, slot in enumerate(slots):
+                held = merging[slot]
+                if held is None:
+                    merging[slot] = rows[position]
+                    starts.append(position)
+                elif held.__class__ is list:
+                    held.append(rows[position].condition)
                 else:
-                    groups[slot] = [held.condition, row.condition]
-        single: Dict[Formula, Formula] = {}
-        rows: List[CRow] = []
-        for key, held in zip(slots, groups):
+                    merging[slot] = [held.condition, rows[position].condition]
+            groups, group_keys, first = merging, slot_of, starts
+        # disj(c) of a group of one is c unless c is an Or, which disj
+        # flattens (an un-normalized one changes): memoized per such c.
+        flattened: Dict[Formula, Formula] = {}
+        out: List[CRow] = []
+        for key, held in zip(group_keys, groups):
             if held.__class__ is list:
-                rows.append(CRow(key, disj(*held)))
+                out.append(CRow(key, disj(*held)))
                 continue
-            condition = held.condition
-            merged = single.get(condition)
-            if merged is None:
-                merged = single[condition] = disj(condition)
-            rows.append(
-                _restamped(held, merged) if pick is None else CRow(key, merged)
-            )
-        return _finish(ctx, rows, self.arity, inputs, first)
+            merged = condition = held.condition
+            if isinstance(condition, Or):
+                merged = flattened.get(condition)
+                if merged is None:
+                    merged = flattened[condition] = disj(condition)
+            if pick is None and merged is condition:
+                out.append(held)
+            else:
+                out.append(CRow(key, merged))
+        return _finish(ctx, out, self.arity, inputs, first)
 
     def _group(self, values: Tuple[Term, ...]) -> Tuple[Term, ...]:
         pick = self._pick
@@ -737,26 +760,35 @@ class ProjectOp(PhysicalOp):
         ((deleted, inserted),) = deltas
         (child,) = node.children
         groups: Dict[Tuple[Term, ...], List[Key]] = node.index
-        # Each touched group's key before the change (its first member).
-        before: Dict[Tuple[Term, ...], Optional[Key]] = {}
+        # Each touched group, found by one lookup in *groups* and then by
+        # its members list's identity (an int hashes in C; a group tuple
+        # hashes each of its terms): its projected key, its key before the
+        # change (its first member) and its members list.  Only dropping
+        # a group that emptied hashes its key a second time.
+        changed: Dict[int, Tuple[Tuple[Term, ...], Optional[Key], List[Key]]] = {}
         for key, row in deleted:
             group = self._group(row.values)
             members = groups[group]
-            before.setdefault(group, members[0])
+            if id(members) not in changed:
+                changed[id(members)] = (group, members[0], members)
             del members[bisect_left(members, key)]
         for key, row in inserted:
             group = self._group(row.values)
             members = groups.setdefault(group, [])
-            before.setdefault(group, members[0] if members else None)
+            if id(members) not in changed:
+                changed[id(members)] = (
+                    group, members[0] if members else None, members
+                )
             insort(members, key)
+        doomed: List[Key] = []
         touched: List[Key] = []
-        for group in before:
-            members = groups[group]
+        for group, before, members in changed.values():
+            if before is not None:
+                doomed.append(before)
             if members:
                 touched.extend(members)
             else:
                 del groups[group]
-        doomed = [key for key in before.values() if key is not None]
         if not touched:
             return doomed, []
         rows = child.rows
@@ -783,12 +815,15 @@ class _PairComposer:
     cheaper route: their equijoin conjuncts are known to fold to
     ``true``, so only the residual predicate is instantiated, over a
     much smaller signature.  ``conj`` flattening makes the composed
-    condition structurally identical to the full instantiation.
+    condition structurally identical to the full instantiation.  When
+    that residual reads no column, a matched pair's condition depends
+    only on the two rows' conditions, so :meth:`bucket` composes a
+    probe row's condition with a whole bucket once per call.
     """
 
     __slots__ = (
         "_full_spec", "_res_spec", "_full_inst", "_res_inst", "_conj",
-        "_res_fixed",
+        "_res_fixed", "_buckets",
     )
 
     def __init__(
@@ -799,8 +834,10 @@ class _PairComposer:
         self._full_inst: Dict[tuple, Formula] = {}
         self._res_inst: Dict[tuple, Formula] = {}
         self._conj: Dict[tuple, Formula] = {}
+        self._buckets: Dict[tuple, List[Tuple[int, Formula]]] = {}
         #: A residual that reads no column (a pure equijoin's ``true``)
-        #: is instantiated here, once, instead of once per matched pair.
+        #: is instantiated here, once, instead of once per matched pair;
+        #: its matched pairs are composed per bucket (:meth:`bucket`).
         self._res_fixed: Optional[Formula] = None
         _, _, left_pred, right_pred = self._res_spec
         if not left_pred and not right_pred:
@@ -860,13 +897,46 @@ class _PairComposer:
         )
 
     def matched_condition(self, left: CRow, right: CRow) -> Formula:
-        """The pair condition when the constant equijoin keys agree."""
-        instantiated = self._res_fixed
-        if instantiated is None:
-            instantiated = self._instantiate(
-                self._res_spec, self._res_inst, left, right
-            )
+        """The pair condition when the constant equijoin keys agree and
+        the residual reads a column (else see :meth:`bucket`)."""
+        instantiated = self._instantiate(
+            self._res_spec, self._res_inst, left, right
+        )
         return self._compose(left.condition, right.condition, instantiated)
+
+    def bucket(
+        self,
+        probe_condition: Formula,
+        key: tuple,
+        matched: Sequence[int],
+        build_rows: Sequence[CRow],
+        probe_right: bool,
+    ) -> List[Tuple[int, Formula]]:
+        """``(build row, condition)`` of each non-``false`` pair a probe
+        row under *probe_condition* forms with the bucket *matched* of
+        *key*, in bucket order; only for a residual that reads no column.
+
+        Memoized per (probe condition, bucket key): probe rows that share
+        both get the same list.
+        """
+        memo_key = (probe_condition, key)
+        found = self._buckets.get(memo_key)
+        if found is None:
+            fixed = self._res_fixed
+            assert fixed is not None, "the residual reads a column"
+            compose = self._compose
+            found = []
+            for ref in matched:
+                condition = build_rows[ref].condition
+                composed = (
+                    compose(condition, probe_condition, fixed)
+                    if probe_right
+                    else compose(probe_condition, condition, fixed)
+                )
+                if composed is not BOTTOM:
+                    found.append((ref, composed))
+            self._buckets[memo_key] = found
+        return found
 
 
 def _pairs_batch(
@@ -997,19 +1067,30 @@ class HashJoinOp(_PairOp):
     never built.  Rows with a variable in a key column stay symbolic and
     pair with every opposite row (Lemma 1 quantifies over one valuation).
 
-    When the build side has no symbolic row and the probe side scans a
-    c-table, only the probe rows whose key is a build key or holds a
-    variable can pair, so only those — read off the table's column index
-    on the probe keys — are probed.
+    A build side that scans a c-table is not indexed per call: the
+    table's cached column index on the build keys holds the same
+    buckets and symbolic rows, in the same ascending order.  When the
+    build side has no symbolic row and the probe side scans a c-table,
+    only the probe rows whose key is a build key or holds a variable can
+    pair, so only those — read off the table's column index on the probe
+    keys — are probed.
 
-    ``build_side`` is chosen by ``lower()`` from the cardinality
-    estimates.  Building on the left streams the (usually larger) right
-    side through the hash table; the emitted pairs are then re-ranked to
-    the probe-left order so the output stays structurally identical to
-    ``join_bar``'s for downstream condition-dedup.  That order ranks a
-    pair ``(i, g, j)``: a keyed left row's bucket matches (``g = 0``)
-    come before the symbolic right rows (``g = 1``); every other pairing
-    enumerates the right side in its own order (``g = 0``).
+    ``build_side`` is chosen by ``lower()``: the right input when it is
+    a scan (building left would only add the rank sort below), and
+    otherwise the smaller estimated input.  Building on the left streams
+    the right side through the hash table; the emitted pairs are then
+    re-ranked to the probe-left order so the output stays structurally
+    identical to ``join_bar``'s for downstream condition-dedup.  That
+    order ranks a pair ``(i, g, j)``: a keyed left row's bucket matches
+    (``g = 0``) come before the symbolic right rows (``g = 1``); every
+    other pairing enumerates the right side in its own order (``g = 0``).
+
+    A matched pair under a residual that reads no column (every pure
+    equijoin) has the condition ``conj(l.condition, r.condition,
+    residual)``, which depends on the two conditions alone.  So a probe
+    row's pairs with its bucket are composed once per (probe condition,
+    bucket key) in a call (:meth:`_PairComposer.bucket`), ``false``
+    pairs dropped, and emitted with one list ``extend``.
 
     ``output`` (late materialization) is set by ``lower()`` when a
     :class:`ProjectOp` sits directly on the join: each surviving pair
@@ -1057,24 +1138,27 @@ class HashJoinOp(_PairOp):
         right_rows = right.rows
         composer = _PairComposer(self.predicate, self.residual, left.arity)
         build_left = self.build_side == "left"
-        # Hash-partition the build side once.
         if build_left:
-            index = _KeyIndex.over(
-                self.left_keys, range(len(left_rows)), left_rows
-            )
+            build, build_keys = left, self.left_keys
+            probe, probe_keys = right, self.right_keys
         else:
-            index = _KeyIndex.over(
-                self.right_keys, range(len(right_rows)), right_rows
-            )
-        buckets = index.buckets
-        symbolic = index.symbolic
-        probe = right if build_left else left
-        probe_keys = self.right_keys if build_left else self.left_keys
+            build, build_keys = right, self.right_keys
+            probe, probe_keys = left, self.left_keys
+        # Hash-partition the build side once: a scanned one already is,
+        # by its table's cached column index (same buckets, same order).
+        if build.source is not None:
+            buckets, symbolic = build.source.column_index(build_keys)
+        else:
+            index = _KeyIndex.over(build_keys, range(len(build.rows)), build.rows)
+            buckets, symbolic = index.buckets, index.symbolic
         probed: Sequence[int] = range(len(probe.rows))
         if probe.source is not None and not symbolic:
             # Only a probe row whose key is some build key, or holds a
             # variable, can pair with a build row that holds none.
             probed = _scanned_rows(probe.source, probe_keys, buckets)
+        # A residual that reads no column composes a probe row with a
+        # whole bucket at once (see _PairComposer.bucket).
+        by_bucket = composer._res_fixed is not None
         pairs: List[_Pair] = []
         if not build_left:
             # Probe left rows in order against the right build
@@ -1090,7 +1174,14 @@ class HashJoinOp(_PairOp):
                             pairs.append((i, 0, j, condition))
                     continue
                 matched = buckets.get(key)
-                if matched is not None:
+                if matched is not None and by_bucket:
+                    pairs.extend([
+                        (i, 0, j, condition)
+                        for j, condition in composer.bucket(
+                            left_row.condition, key, matched, right_rows, False
+                        )
+                    ])
+                elif matched is not None:
                     # Constant keys agree: the equijoin conjuncts fold to
                     # true, only the residual predicate needs instantiating.
                     for j in matched:
@@ -1122,7 +1213,14 @@ class HashJoinOp(_PairOp):
                             pairs.append((i, group[i], j, condition))
                     continue
                 matched = buckets.get(key)
-                if matched is not None:
+                if matched is not None and by_bucket:
+                    pairs.extend([
+                        (i, 0, j, condition)
+                        for i, condition in composer.bucket(
+                            right_row.condition, key, matched, left_rows, True
+                        )
+                    ])
+                elif matched is not None:
                     for i in matched:
                         condition = composer.matched_condition(
                             left_rows[i], right_row

@@ -38,6 +38,7 @@ from repro import (
     Var,
     col_eq,
     col_eq_const,
+    col_ne_const,
     diff,
     eq,
     intersect,
@@ -95,6 +96,11 @@ from harness import (
 X, Y = Var("x"), Var("y")
 
 JOIN = proj(sel(prod(rel("V", 2), rel("W", 2)), col_eq(1, 2)), [0, 3])
+#: JOIN over a filtered W that keeps every row the tests write.
+JOIN_FILTERED_RIGHT = proj(
+    sel(prod(rel("V", 2), sel(rel("W", 2), col_ne_const(1, 99))), col_eq(1, 2)),
+    [0, 3],
+)
 
 
 def seeded_session(seed, engine=None, **prepare_options):
@@ -946,9 +952,11 @@ class TestDeltaPerOperator:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("build_side", ["left", "right"])
     def test_hash_join_both_build_sides(self, build_side, seed):
-        # lower() builds on the smaller estimated side, so the table
-        # sizes pick the side; both sides carry rows whose join key is a
-        # variable, which exercises the symbolic (g = 1) pair order.
+        # lower() builds on a scanned right input, and otherwise on the
+        # smaller estimated side: the left case filters the larger W (a
+        # filter that keeps every row), so the table sizes pick the
+        # side.  Both sides carry rows whose join key is a variable,
+        # which exercises the symbolic (g = 1) pair order.
         small = CTable(
             [((0, 1), TOP), ((1, 2), eq(X, 1)), ((2, X), ne(Y, 2))], arity=2
         )
@@ -960,11 +968,13 @@ class TestDeltaPerOperator:
         small_right = CTable([((1, 5), TOP), ((Y, 6), ne(X, 1))], arity=2)
         if build_side == "left":
             tables = {"V": small, "W": large}
+            query = JOIN_FILTERED_RIGHT
         else:
             tables = {"V": large, "W": small_right}
+            query = JOIN
         engine = Engine()
         session = engine.session(**tables)
-        prepared = session.prepare(JOIN)
+        prepared = session.prepare(query)
         prepared.refresh()
         joins = [
             op for op in standing_physical(prepared).walk()

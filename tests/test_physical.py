@@ -57,6 +57,7 @@ from repro.physical import (
     ExecContext,
     ProductOp,
     ProjectOp,
+    ScanOp,
     execute_plan_vectorized,
     explain_physical,
     lower,
@@ -267,10 +268,26 @@ class TestBuildSideSelection:
         lowered = lower(plan, collect_stats(tables))
         joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
         assert joins and joins[0].build_side == "right"  # R is smaller
+        # With R the larger input, a filtered (unscanned) R loses to the
+        # smaller L ...
         swapped = {"L": self._tables()["R"], "R": self._tables()["L"]}
+        filtered = sel(
+            prod(rel("L", 2), sel(rel("R", 2), col_ne_const(1, 9))),
+            col_eq(1, 2),
+        )
+        plan = plan_for_query(filtered, swapped, optimize=True)
         lowered = lower(plan, collect_stats(swapped))
         joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
-        assert joins and joins[0].build_side == "left"
+        assert joins and isinstance(joins[0].right, FilterOp)
+        assert joins[0].left.est_rows < joins[0].right.est_rows
+        assert joins[0].build_side == "left"
+        # ... but a scanned R is built on whatever its size: its table's
+        # column index already hashes it.
+        plan = plan_for_query(query, swapped, optimize=True)
+        lowered = lower(plan, collect_stats(swapped))
+        joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
+        assert joins and joins[0].left.est_rows < joins[0].right.est_rows
+        assert joins[0].build_side == "right"
 
     def test_both_build_sides_identical_rows(self):
         tables = self._tables()
@@ -909,3 +926,196 @@ class TestLateMaterialization:
         assert_structurally_identical(
             execute_plan(plan, tables), answered, "identity over a scan"
         )
+
+
+class TestBucketComposition:
+    """A pure equijoin composes a probe row's condition with a whole
+    bucket once per (condition, bucket key) and drops the ``false``
+    pairs; the answers stay structurally identical to the oracle's."""
+
+    ATOM = eq(Y, "b")
+    RAW = Or((ATOM, ATOM))  # interned-ok: a raw, un-normalized Or
+    #: One row object, placed several times in each table.
+    SHARED = CRow((Const("s"), Const(1), X), eq(X, 1))
+    #: x = 1 against x != 1 conjoins to false; against x = 2 it does
+    #: only once simplified.
+    CONDITIONS = (TOP, TOP, eq(X, 1), ne(X, 1), eq(X, 2), ne(Y, "a"), RAW)
+    #: R as it is, and under a filter that drops no constant row.
+    RIGHTS = {
+        "scanned": rel("R", 3),
+        "filtered": sel(rel("R", 3), col_ne_const(2, "z")),
+    }
+
+    @staticmethod
+    def _joins(right):
+        pair = prod(rel("L", 3), right)
+        return (
+            sel(pair, col_eq(1, 3)),
+            sel(pair, col_eq(1, 3) & col_eq(2, 5)),  # a two-column key
+            # Narrowed output; it reads every column of R, so no
+            # projection is pushed onto R.
+            proj(sel(pair, col_eq(1, 3)), [0, 5, 4]),
+        )
+
+    def _table(self, rng, rows):
+        """Keys repeat under different conditions, some key entries are
+        variables, and :attr:`SHARED` recurs."""
+        entries = []
+        for _ in range(rows):
+            if rng.random() < 0.15:
+                entries.append(self.SHARED)
+                continue
+            values = tuple(
+                rng.choice((X, Y)) if rng.random() < 0.15 else rng.choice(("s", 1, 2))
+                for _ in range(3)
+            )
+            entries.append((values, rng.choice(self.CONDITIONS)))
+        # Two probe rows share a key but not a condition.
+        entries.append((("t", 1, 2), eq(X, 1)))
+        entries.append((("t", 1, 2), ne(X, 1)))
+        return CTable(entries, arity=3)
+
+    def _check(self, query, tables, right_class, context):
+        from repro.physical import execute_physical
+
+        plan = plan_for_query(query, tables, optimize=True)
+        for simplify in (False, True):
+            reference = execute_plan(plan, tables, simplify_conditions=simplify)
+            for side in ("left", "right"):
+                lowered = lower(plan, collect_stats(tables))
+                (op,) = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
+                assert isinstance(op.right, right_class), query
+                op.build_side = side
+                answered = execute_physical(
+                    lowered, tables, simplify_conditions=simplify
+                )
+                assert_structurally_identical(
+                    reference,
+                    answered,
+                    f"{context} {query!r} build={side} simplify={simplify}",
+                )
+
+    def test_answers_match_the_oracle(self, monkeypatch):
+        from repro.physical.operators import _PairComposer
+
+        dropped = []  # per bucket call: how many of its pairs were false
+        original = _PairComposer.bucket
+
+        def spy(composer, probe_condition, key, matched, build_rows, probe_right):
+            found = original(
+                composer, probe_condition, key, matched, build_rows, probe_right
+            )
+            dropped.append(len(matched) - len(found))
+            return found
+
+        monkeypatch.setattr(_PairComposer, "bucket", spy)
+        rng = random.Random(2801)
+        for trial in range(16):
+            tables = {
+                "L": self._table(rng, rng.randint(2, 10)),
+                "R": self._table(rng, rng.randint(2, 10)),
+            }
+            for kind, right in self.RIGHTS.items():
+                right_class = ScanOp if kind == "scanned" else FilterOp
+                for join in self._joins(right):
+                    self._check(join, tables, right_class, f"trial={trial} {kind}")
+        # The per-bucket route ran, and dropped some false pairs.
+        assert dropped and any(dropped)
+
+
+class TestScannedBuildAndProjectBatches:
+    """A scanned build side is hashed by its table's cached column
+    index, not re-indexed per call; a projection passes an all-singleton
+    batch through and merges duplicates in row order."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record ``_KeyIndex.over`` columns and each bucket composed."""
+        from repro.physical import operators
+
+        overs, buckets = [], []
+        over = operators._KeyIndex.over.__func__
+        bucket = operators._PairComposer.bucket
+
+        def counting_over(cls, columns, refs, rows):
+            overs.append(tuple(columns))
+            return over(cls, columns, refs, rows)
+
+        def recording_bucket(composer, condition, key, matched, rows, probe_right):
+            buckets.append((key, matched))
+            return bucket(composer, condition, key, matched, rows, probe_right)
+
+        monkeypatch.setattr(operators._KeyIndex, "over", classmethod(counting_over))
+        monkeypatch.setattr(operators._PairComposer, "bucket", recording_bucket)
+        return overs, buckets
+
+    def test_scanned_build_side_reads_the_column_index(self, monkeypatch):
+        from repro.physical import execute_physical
+
+        tables = {"L": mixed_table(6), "R": mixed_table(12)}
+        overs, buckets = self._spy(monkeypatch)
+        for right, scanned in (
+            (rel("R", 2), True),
+            (sel(rel("R", 2), col_ne_const(1, 9)), False),
+        ):
+            query = sel(prod(rel("L", 2), right), col_eq(1, 2))
+            plan = plan_for_query(query, tables, optimize=True)
+            reference = execute_plan(plan, tables)
+            for side in ("right", "left"):
+                lowered = lower(plan, collect_stats(tables))
+                (op,) = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
+                op.build_side = side
+                del overs[:], buckets[:]
+                answered = execute_physical(lowered, tables)
+                assert_structurally_identical(reference, answered, side)
+                assert buckets
+                if side == "right" and not scanned:
+                    # A filtered build side is indexed once per call.
+                    assert overs == [op.right_keys]
+                    continue
+                # Either side is a scan: no index is built, and every
+                # bucket is the scanned table's cached one.
+                assert overs == []
+                table, keys = (
+                    (tables["R"], op.right_keys)
+                    if side == "right"
+                    else (tables["L"], op.left_keys)
+                )
+                exact, _ = table.column_index(keys)
+                assert all(matched is exact[key] for key, matched in buckets)
+
+    @staticmethod
+    def _project(rows, columns):
+        table = CTable(rows, arity=2)
+        op = ProjectOp(ScanOp("T", 2), columns)
+        ctx = ExecContext({"T": table})
+        scanned = op.child.compute(ctx, ())
+        return table, op.compute_tracked(ctx, (scanned,))
+
+    def test_all_singleton_batch_passes_its_rows_through(self):
+        rows = [((i, i % 3), eq(X, i) if i % 2 else TOP) for i in range(7)]
+        table, (batch, positions) = self._project(rows, (0, 1))
+        assert list(positions) == list(range(7))
+        assert len(batch.rows) == len(table.rows)
+        assert all(out is row for out, row in zip(batch.rows, table.rows))
+
+    def test_duplicates_merge_in_row_order(self):
+        a, b, c = eq(X, 1), ne(Y, 2), eq(Y, 3)
+        rows = [((1, 2), a), ((3, 4), b), ((1, 2), c), ((5, 6), TOP), ((3, 4), a)]
+        for columns in ((0, 1), (0,)):
+            table, (batch, positions) = self._project(rows, columns)
+            assert list(positions) == [0, 1, 3]
+            assert [row.values for row in batch.rows] == [
+                tuple(table.rows[first].values[c] for c in columns)
+                for first in positions
+            ]
+            assert [row.condition for row in batch.rows] == [
+                disj(a, c), disj(b, a), TOP
+            ]
+            assert batch.rows[1].condition.children == (b, a)
+            plan = plan_for_query(proj(rel("T", 2), list(columns)), {"T": table})
+            assert_structurally_identical(
+                execute_plan(plan, {"T": table}),
+                execute_plan_vectorized(plan, {"T": table}),
+                f"project {columns}",
+            )

@@ -6,9 +6,9 @@ Theorem 4 fixes *what* a query on a c-table must produce; the engine is
 free to choose *how*.  Below the logical plan (PR 2) and the prepared
 query (PR 3) now sits a physical runtime: ``lower()`` turns the
 optimized plan into a tree of vectorized batch operators — hash joins
-that build on a scanned right input (its table's cached column index is
-the hash table) and otherwise on the smaller estimated input, filters
-that instantiate their predicate once per distinct constant signature —
+that build on their right input (a scanned one's cached column index is
+the hash table), filters that instantiate their predicate once per
+distinct constant signature —
 and the engine's result cache serves repeated identical reads without
 executing anything at all.
 The interpreted lifted operators remain available as the oracle; the two

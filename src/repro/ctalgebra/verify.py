@@ -32,7 +32,8 @@ time, structurally:
 - **estimates** — cardinality/condition estimates are finite,
   non-negative, and shaped like the node's schema;
 - **lowering** — physical operators reference columns inside their
-  input arities, and hash-join build sides agree with the estimates.
+  input arities, and a filter's pins are top-level ``@c = constant``
+  conjuncts.
 
 The checks above are purely *structural* and share one documented blind
 spot: a shape-preserving predicate applied to the wrong join side keeps
@@ -663,14 +664,6 @@ class PlanVerifier:
                 )
 
     def _verify_hash_join(self, node: "PhysicalOp", rule: Optional[str]) -> None:
-        if node.build_side not in ("left", "right"):
-            raise PlanVerificationError(
-                "lowering",
-                f"hash join build side must be 'left' or 'right', got "
-                f"{node.build_side!r}",
-                rule=rule,
-                node=node,
-            )
         left_arity = node.left.arity
         right_arity = node.right.arity
         bad_left = [key for key in node.left_keys if key >= left_arity]
@@ -696,31 +689,6 @@ class PlanVerifier:
                     "arity",
                     f"hash join output columns {bad_output} outside the "
                     f"pair arity {pair_arity}",
-                    rule=rule,
-                    node=node,
-                )
-        left_rows = node.left.est_rows
-        right_rows = node.right.est_rows
-        if left_rows is not None and right_rows is not None:
-            # lower()'s rule: build on a scanned right input, else on the
-            # smaller estimate.
-            from repro.physical.operators import ScanOp
-
-            scanned = isinstance(node.right, ScanOp)
-            expected = (
-                "left" if not scanned and left_rows < right_rows else "right"
-            )
-            if node.build_side != expected:
-                rule_text = (
-                    "its right input is a scan, which is always built on"
-                    if scanned
-                    else f"the estimates ({left_rows:.1f} vs "
-                    f"{right_rows:.1f} rows) pick {expected!r} — stale or "
-                    "inconsistent estimates"
-                )
-                raise PlanVerificationError(
-                    "estimates",
-                    f"hash join builds on the {node.build_side} side but {rule_text}",
                     rule=rule,
                     node=node,
                 )

@@ -379,12 +379,6 @@ class Engine:
             optimize=optimize,
             executor=executor,
         )
-        collected: Dict[str, TableStats] = {}
-
-        def stats_thunk() -> Dict[str, TableStats]:
-            collected.update(collect_stats(tables))
-            return collected
-
         verifier: Optional[PlanVerifier] = None
         if config.verify_plans:
             verifier = PlanVerifier()
@@ -396,19 +390,14 @@ class Engine:
                 verifier.verify_ctable(name, table)
         plan = build_plan(
             query,
-            stats_thunk,
+            lambda: collect_stats(tables),
             config.optimize,
             verify=config.verify_plans,
         )
         if config.executor == "vectorized":
-            # When the optimizer ran, its statistics are reused to guide
-            # lowering (build sides, filter strategies); an unoptimized
-            # ad-hoc call stays estimate-blind rather than paying a
-            # statistics pass nothing else would amortize.
             return execute_plan_vectorized(
                 plan, tables,
                 simplify_conditions=config.simplify_conditions,
-                stats=collected or None,
                 verifier=verifier,
             )
         return execute_plan(
@@ -1156,7 +1145,8 @@ class PreparedQuery:
         """Render the cached plan with cardinality/condition estimates.
 
         ``physical=True`` renders the lowered operator tree instead —
-        the hash-join build sides and filter strategies actually chosen.
+        the operators that actually run, a hash join's ``out=`` columns
+        among them.
         ``analyze=True`` *executes* the query under tracing and renders
         the physical tree with estimated-vs-actual cardinalities,
         per-operator wall time, cache-hit provenance,
@@ -1299,7 +1289,8 @@ class Dataset:
         of its snapshot: the rendering describes the plan that produced
         the memoized answer, not whatever a later ``register`` would
         plan.  ``physical=True`` renders the lowered physical operator
-        tree (build sides, filter strategies) instead of the logical one.
+        tree (hash joins and their ``out=`` columns, filters) instead of
+        the logical one.
         ``analyze=True`` re-executes the query under tracing against the
         session's *current* tables and renders estimated-vs-actual
         cardinalities per operator (the memoized answer itself is

@@ -1,33 +1,29 @@
 """Lowering: optimized logical plans → physical operator trees.
 
 ``lower()`` walks a :class:`~repro.ctalgebra.plan.PlanNode` tree and
-picks a physical operator per logical node, consulting the logical
-plan's own cardinality/condition estimates when table statistics are
-supplied:
+gives each logical node its one physical operator:
 
 - a :class:`~repro.ctalgebra.plan.JoinNode` whose predicate contains
   cross-operand column equalities becomes a
-  :class:`~repro.physical.operators.HashJoinOp` that **builds on a
-  scanned right input** (its table's cached column index is the hash
-  table) **and otherwise on the smaller estimated input**; without
-  equijoin keys it lowers to the ``FilterOp``-over-``ProductOp``
-  pipeline (the nested-loop shape ``join_bar`` falls back to);
+  :class:`~repro.physical.operators.HashJoinOp`, which builds on its
+  right input (a scanned one's cached column index is the hash table)
+  and probes the left rows in order; without equijoin keys it lowers to
+  the ``FilterOp``-over-``ProductOp`` pipeline (the nested-loop shape
+  ``join_bar`` falls back to);
 - a :class:`~repro.ctalgebra.plan.ProjectNode` directly over a join
   that lowers to a hash join hands the join its columns
   (:attr:`~repro.physical.operators.HashJoinOp.output`, late
   materialization) and becomes a
   :class:`~repro.physical.operators.ProjectOp` over the identity
   columns, which only merges rows with equal values;
-- a :class:`~repro.ctalgebra.plan.SelectNode` becomes a
-  :class:`~repro.physical.operators.FilterOp`; the per-signature
-  residual memo is disabled when the estimates predict nearly every row
-  carries a distinct constant signature (the memo would only miss);
-- the remaining operators map one-to-one.
+- the remaining operators, :class:`~repro.ctalgebra.plan.SelectNode`
+  → :class:`~repro.physical.operators.FilterOp` among them, map
+  one-to-one.
 
-Every choice preserves the structural-identity contract: whatever the
-lowering picks — build sides, filter strategies, a join's output
-columns — the materialized answer equals the interpreted
-``execute_plan`` result row-for-row.
+Table statistics, when supplied, only stamp each operator's estimated
+cardinality (``est_rows``) for EXPLAIN; they choose nothing.  Every
+lowering preserves the structural-identity contract: the materialized
+answer equals the interpreted ``execute_plan`` result row-for-row.
 """
 
 from __future__ import annotations
@@ -73,52 +69,26 @@ from repro.physical.operators import (
 )
 
 
-#: Below this estimated input size a memo cannot pay for its probes.
-_MEMO_MIN_ROWS = 8.0
-
-
-def _expected_signatures(node: SelectNode, found: Estimate) -> float:
-    """Crude count of distinct constant signatures the filter will see."""
-    from repro.algebra.predicates import predicate_columns
-
-    distinct = 1.0
-    for index in sorted(predicate_columns(node.predicate)):
-        if index < len(found.columns):
-            column = found.columns[index]
-            # Variable terms add (at most) one signature family each;
-            # weigh them in through the non-constant fraction.
-            spread = max(1, column.distinct_constants)
-            distinct *= spread + (1.0 - column.constant_fraction) * spread
-        else:
-            distinct *= _MEMO_MIN_ROWS
-    return distinct
-
-
 def lower(
     plan: PlanNode,
     stats: Optional[Mapping[str, TableStats]] = None,
-    _memo: Optional[Dict[PlanNode, Estimate]] = None,
     verifier: Optional["PlanVerifier"] = None,
 ) -> PhysicalOp:
-    """Choose physical operators for *plan* (estimates-guided when given).
+    """The physical operator tree of *plan*.
 
-    A hash join builds on its right input when that input is a scan,
-    and otherwise on the smaller estimated input (right when there are
-    no estimates or they tie).  A projection directly over a hash join
-    sets the join's ``output`` to its columns and keeps the identity
-    columns itself.  With a *verifier*
-    (``ExecutionConfig.verify_plans``) the lowered tree is checked for
-    the lowering invariants — arities, join output columns within the
-    pair arity, and hash-join build sides following that rule — before
-    it is returned.
+    A projection directly over a hash join sets the join's ``output`` to
+    its columns and keeps the identity columns itself.  *stats*, when
+    given, stamp each operator's ``est_rows`` and nothing else.  With a
+    *verifier* (``ExecutionConfig.verify_plans``) the lowered tree is
+    checked for the lowering invariants — arities, join keys and output
+    columns within range, filter pins — before it is returned.
     """
-    if _memo is None:
-        _memo = {}
+    memo: Dict[PlanNode, Estimate] = {}
 
     def found(node: PlanNode) -> Optional[Estimate]:
         if stats is None:
             return None
-        return estimate(node, stats, _memo)
+        return estimate(node, stats, memo)
 
     def recurse(node: PlanNode) -> PhysicalOp:
         if isinstance(node, Scan):
@@ -148,14 +118,7 @@ def lower(
             op = ProjectOp(child_op, columns)
         elif isinstance(node, SelectNode):
             check_predicate(node.predicate, node.child.arity)
-            child_estimate = found(node.child)
-            memoize = True
-            if child_estimate is not None and child_estimate.rows >= _MEMO_MIN_ROWS:
-                memoize = (
-                    _expected_signatures(node, child_estimate)
-                    < 0.5 * child_estimate.rows
-                )
-            op = FilterOp(recurse(node.child), node.predicate, memoize=memoize)
+            op = FilterOp(recurse(node.child), node.predicate)
         elif isinstance(node, JoinNode):
             check_predicate(node.predicate, node.arity)
             pairs, residual = split_equijoin(node.predicate, node.left.arity)
@@ -176,19 +139,6 @@ def lower(
                     product_op.est_rows = left_op.est_rows * right_op.est_rows
                 op = FilterOp(product_op, node.predicate)
             else:
-                # A scanned right side is already hashed by its table's
-                # column index; building left would only add the rank
-                # sort.  Otherwise build on the smaller estimate.
-                build_side = "right"
-                left_estimate = found(node.left)
-                right_estimate = found(node.right)
-                if (
-                    not isinstance(right_op, ScanOp)
-                    and left_estimate is not None
-                    and right_estimate is not None
-                    and left_estimate.rows < right_estimate.rows
-                ):
-                    build_side = "left"
                 op = HashJoinOp(
                     left_op,
                     right_op,
@@ -196,7 +146,6 @@ def lower(
                     residual,
                     tuple(i for i, _ in pairs),
                     tuple(j for _, j in pairs),
-                    build_side=build_side,
                 )
         elif isinstance(node, ProductNode):
             op = ProductOp(recurse(node.left), recurse(node.right))
@@ -240,12 +189,11 @@ def execute_plan_vectorized(
     plan: PlanNode,
     tables: Mapping[str, CTable],
     simplify_conditions: bool = False,
-    stats: Optional[Mapping[str, TableStats]] = None,
     verifier: Optional["PlanVerifier"] = None,
 ) -> CTable:
     """Lower *plan* and execute it — the one-shot convenience entry."""
     return execute_physical(
-        lower(plan, stats, verifier=verifier),
+        lower(plan, verifier=verifier),
         tables,
         simplify_conditions=simplify_conditions,
     )

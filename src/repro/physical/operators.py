@@ -18,8 +18,8 @@ Where the speed comes from:
   the rows the table's cached per-column index
   (:meth:`~repro.tables.ctable.CTable.column_index`) gives for the
   constants its predicate pins, and :class:`HashJoinOp` probes only the
-  rows whose key is a build key or holds a variable — the rows Lemma 1
-  does not already send to ``false``;
+  left rows whose key is a right key or holds a variable — the rows
+  Lemma 1 does not already send to ``false``;
 - :class:`FilterOp` partially evaluates the selection predicate **once
   per distinct constant signature** (the tuple of terms in the
   predicate's columns) and reuses the residual formula across all rows
@@ -30,10 +30,9 @@ Where the speed comes from:
 - :class:`HashJoinOp` generalizes the fused ``join_bar`` to any equijoin
   keys the planner found, with the same per-signature predicate memo
   plus a condition-composition memo (pairs of interned formulas repeat
-  heavily in generated and real workloads).  A scanned build side is
-  already hashed: its table's cached column index gives the buckets, so
-  no per-call index is built (``lower()`` builds on a scanned right
-  input, and otherwise on the smaller estimated one).  When the
+  heavily in generated and real workloads).  It builds on its right
+  input; a scanned one is already hashed — its table's cached column
+  index gives the buckets, so no per-call index is built.  When the
   residual reads no column — a pure equijoin's — a probe row's
   condition is composed with a whole bucket once per (condition,
   bucket) and call, and the bucket's surviving pairs are emitted with
@@ -98,7 +97,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.ivm.view import ViewNode
     from repro.obs.trace import TraceCollector
 
-from repro.errors import ArityError, QueryError
+from repro.errors import ArityError
 from repro.logic.atoms import Const, Eq, Term, eq
 from repro.logic.syntax import BOTTOM, TOP, And, Formula, Or, conj, disj, neg
 from repro.logic.evaluation import substitute
@@ -114,8 +113,9 @@ from repro.ctalgebra.plan import (
 from repro.physical.batch import Batch
 
 #: (left row, group bit, right row, composed condition) emitted by
-#: join/product loops; the group bit orders a left row's pairs (see
-#: :class:`HashJoinOp`).
+#: join/product loops; the group bit orders a left row's pairs in a
+#: maintained view's keys: a hash join's bucket matches (0) before its
+#: symbolic right rows (1).
 _Pair = Tuple[int, int, int, Formula]
 
 #: A maintained row's key: ascending keys are the rerun's row order.
@@ -530,10 +530,6 @@ class FilterOp(PhysicalOp):
     ``select_bar`` fast exit, vectorized); a residual of ``false`` drops
     the row.
 
-    ``memoize=False`` (chosen by ``lower()`` when the estimates say
-    nearly every row has a distinct signature) skips the memo and
-    instantiates per row — still with the hoisted column resolution.
-
     The predicate's *pins* (:func:`_filter_pins`, its top-level
     ``@c = constant`` conjuncts) name the only rows of a scanned table
     it can keep: over a batch with a :attr:`~Batch.source`, the loop
@@ -546,19 +542,16 @@ class FilterOp(PhysicalOp):
     """
 
     __slots__ = (
-        "child", "predicate", "memoize", "pins", "_pred_columns", "_names",
+        "child", "predicate", "pins", "_pred_columns", "_names",
         "_pin_columns", "_pin_key",
     )
 
-    def __init__(
-        self, child: PhysicalOp, predicate: Formula, memoize: bool = True
-    ) -> None:
+    def __init__(self, child: PhysicalOp, predicate: Formula) -> None:
         super().__init__()
         from repro.algebra.predicates import col, predicate_columns
 
         self.child = child
         self.predicate = predicate
-        self.memoize = memoize
         self._pred_columns = tuple(sorted(predicate_columns(predicate)))
         self._names = tuple(col(index).name for index in self._pred_columns)
         self.pins = _filter_pins(predicate)
@@ -583,7 +576,6 @@ class FilterOp(PhysicalOp):
         columns = self._pred_columns
         predicate = self.predicate
         names = self._names
-        memoize = self.memoize
         memo: Dict[Tuple[Term, ...], Formula] = {}
         keep: List[int] = []
         kept: List[CRow] = []
@@ -599,11 +591,10 @@ class FilterOp(PhysicalOp):
             row = rows[position]
             values = row.values
             signature = tuple([values[c] for c in columns])
-            residual = memo.get(signature) if memoize else None
+            residual = memo.get(signature)
             if residual is None:
                 residual = substitute(predicate, dict(zip(names, signature)))
-                if memoize:
-                    memo[signature] = residual
+                memo[signature] = residual
             if residual is BOTTOM:
                 unchanged = False
                 continue
@@ -633,8 +624,7 @@ class FilterOp(PhysicalOp):
         return doomed, self._apply(ctx, [_operand(node.children[0], inserted)])
 
     def label(self) -> str:
-        suffix = "" if self.memoize else " per-row"
-        return f"Filter[{self.predicate!r}]{suffix}"
+        return f"Filter[{self.predicate!r}]"
 
 
 # ----------------------------------------------------------------------
@@ -818,7 +808,7 @@ class _PairComposer:
     condition structurally identical to the full instantiation.  When
     that residual reads no column, a matched pair's condition depends
     only on the two rows' conditions, so :meth:`bucket` composes a
-    probe row's condition with a whole bucket once per call.
+    left row's condition with a whole right bucket once per call.
     """
 
     __slots__ = (
@@ -906,35 +896,32 @@ class _PairComposer:
 
     def bucket(
         self,
-        probe_condition: Formula,
+        left_condition: Formula,
         key: tuple,
         matched: Sequence[int],
-        build_rows: Sequence[CRow],
-        probe_right: bool,
+        right_rows: Sequence[CRow],
     ) -> List[Tuple[int, Formula]]:
-        """``(build row, condition)`` of each non-``false`` pair a probe
-        row under *probe_condition* forms with the bucket *matched* of
-        *key*, in bucket order; only for a residual that reads no column.
+        """``(right row, condition)`` of each non-``false`` pair a left
+        row under *left_condition* forms with the right bucket *matched*
+        of *key*, in bucket order; only for a residual that reads no
+        column.
 
-        Memoized per (probe condition, bucket key): probe rows that share
+        Memoized per (left condition, bucket key): left rows that share
         both get the same list.
         """
-        memo_key = (probe_condition, key)
+        memo_key = (left_condition, key)
         found = self._buckets.get(memo_key)
         if found is None:
             fixed = self._res_fixed
             assert fixed is not None, "the residual reads a column"
             compose = self._compose
             found = []
-            for ref in matched:
-                condition = build_rows[ref].condition
-                composed = (
-                    compose(condition, probe_condition, fixed)
-                    if probe_right
-                    else compose(probe_condition, condition, fixed)
+            for j in matched:
+                composed = compose(
+                    left_condition, right_rows[j].condition, fixed
                 )
                 if composed is not BOTTOM:
-                    found.append((ref, composed))
+                    found.append((j, composed))
             self._buckets[memo_key] = found
         return found
 
@@ -1067,28 +1054,26 @@ class HashJoinOp(_PairOp):
     never built.  Rows with a variable in a key column stay symbolic and
     pair with every opposite row (Lemma 1 quantifies over one valuation).
 
-    A build side that scans a c-table is not indexed per call: the
-    table's cached column index on the build keys holds the same
-    buckets and symbolic rows, in the same ascending order.  When the
-    build side has no symbolic row and the probe side scans a c-table,
-    only the probe rows whose key is a build key or holds a variable can
-    pair, so only those — read off the table's column index on the probe
-    keys — are probed.
+    The join builds on its right input and probes the left rows in
+    order, as ``join_bar``'s loop does, so the output is structurally
+    identical to ``join_bar``'s for downstream condition-dedup.  A keyed
+    left row pairs first with its bucket (``g = 0``), then with the
+    symbolic right rows (``g = 1``); a symbolic left row pairs with the
+    whole right side in order (``g = 0``).
 
-    ``build_side`` is chosen by ``lower()``: the right input when it is
-    a scan (building left would only add the rank sort below), and
-    otherwise the smaller estimated input.  Building on the left streams
-    the right side through the hash table; the emitted pairs are then
-    re-ranked to the probe-left order so the output stays structurally
-    identical to ``join_bar``'s for downstream condition-dedup.  That
-    order ranks a pair ``(i, g, j)``: a keyed left row's bucket matches
-    (``g = 0``) come before the symbolic right rows (``g = 1``); every
-    other pairing enumerates the right side in its own order (``g = 0``).
+    A right input that scans a c-table is not indexed per call: the
+    table's cached column index on the right keys holds the same
+    buckets and symbolic rows, in the same ascending order; any other
+    right input is indexed once per call.  When the right side has no
+    symbolic row and the left side scans a c-table, only the left rows
+    whose key is a right key or holds a variable can pair, so only
+    those — read off the table's column index on the left keys — are
+    probed.
 
     A matched pair under a residual that reads no column (every pure
     equijoin) has the condition ``conj(l.condition, r.condition,
-    residual)``, which depends on the two conditions alone.  So a probe
-    row's pairs with its bucket are composed once per (probe condition,
+    residual)``, which depends on the two conditions alone.  So a left
+    row's pairs with its bucket are composed once per (left condition,
     bucket key) in a call (:meth:`_PairComposer.bucket`), ``false``
     pairs dropped, and emitted with one list ``extend``.
 
@@ -1101,7 +1086,7 @@ class HashJoinOp(_PairOp):
     join store keeps its keys and just holds narrower rows.
     """
 
-    __slots__ = ("predicate", "residual", "build_side", "output")
+    __slots__ = ("predicate", "residual", "output")
 
     def __init__(
         self,
@@ -1111,15 +1096,11 @@ class HashJoinOp(_PairOp):
         residual: Formula,
         left_keys: Tuple[int, ...],
         right_keys: Tuple[int, ...],
-        build_side: str = "right",
         output: Optional[Tuple[int, ...]] = None,
     ) -> None:
         super().__init__(left, right, left_keys, right_keys)
-        if build_side not in ("left", "right"):
-            raise QueryError(f"unknown build side {build_side!r}")
         self.predicate = predicate
         self.residual = residual
-        self.build_side = build_side
         #: The pair columns each output row keeps; None keeps them all.
         self.output = None if output is None else tuple(output)
 
@@ -1137,106 +1118,60 @@ class HashJoinOp(_PairOp):
         left_rows = left.rows
         right_rows = right.rows
         composer = _PairComposer(self.predicate, self.residual, left.arity)
-        build_left = self.build_side == "left"
-        if build_left:
-            build, build_keys = left, self.left_keys
-            probe, probe_keys = right, self.right_keys
-        else:
-            build, build_keys = right, self.right_keys
-            probe, probe_keys = left, self.left_keys
-        # Hash-partition the build side once: a scanned one already is,
+        left_keys, right_keys = self.left_keys, self.right_keys
+        # Hash-partition the right side once: a scanned one already is,
         # by its table's cached column index (same buckets, same order).
-        if build.source is not None:
-            buckets, symbolic = build.source.column_index(build_keys)
+        if right.source is not None:
+            buckets, symbolic = right.source.column_index(right_keys)
         else:
-            index = _KeyIndex.over(build_keys, range(len(build.rows)), build.rows)
+            index = _KeyIndex.over(right_keys, range(len(right_rows)), right_rows)
             buckets, symbolic = index.buckets, index.symbolic
-        probed: Sequence[int] = range(len(probe.rows))
-        if probe.source is not None and not symbolic:
-            # Only a probe row whose key is some build key, or holds a
-            # variable, can pair with a build row that holds none.
-            probed = _scanned_rows(probe.source, probe_keys, buckets)
-        # A residual that reads no column composes a probe row with a
+        probed: Sequence[int] = range(len(left_rows))
+        if left.source is not None and not symbolic:
+            # Only a left row whose key is some right key, or holds a
+            # variable, can pair with a right row that holds none.
+            probed = _scanned_rows(left.source, left_keys, buckets)
+        # A residual that reads no column composes a left row with a
         # whole bucket at once (see _PairComposer.bucket).
         by_bucket = composer._res_fixed is not None
         pairs: List[_Pair] = []
-        if not build_left:
-            # Probe left rows in order against the right build
-            # (join_bar's loop).
-            for i in probed:
-                left_row = left_rows[i]
-                values = left_row.values
-                key = _constant_key([values[c] for c in probe_keys])
-                if key is None:
-                    for j, right_row in enumerate(right_rows):
-                        condition = composer.condition(left_row, right_row)
-                        if condition is not BOTTOM:
-                            pairs.append((i, 0, j, condition))
-                    continue
-                matched = buckets.get(key)
-                if matched is not None and by_bucket:
-                    pairs.extend([
-                        (i, 0, j, condition)
-                        for j, condition in composer.bucket(
-                            left_row.condition, key, matched, right_rows, False
-                        )
-                    ])
-                elif matched is not None:
-                    # Constant keys agree: the equijoin conjuncts fold to
-                    # true, only the residual predicate needs instantiating.
-                    for j in matched:
-                        condition = composer.matched_condition(
-                            left_row, right_rows[j]
-                        )
-                        if condition is not BOTTOM:
-                            pairs.append((i, 0, j, condition))
-                for j in symbolic:
-                    condition = composer.condition(left_row, right_rows[j])
-                    if condition is not BOTTOM:
-                        pairs.append((i, 1, j, condition))
-        else:
-            # Probe right rows against the left build, emitting ranked
-            # pairs.  A pair survives iff either key is symbolic or both
-            # constants agree — the same set as probing left — and
-            # sorting by the unique rank (i, g, j) restores that order.
-            group = [1] * len(left)
-            for i in symbolic:
-                group[i] = 0
-            for j in probed:
-                right_row = right_rows[j]
-                values = right_row.values
-                key = _constant_key([values[c] for c in probe_keys])
-                if key is None:
-                    for i, left_row in enumerate(left_rows):
-                        condition = composer.condition(left_row, right_row)
-                        if condition is not BOTTOM:
-                            pairs.append((i, group[i], j, condition))
-                    continue
-                matched = buckets.get(key)
-                if matched is not None and by_bucket:
-                    pairs.extend([
-                        (i, 0, j, condition)
-                        for i, condition in composer.bucket(
-                            right_row.condition, key, matched, left_rows, True
-                        )
-                    ])
-                elif matched is not None:
-                    for i in matched:
-                        condition = composer.matched_condition(
-                            left_rows[i], right_row
-                        )
-                        if condition is not BOTTOM:
-                            pairs.append((i, 0, j, condition))
-                for i in symbolic:
-                    condition = composer.condition(left_rows[i], right_row)
+        # Probe left rows in order against the right side (join_bar's
+        # loop).
+        for i in probed:
+            left_row = left_rows[i]
+            values = left_row.values
+            key = _constant_key([values[c] for c in left_keys])
+            if key is None:
+                for j, right_row in enumerate(right_rows):
+                    condition = composer.condition(left_row, right_row)
                     if condition is not BOTTOM:
                         pairs.append((i, 0, j, condition))
-            # (i, g, j) is unique, so the sort never compares conditions.
-            pairs.sort()
+                continue
+            matched = buckets.get(key)
+            if matched is not None and by_bucket:
+                pairs.extend([
+                    (i, 0, j, condition)
+                    for j, condition in composer.bucket(
+                        left_row.condition, key, matched, right_rows
+                    )
+                ])
+            elif matched is not None:
+                # Constant keys agree: the equijoin conjuncts fold to
+                # true, only the residual predicate needs instantiating.
+                for j in matched:
+                    condition = composer.matched_condition(
+                        left_row, right_rows[j]
+                    )
+                    if condition is not BOTTOM:
+                        pairs.append((i, 0, j, condition))
+            for j in symbolic:
+                condition = composer.condition(left_row, right_rows[j])
+                if condition is not BOTTOM:
+                    pairs.append((i, 1, j, condition))
         return _pairs_batch(ctx, inputs, pairs, self.output)
 
     def label(self) -> str:
-        label = f"HashJoin[{self.predicate!r}] build={self.build_side}"
+        label = f"HashJoin[{self.predicate!r}]"
         if self.output is not None:
             label += f" out=[{','.join(map(str, self.output))}]"
         return label

@@ -58,7 +58,7 @@ from repro import (
 )
 from repro.logic.syntax import TOP, Formula, disj, neg
 from repro.prob import PCTable
-from repro.ctalgebra.plan import collect_stats, execute_plan
+from repro.ctalgebra.plan import execute_plan
 from repro.ctalgebra.translate import plan_for_query
 from repro.physical import execute_plan_vectorized
 
@@ -274,7 +274,6 @@ def evaluate(
             plan,
             tables,
             simplify_conditions=simplify_conditions,
-            stats=collect_stats(tables),
         )
     raise ValueError(f"unknown executor {executor!r}: one of {EXECUTORS}")
 
@@ -498,7 +497,6 @@ def assert_delta_equals_rerun(
             plan,
             tables,
             simplify_conditions=config.simplify_conditions,
-            stats=collect_stats(tables),
         ),
     }
     for executor, rerun in reruns.items():

@@ -2,7 +2,7 @@
 
 README's "Physical execution" section shows the physical EXPLAIN of
 ``examples/physical_explain.py``'s query.  The lowering rules decide
-that text (build side, ``out=`` list, estimates), so a change to them
+that text (operator labels, ``out=`` list, estimates), so a change to them
 must re-render the block; this test runs the example and looks for the
 block, verbatim, in what it prints.
 """

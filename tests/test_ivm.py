@@ -53,7 +53,6 @@ from repro.core.instance import Instance
 from repro.ctalgebra.plan import (
     StatsAccumulator,
     TableStats,
-    collect_stats,
     execute_plan,
 )
 from repro.engine import session as session_module
@@ -140,8 +139,7 @@ def rerun_from_threads(prepared, workers):
                 plan,
                 tables,
                 simplify_conditions=config.simplify_conditions,
-                stats=collect_stats(tables),
-            )
+                )
         except Exception as error:  # noqa: BLE001 - collected for report
             errors.append(error)
 
@@ -950,13 +948,13 @@ class TestDeltaPerOperator:
         ) >= 1.0
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("build_side", ["left", "right"])
-    def test_hash_join_both_build_sides(self, build_side, seed):
-        # lower() builds on a scanned right input, and otherwise on the
-        # smaller estimated side: the left case filters the larger W (a
-        # filter that keeps every row), so the table sizes pick the
-        # side.  Both sides carry rows whose join key is a variable,
-        # which exercises the symbolic (g = 1) pair order.
+    @pytest.mark.parametrize("right_input", ["filtered", "scanned"])
+    def test_hash_join_right_inputs(self, right_input, seed):
+        # A hash join builds on its right input: a filtered one (a
+        # filter that keeps every row) is indexed per delta batch, a
+        # scanned one by its maintained index.  Both sides carry rows
+        # whose join key is a variable, which exercises the symbolic
+        # (g = 1) pair order.
         small = CTable(
             [((0, 1), TOP), ((1, 2), eq(X, 1)), ((2, X), ne(Y, 2))], arity=2
         )
@@ -966,12 +964,14 @@ class TestDeltaPerOperator:
             arity=2,
         )
         small_right = CTable([((1, 5), TOP), ((Y, 6), ne(X, 1))], arity=2)
-        if build_side == "left":
+        if right_input == "filtered":
             tables = {"V": small, "W": large}
             query = JOIN_FILTERED_RIGHT
+            right_class = FilterOp
         else:
             tables = {"V": large, "W": small_right}
             query = JOIN
+            right_class = ScanOp
         engine = Engine()
         session = engine.session(**tables)
         prepared = session.prepare(query)
@@ -980,7 +980,7 @@ class TestDeltaPerOperator:
             op for op in standing_physical(prepared).walk()
             if isinstance(op, HashJoinOp)
         ]
-        assert [op.build_side for op in joins] == [build_side]
+        assert [type(op.right) for op in joins] == [right_class]
         rng = random.Random(seed)
         for step in range(3):
             session.insert("V", [((3, Y), TOP), ((4, 2), eq(Y, 1))])

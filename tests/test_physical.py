@@ -11,6 +11,7 @@ Mod-enumeration blowup limits) across random plans.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -78,7 +79,6 @@ def both_ways(query, tables, optimize=True, simplify_conditions=False):
         plan,
         tables,
         simplify_conditions=simplify_conditions,
-        stats=collect_stats(tables),
     )
     return interpreted, vectorized
 
@@ -253,65 +253,53 @@ class TestOperatorGrid:
 
 
 class TestBuildSideSelection:
-    """lower() picks the hash-join build side from the estimates, and
-    both sides produce the identical (ordered) output."""
+    """A hash join builds on its right input, whatever the estimates."""
 
-    def _tables(self):
-        big = mixed_table(30)
-        small = mixed_table(4)
-        return {"L": big, "R": small}
+    def test_right_input_is_the_build_side(self, monkeypatch):
+        from repro.physical import execute_physical, operators
 
-    def test_build_side_follows_estimates(self):
-        tables = self._tables()
-        query = sel(prod(rel("L", 2), rel("R", 2)), col_eq(1, 2))
-        plan = plan_for_query(query, tables, optimize=True)
-        lowered = lower(plan, collect_stats(tables))
-        joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
-        assert joins and joins[0].build_side == "right"  # R is smaller
-        # With R the larger input, a filtered (unscanned) R loses to the
-        # smaller L ...
-        swapped = {"L": self._tables()["R"], "R": self._tables()["L"]}
-        filtered = sel(
-            prod(rel("L", 2), sel(rel("R", 2), col_ne_const(1, 9))),
-            col_eq(1, 2),
-        )
-        plan = plan_for_query(filtered, swapped, optimize=True)
-        lowered = lower(plan, collect_stats(swapped))
-        joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
-        assert joins and isinstance(joins[0].right, FilterOp)
-        assert joins[0].left.est_rows < joins[0].right.est_rows
-        assert joins[0].build_side == "left"
-        # ... but a scanned R is built on whatever its size: its table's
-        # column index already hashes it.
-        plan = plan_for_query(query, swapped, optimize=True)
-        lowered = lower(plan, collect_stats(swapped))
-        joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
-        assert joins and joins[0].left.est_rows < joins[0].right.est_rows
-        assert joins[0].build_side == "right"
+        overs = []  # (columns, rows) of each per-call index
+        over = operators._KeyIndex.over.__func__
 
-    def test_both_build_sides_identical_rows(self):
-        tables = self._tables()
-        query = proj(
-            sel(prod(rel("L", 2), rel("R", 2)), col_eq(1, 2)), [0, 3]
-        )
-        plan = plan_for_query(query, tables, optimize=False)
-        reference = execute_plan(plan, tables)
-        for side in ("left", "right"):
-            lowered = lower(plan)
-            for op in lowered.walk():
-                if isinstance(op, HashJoinOp):
-                    op.build_side = side
-            from repro.physical import execute_physical
+        def counting_over(cls, columns, refs, rows):
+            overs.append((tuple(columns), len(rows)))
+            return over(cls, columns, refs, rows)
 
-            assert execute_physical(lowered, tables) == reference
+        monkeypatch.setattr(operators._KeyIndex, "over", classmethod(counting_over))
+        # R, filtered or scanned, is the larger input: it is built all
+        # the same.
+        tables = {"L": mixed_table(4), "R": mixed_table(30)}
+        for right, right_class in (
+            (sel(rel("R", 2), col_ne_const(1, 9)), FilterOp),
+            (rel("R", 2), ScanOp),
+        ):
+            query = sel(prod(rel("L", 2), right), col_eq(1, 2))
+            plan = plan_for_query(query, tables, optimize=True)
+            lowered = lower(plan, collect_stats(tables))
+            (op,) = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
+            assert isinstance(op.right, right_class)
+            assert op.left.est_rows < op.right.est_rows
+            del overs[:]
+            answered = execute_physical(lowered, tables)
+            assert_structurally_identical(
+                execute_plan(plan, tables), answered, right_class.__name__
+            )
+            if right_class is FilterOp:
+                # A filtered right input (one that keeps every row) is
+                # indexed once per call.
+                assert overs == [(op.right_keys, len(tables["R"].rows))]
+            else:
+                # A scanned one is its table's cached column index.
+                assert overs == []
 
     def test_interleaved_symbolic_rows_preserve_dedup_order(self):
-        # Symbolic rows in the *middle* of both operands: a build-left
-        # probe emits pairs right-major, and only the rank restoration
-        # keeps the downstream projection's disjunction order (and thus
-        # the merged condition formulas) identical to the interpreted
-        # order.  The projection maps many join rows onto one output
-        # row, so any order slip changes the Or structurally.
+        # Symbolic rows in the *middle* of both operands: a keyed left
+        # row pairs with its bucket before the symbolic right rows, and
+        # only that order keeps the downstream projection's disjunction
+        # order (and thus the merged condition formulas) identical to
+        # the interpreted order.  The projection maps many join rows
+        # onto one output row, so any order slip changes the Or
+        # structurally.
         left = CTable(
             [
                 ((0, 1), eq(X, 0)),
@@ -336,19 +324,16 @@ class TestBuildSideSelection:
         )
         plan = plan_for_query(query, tables, optimize=False)
         reference = execute_plan(plan, tables)
-        for side in ("left", "right"):
-            lowered = lower(plan)
-            for op in lowered.walk():
-                if isinstance(op, HashJoinOp):
-                    op.build_side = side
-            from repro.physical import execute_physical
+        lowered = lower(plan)
+        assert any(isinstance(op, HashJoinOp) for op in lowered.walk())
+        from repro.physical import execute_physical
 
-            answered = execute_physical(lowered, tables)
-            assert answered == reference, side
-            # Not just the same row set: the same condition objects.
-            expected = {row.values: row.condition for row in reference.rows}
-            for row in answered.rows:
-                assert row.condition is expected[row.values], side
+        answered = execute_physical(lowered, tables)
+        assert answered == reference
+        # Not just the same row set: the same condition objects.
+        expected = {row.values: row.condition for row in reference.rows}
+        for row in answered.rows:
+            assert row.condition is expected[row.values]
 
 
 class TestRandomizedEquivalence:
@@ -518,25 +503,60 @@ class TestExplainPhysical:
         snapshot = dataset.explain(physical=True)
         assert "HashJoin" in snapshot
 
-    def test_filter_strategy_is_estimate_driven(self):
-        # A near-unique key column → the residual memo cannot pay;
-        # lower() switches the filter to per-row instantiation.
-        unique = CTable(
-            [((i, i % 3), ne(X, i % 2)) for i in range(64)], arity=2
+    #: perfbench's query shapes: ad-hoc reads and the churn views over
+    #: L(key, join) and R(join, payload), and the tuple-probability
+    #: point selection over the unary lineage table P.
+    PERFBENCH_TEXTS = (
+        "pi[1,4](sigma[1='k3' & 2=3](L x R))",
+        "pi[1,4](sigma[2=3 & 1!='k3'](L x R))",
+        "sigma[1='k3'](L)",
+        "pi[1,4](sigma[2=3](L x R))",
+        "pi[2](sigma[1!='k7'](L))",
+        "pi[2](L) - pi[1](R)",
+        "sigma[1='g3'](P)",
+    )
+
+    @staticmethod
+    def _perfbench_tables(rows=96):
+        """Small tables shaped like perfbench's: L's keys mix conditioned
+        and plain rows, R has one payload per row, P one tag per row."""
+        left = CTable(
+            [
+                ((f"k{i % 13}", f"j{i % 12}"), eq(Var(f"c{i % 5}"), 1) if i % 4 == 0 else TOP)
+                for i in range(rows)
+            ],
+            arity=2,
         )
-        tables = {"V": unique}
-        query = sel(rel("V", 2), col_eq_const(0, 7))
-        plan = plan_for_query(query, tables, optimize=False)
-        lowered = lower(plan, collect_stats(tables))
-        filters = [op for op in lowered.walk() if isinstance(op, FilterOp)]
-        assert filters and not filters[0].memoize
-        repetitive = CTable(
-            [((i % 3, i % 5), ne(X, i % 2)) for i in range(64)], arity=2
+        right = CTable(
+            [((f"j{i % 12}", f"r{i}"), TOP) for i in range(rows)], arity=2
         )
-        lowered = lower(plan, collect_stats({"V": repetitive}))
-        filters = [op for op in lowered.walk() if isinstance(op, FilterOp)]
-        assert filters and filters[0].memoize
-        assert "per-row" not in explain_physical(lowered)
+        lineage = CTable(
+            [((f"g{i}",), eq(Var(f"e{i}"), 1)) for i in range(rows)], arity=1
+        )
+        return {"L": left, "R": right, "P": lineage}
+
+    def test_lowering_is_estimate_blind(self):
+        # Statistics only stamp the rows≈ annotations: with them stripped,
+        # the tree lowered with estimates renders as the one without.
+        from repro.algebra.parser import parse_query
+
+        from harness import random_case
+
+        def blind(plan, tables):
+            informed = explain_physical(lower(plan, collect_stats(tables)))
+            assert "rows≈" in informed
+            stripped = re.sub(r"  rows≈\S+", "", informed)
+            assert stripped == explain_physical(lower(plan)), informed
+
+        tables = self._perfbench_tables()
+        arities = {name: table.arity for name, table in tables.items()}
+        for text in self.PERFBENCH_TEXTS:
+            query = parse_query(text, arities)
+            blind(plan_for_query(query, tables, optimize=True), tables)
+        rng = random.Random(2901)
+        for _ in range(60):
+            query, tables = random_case(rng)
+            blind(plan_for_query(query, tables, optimize=True), tables)
 
 
 class TestRowsPassThrough:
@@ -665,28 +685,22 @@ class TestIndexPathIdentity:
         assert (1,) not in index_lookups  # an Or/Not atom never pins
 
     @staticmethod
-    def _each_build_side(query, tables):
+    def _check_join(query, tables):
         plan = plan_for_query(query, tables, optimize=True)
         reference = execute_plan(plan, tables)
         from repro.physical import execute_physical
 
-        for side in ("left", "right"):
-            lowered = lower(plan, collect_stats(tables))
-            joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
-            assert joins, query
-            for op in joins:
-                op.build_side = side
-            answered = execute_physical(lowered, tables)
-            assert_structurally_identical(
-                reference, answered, f"{query!r} build={side}"
-            )
+        lowered = lower(plan, collect_stats(tables))
+        assert any(isinstance(op, HashJoinOp) for op in lowered.walk()), query
+        answered = execute_physical(lowered, tables)
+        assert_structurally_identical(reference, answered, repr(query))
 
-    def test_joins_on_both_build_sides(self, index_lookups):
+    def test_joins(self, index_lookups):
         rng = random.Random(2502)
         for trial in range(30):
             # Every third trial, L's join column holds only variables:
-            # every left build row is symbolic, so the probe reads all
-            # of R (the fallback).
+            # every left row is symbolic, so each one pairs with all of
+            # R (the fallback).
             variable_column = 1 if trial % 3 == 0 else None
             tables = {
                 "L": _keyed_table(rng, rng.randint(1, 8), variable_column),
@@ -707,7 +721,7 @@ class TestIndexPathIdentity:
                     [0, 4],
                 ),
             ):
-                self._each_build_side(query, tables)
+                self._check_join(query, tables)
         assert (0,) in index_lookups and (1,) in index_lookups
         assert (0, 2) in index_lookups  # two-column probe keys
 
@@ -855,19 +869,17 @@ class TestLateMaterialization:
         plan = plan_for_query(query, tables, optimize=True)
         for simplify in (False, True):
             reference = execute_plan(plan, tables, simplify_conditions=simplify)
-            for side in ("left", "right"):
-                lowered = lower(plan, collect_stats(tables))
-                (op,) = self._joins(lowered)
-                assert op.output is not None, query
-                op.build_side = side
-                answered = execute_physical(
-                    lowered, tables, simplify_conditions=simplify
-                )
-                assert_structurally_identical(
-                    reference,
-                    answered,
-                    f"{context} {query!r} build={side} simplify={simplify}",
-                )
+            lowered = lower(plan, collect_stats(tables))
+            (op,) = self._joins(lowered)
+            assert op.output is not None, query
+            answered = execute_physical(
+                lowered, tables, simplify_conditions=simplify
+            )
+            assert_structurally_identical(
+                reference,
+                answered,
+                f"{context} {query!r} simplify={simplify}",
+            )
 
     def test_answers_match_the_oracle(self):
         rng = random.Random(2701)
@@ -981,19 +993,17 @@ class TestBucketComposition:
         plan = plan_for_query(query, tables, optimize=True)
         for simplify in (False, True):
             reference = execute_plan(plan, tables, simplify_conditions=simplify)
-            for side in ("left", "right"):
-                lowered = lower(plan, collect_stats(tables))
-                (op,) = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
-                assert isinstance(op.right, right_class), query
-                op.build_side = side
-                answered = execute_physical(
-                    lowered, tables, simplify_conditions=simplify
-                )
-                assert_structurally_identical(
-                    reference,
-                    answered,
-                    f"{context} {query!r} build={side} simplify={simplify}",
-                )
+            lowered = lower(plan, collect_stats(tables))
+            (op,) = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
+            assert isinstance(op.right, right_class), query
+            answered = execute_physical(
+                lowered, tables, simplify_conditions=simplify
+            )
+            assert_structurally_identical(
+                reference,
+                answered,
+                f"{context} {query!r} simplify={simplify}",
+            )
 
     def test_answers_match_the_oracle(self, monkeypatch):
         from repro.physical.operators import _PairComposer
@@ -1001,10 +1011,8 @@ class TestBucketComposition:
         dropped = []  # per bucket call: how many of its pairs were false
         original = _PairComposer.bucket
 
-        def spy(composer, probe_condition, key, matched, build_rows, probe_right):
-            found = original(
-                composer, probe_condition, key, matched, build_rows, probe_right
-            )
+        def spy(composer, left_condition, key, matched, right_rows):
+            found = original(composer, left_condition, key, matched, right_rows)
             dropped.append(len(matched) - len(found))
             return found
 
@@ -1041,9 +1049,9 @@ class TestScannedBuildAndProjectBatches:
             overs.append(tuple(columns))
             return over(cls, columns, refs, rows)
 
-        def recording_bucket(composer, condition, key, matched, rows, probe_right):
+        def recording_bucket(composer, condition, key, matched, rows):
             buckets.append((key, matched))
-            return bucket(composer, condition, key, matched, rows, probe_right)
+            return bucket(composer, condition, key, matched, rows)
 
         monkeypatch.setattr(operators._KeyIndex, "over", classmethod(counting_over))
         monkeypatch.setattr(operators._PairComposer, "bucket", recording_bucket)
@@ -1061,28 +1069,21 @@ class TestScannedBuildAndProjectBatches:
             query = sel(prod(rel("L", 2), right), col_eq(1, 2))
             plan = plan_for_query(query, tables, optimize=True)
             reference = execute_plan(plan, tables)
-            for side in ("right", "left"):
-                lowered = lower(plan, collect_stats(tables))
-                (op,) = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
-                op.build_side = side
-                del overs[:], buckets[:]
-                answered = execute_physical(lowered, tables)
-                assert_structurally_identical(reference, answered, side)
-                assert buckets
-                if side == "right" and not scanned:
-                    # A filtered build side is indexed once per call.
-                    assert overs == [op.right_keys]
-                    continue
-                # Either side is a scan: no index is built, and every
-                # bucket is the scanned table's cached one.
-                assert overs == []
-                table, keys = (
-                    (tables["R"], op.right_keys)
-                    if side == "right"
-                    else (tables["L"], op.left_keys)
-                )
-                exact, _ = table.column_index(keys)
-                assert all(matched is exact[key] for key, matched in buckets)
+            lowered = lower(plan, collect_stats(tables))
+            (op,) = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
+            del overs[:], buckets[:]
+            answered = execute_physical(lowered, tables)
+            assert_structurally_identical(reference, answered, repr(query))
+            assert buckets
+            if not scanned:
+                # A filtered build side is indexed once per call.
+                assert overs == [op.right_keys]
+                continue
+            # A scanned build side: no index is built, and every bucket
+            # is the scanned table's cached one.
+            assert overs == []
+            exact, _ = tables["R"].column_index(op.right_keys)
+            assert all(matched is exact[key] for key, matched in buckets)
 
     @staticmethod
     def _project(rows, columns):

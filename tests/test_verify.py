@@ -502,29 +502,6 @@ class TestVerifyPhysical:
         op, stats = self.lowered_join()
         PlanVerifier(stats).verify_physical(op)
 
-    def test_flipped_build_side_is_stale_estimates(self):
-        op, stats = self.lowered_join()
-        op.build_side = "left" if op.build_side == "right" else "right"
-        with pytest.raises(PlanVerificationError) as excinfo:
-            PlanVerifier(stats).verify_physical(op)
-        assert excinfo.value.check == "estimates"
-
-    def test_scanned_right_is_the_build_side(self):
-        # S (2 rows) is smaller than R (3 rows), but R is a scan: lower()
-        # builds on it, and the verifier holds a left build to that rule.
-        tables = small_tables()
-        stats = collect_stats(tables)
-        plan = JoinNode(Scan("S", 2), Scan("R", 2), col_eq(1, 2))
-        op = lower(plan, stats)
-        assert op.left.est_rows < op.right.est_rows
-        assert op.build_side == "right"
-        PlanVerifier(stats).verify_physical(op)
-        op.build_side = "left"
-        with pytest.raises(PlanVerificationError) as excinfo:
-            PlanVerifier(stats).verify_physical(op)
-        assert excinfo.value.check == "estimates"
-        assert "right input is a scan" in str(excinfo.value)
-
     def test_negative_physical_estimate(self):
         op, stats = self.lowered_join()
         op.est_rows = -5.0

@@ -19,12 +19,16 @@ Pipeline
    (``x = v₀`` / its negation); larger supports get one indicator per
    outcome plus exactly-one clauses.  Fixed (singleton-support) variables
    fold away entirely.
-2. **Clausify**: the boolean formula goes through the existing Tseitin
-   transformation (:func:`repro.logic.cnf.tseitin_clauses`).  The full
-   biconditional encoding matters here: definition variables are
-   *functionally determined* by the atom variables, so the CNF has
-   exactly one model per model of the boolean formula and counting the
-   CNF counts the formula.
+2. **Clausify** by the shape of the root and the two levels under it.
+   A CNF is its own clause set.  A DNF F, the shape of positive-query
+   lineage, gives ¬F's clauses, one of negated literals per term; the
+   circuit is ``complemented`` and the probability is ``1 − W(EO ∧ ¬F)``
+   (EO: the exactly-one clauses; :mod:`repro.prob.wmc` shows
+   ``W(EO) = 1``).  Anything else is Tseitin-encoded
+   (:func:`repro.logic.cnf.tseitin_clauses`); its biconditional
+   definitions are *functionally determined* by the atoms, so the CNF
+   has one model per model of the formula.  Atoms are numbered by
+   first occurrence, left to right, on every route.
 3. **Compile** (:func:`compile_cnf`): an exhaustive DPLL whose trace is
    recorded as a circuit.  Unit propagation contributes AND-conjoined
    literal nodes (their variables provably vanish from the residual, so
@@ -82,9 +86,9 @@ from typing import (
 
 from repro.errors import ConditionError
 from repro.logic.atoms import BoolVar, Const, Eq, Var
-from repro.logic.cnf import Clause, tseitin_clauses
+from repro.logic.cnf import AtomMap, Clause, _literal, tseitin_clauses
 from repro.obs.metrics import counter
-from repro.obs.names import DDNNF_COMPILE_TOTAL, WMC_COUNT_TOTAL
+from repro.obs.names import CLAUSIFY_TOTAL, DDNNF_COMPILE_TOTAL, WMC_COUNT_TOTAL
 from repro.logic.syntax import (
     BOTTOM,
     TOP,
@@ -97,6 +101,7 @@ from repro.logic.syntax import (
     conj,
     disj,
     hashcons,
+    is_atom,
     neg,
 )
 
@@ -462,7 +467,7 @@ class _Compiler:
         Each component comes with its branch variable, the lowest
         variable index it mentions.  The static order matters more than
         any dynamic score here: CNF variables are numbered in formula
-        order by Tseitin clausification, so min-index branching sweeps
+        order by clausification, so min-index branching sweeps
         the condition structurally — and residuals left behind by
         different branches of the sweep *coincide* whenever the formula
         has bounded interaction width (chains, rings, lineages of
@@ -706,19 +711,23 @@ class CompiledCircuit:
     (indicator or boolean proposition) back to that atom; Tseitin
     definition variables are absent from it.  :mod:`repro.prob.wmc`
     uses the map to assign literal weights from the distributions.
+    A ``complemented`` circuit compiles the condition's negation, so the
+    condition's probability is one minus the circuit's weighted count.
     """
 
-    __slots__ = ("circuit", "var_atom", "supports")
+    __slots__ = ("circuit", "var_atom", "supports", "complemented")
 
     def __init__(
         self,
         circuit: DDNNF,
         var_atom: Dict[int, Formula],
         supports: Dict[str, Tuple[Hashable, ...]],
+        complemented: bool = False,
     ) -> None:
         self.circuit = circuit
         self.var_atom = var_atom
         self.supports = supports
+        self.complemented = complemented
 
 
 def compile_formula(formula: Formula) -> CompiledCircuit:
@@ -744,16 +753,62 @@ def compile_formula(formula: Formula) -> CompiledCircuit:
     return CompiledCircuit(circuit, var_atom, {})
 
 
+def _is_literal(formula: Formula) -> bool:
+    if isinstance(formula, Not):
+        formula = formula.child
+    return is_atom(formula)
+
+
+def _two_level(formula: Formula) -> Optional[Tuple[List[Sequence[Formula]], bool]]:
+    """Read *formula* as groups of literals, looking two levels down.
+
+    Returns ``(clauses, False)`` for a CNF: ⊤, ⊥, a literal, a clause or
+    an AND of those.  Returns ``(terms, True)`` for any other DNF: an OR
+    of literals and ANDs of literals.  Returns ``None`` for the rest.
+    """
+    complemented = False
+    if isinstance(formula, And):
+        tops = formula.children
+    elif isinstance(formula, Or) and any(isinstance(c, And) for c in formula.children):
+        tops, complemented = formula.children, True
+    else:
+        tops = () if isinstance(formula, Top) else (formula,)
+    inner = And if complemented else Or
+    groups: List[Sequence[Formula]] = []
+    for top in tops:
+        if isinstance(top, inner):
+            group: Sequence[Formula] = top.children
+        else:
+            group = () if isinstance(top, Bottom) else (top,)
+        if not all(map(_is_literal, group)):
+            return None
+        groups.append(group)
+    return groups, complemented
+
+
 def compile_condition(formula: Formula, supports: Supports) -> CompiledCircuit:
     """Compile a (possibly multi-valued) condition under *supports*.
 
-    The condition is booleanized, Tseitin-clausified, extended with
-    exactly-one clauses for every referenced one-hot group, and compiled
-    to d-DNNF.  The returned metadata carries enough structure for
-    :mod:`repro.prob.wmc` to weight literals from the distributions.
+    The condition is booleanized, clausified by its shape (module
+    docstring, step 2), extended with exactly-one clauses for every
+    referenced one-hot group, and compiled to d-DNNF.  The returned
+    metadata carries enough structure for :mod:`repro.prob.wmc` to
+    weight literals from the distributions.
     """
     boolean = booleanize(formula, supports)
-    clauses, atom_map, _root = tseitin_clauses(boolean)
+    shape = _two_level(boolean)
+    if shape is None:
+        clauses, atom_map, _root = tseitin_clauses(boolean)
+        complemented, route = False, "tseitin"
+    else:
+        groups, complemented = shape
+        route = "complement" if complemented else "direct"
+        sign, atom_map = (-1 if complemented else 1), AtomMap()
+        clauses = [
+            frozenset([sign * _literal(literal, atom_map) for literal in group])
+            for group in groups
+        ]
+    counter(CLAUSIFY_TOTAL, labels={"route": route})
     used_supports: Dict[str, Tuple[Hashable, ...]] = {}
     for atom in sorted(boolean.atoms(), key=repr):
         if isinstance(atom, _Indicator):
@@ -772,4 +827,4 @@ def compile_condition(formula: Formula, supports: Supports) -> CompiledCircuit:
         atom_map.index_of(atom): atom for atom in atom_map.atoms()
     }
     circuit = compile_cnf(clauses, len(atom_map))
-    return CompiledCircuit(circuit, var_atom, used_supports)
+    return CompiledCircuit(circuit, var_atom, used_supports, complemented)

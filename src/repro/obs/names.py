@@ -77,6 +77,10 @@ SAT_SOLVE_TOTAL = "solver_sat_solve_total"
 DPLL_RECURSIONS_TOTAL = "solver_dpll_recursions_total"
 #: Counter: SAT-backed condition-equivalence proofs.
 EQUIV_SAT_TOTAL = "solver_equivalence_sat_total"
+#: Counter, labels {route in {direct, complement, tseitin}}: conditions
+#: clausified for knowledge compilation, by the clause form their shape
+#: picked.
+CLAUSIFY_TOTAL = "solver_clausify_total"
 #: Counter: CNF -> d-DNNF knowledge compilations.
 DDNNF_COMPILE_TOTAL = "solver_ddnnf_compile_total"
 #: Counter: weighted model counts evaluated on compiled circuits.
@@ -105,12 +109,14 @@ REGISTERED_NAMES = frozenset(
         SAT_SOLVE_TOTAL,
         DPLL_RECURSIONS_TOTAL,
         EQUIV_SAT_TOTAL,
+        CLAUSIFY_TOTAL,
         DDNNF_COMPILE_TOTAL,
         WMC_COUNT_TOTAL,
     }
 )
 
 __all__ = [
+    "CLAUSIFY_TOTAL",
     "DDNNF_COMPILE_TOTAL",
     "DPLL_RECURSIONS_TOTAL",
     "EQUIV_SAT_TOTAL",

@@ -23,6 +23,11 @@ Weights
 - **Tseitin definitions** weigh ``(1, 1)``: the full biconditional
   encoding makes them functionally determined, so they never multiply
   the count.
+- A **complemented** circuit (a DNF condition F) counts ``EO ∧ ¬F``,
+  EO being the exactly-one clauses, and P(F) is ``1 − W(EO ∧ ¬F)``.
+  Exact, because validated distributions sum to 1: a two-value pair
+  adds ``p(v₀) + p(v₁) = 1`` and a one-hot group, whose EO models set
+  one indicator each, adds ``Σ p(v) · 1 = 1``, so ``W(EO) = 1``.
 
 Zero-probability outcomes are dropped from every support before
 compilation — a condition true only on measure-zero outcomes is simply
@@ -116,6 +121,8 @@ class CompiledCondition:
         result = self._probability
         if result is None:
             result = self.compiled.circuit.weighted_count(self._pos, self._neg)
+            if self.compiled.complemented:
+                result = 1 - result
             self._probability = result
         return result
 

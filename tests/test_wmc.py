@@ -22,6 +22,9 @@ Layers:
 - ``TestWideDifferential`` — Shannon ≡ WMC on 30+-variable conditions
   (product spaces past ``2^30``: no enumeration cross-check exists, the
   two symbolic counters keep each other honest);
+- ``TestClausifyRoutes`` — each clause form ``compile_condition``
+  picks by shape (direct CNF, DNF complement, Tseitin) ≡ enumeration
+  on seeded corpora that take all three;
 - ``TestDeepNesting`` — a condition nested hundreds of levels deep
   answers through every public terminal;
 - ``TestStrategyDispatch`` / ``TestEngineCircuitCache`` — no route
@@ -74,6 +77,8 @@ from repro.logic.counting import (
     probability_shannon,
 )
 from repro.logic.syntax import BOTTOM, TOP, conj, disj, neg
+from repro.obs.metrics import global_metrics
+from repro.obs.names import CLAUSIFY_TOTAL
 from repro.prob import (
     BooleanPCTable,
     PCTable,
@@ -108,14 +113,20 @@ def shape_edges(kind: str, size: int):
     return size * size, edges
 
 
-def edge_lineage_cnf(kind: str, size: int):
-    """(clauses, variable count) of the Tseitin CNF of the
-    ``OR (x_u AND x_v)`` edge lineage of a shape, over boolean flags."""
+def edge_lineage(kind: str, size: int):
+    """(condition, supports) of the ``OR (x_u AND x_v)`` edge lineage of
+    a shape, over boolean flags."""
     vertices, edges = shape_edges(kind, size)
     names = [f"e{vertex}" for vertex in range(vertices)]
     flags = [boolvar(name) for name in names]
     lineage = disj(*(conj(flags[u], flags[v]) for u, v in edges))
-    boolean = booleanize(lineage, {name: (False, True) for name in names})
+    return lineage, {name: (False, True) for name in names}
+
+
+def edge_lineage_cnf(kind: str, size: int):
+    """(clauses, variable count) of the Tseitin CNF of the
+    ``OR (x_u AND x_v)`` edge lineage of a shape, over boolean flags."""
+    boolean = booleanize(*edge_lineage(kind, size))
     clauses, atom_map, _root = tseitin_clauses(boolean)
     return clauses, len(atom_map)
 
@@ -279,6 +290,27 @@ class TestModelCounts:
     def test_edge_lineage_circuit_sizes(self, kind, size, nodes):
         circuit = compile_cnf(*edge_lineage_cnf(kind, size))
         assert circuit.size() == nodes
+
+    #: Circuit sizes of the same lineages through ``compile_condition``,
+    #: which compiles a DNF's complement: one clause of negated literals
+    #: per edge, no definition variables.
+    COMPLEMENT_SIZES = [
+        ("chain", 6, 29), ("ring", 8, 65), ("grid", 2, 18),
+        ("chain", 8, 41), ("chain", 40, 233), ("ring", 30, 329),
+        ("grid", 4, 246), ("chain", 44, 257), ("ring", 34, 377),
+        ("chain", 100, 593), ("ring", 70, 809), ("grid", 5, 640),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,size,nodes", COMPLEMENT_SIZES,
+        ids=[f"{kind}{size}" for kind, size, _ in COMPLEMENT_SIZES],
+    )
+    def test_edge_lineage_complement_circuit_sizes(self, kind, size, nodes):
+        compiled = compile_condition(*edge_lineage(kind, size))
+        assert compiled.complemented
+        assert compiled.circuit.size() == nodes
+        tseitin = {(k, n): pin for k, n, pin in self.BLOCK_SIZES}
+        assert nodes < tseitin[kind, size]
 
     @pytest.mark.parametrize("kind,size", [
         ("chain", 100), ("ring", 70), ("grid", 5),
@@ -449,6 +481,113 @@ class TestWideDifferential:
             lucas.append(lucas[-1] + lucas[-2])
         count = compile_formula(ring).circuit.model_count()
         assert count == 2**60 - lucas[60]
+
+
+class TestClausifyRoutes:
+    """Each clause form of ``compile_condition`` counts exactly.
+
+    A CNF keeps its own clauses (``direct``), a DNF compiles its
+    complement (``complement``), anything else goes through Tseitin
+    (``tseitin``).  Every route must give valuation enumeration's exact
+    answer, on boolean and on 3–4-valued supports with uneven weights,
+    and every seed's corpus must take all three routes.
+    """
+
+    BOOLEAN = ("b0", "b1", "b2")
+    MULTI = ("m0", "m1", "m2")
+    ROUTES = ("direct", "complement", "tseitin")
+
+    def distributions(self, rng):
+        result = {}
+        for name in self.BOOLEAN:
+            weight = Fraction(rng.randint(1, 6), 7)
+            result[name] = {True: weight, False: 1 - weight}
+        for name in self.MULTI:
+            support = ("a", "b", "c", "d")[: rng.randint(3, 4)]
+            weights = [rng.randint(1, 9) for _ in support]
+            result[name] = {
+                value: Fraction(weight, sum(weights))
+                for value, weight in zip(support, weights)
+            }
+        return result
+
+    def group(self, rng, distributions):
+        """Two or three literals over distinct variables."""
+        literals = []
+        for name in rng.sample(self.BOOLEAN + self.MULTI, rng.randint(2, 3)):
+            if name in self.BOOLEAN:
+                atom = boolvar(name)
+            else:
+                atom = eq(Var(name), rng.choice(sorted(distributions[name])))
+            literals.append(neg(atom) if rng.random() < 0.4 else atom)
+        return literals
+
+    def dnf(self, rng, distributions):
+        return disj(*(
+            conj(*self.group(rng, distributions))
+            for _ in range(rng.randint(2, 4))
+        ))
+
+    def cnf(self, rng, distributions):
+        return conj(*(
+            disj(*self.group(rng, distributions))
+            for _ in range(rng.randint(2, 4))
+        ))
+
+    def mixed(self, rng, distributions):
+        """Negations over connectives and ``Var = Var`` atoms."""
+        left, right = rng.sample(self.MULTI, 2)
+        parts = [
+            neg(self.dnf(rng, distributions)),
+            neg(self.cnf(rng, distributions)),
+            eq(Var(left), Var(right)),
+        ]
+        rng.shuffle(parts)
+        connective = conj if rng.random() < 0.5 else disj
+        return connective(*parts[: rng.randint(2, 3)])
+
+    @pytest.mark.parametrize("seed", [5, 6, 7, 8, 9])
+    def test_every_route_matches_enumeration(self, seed):
+        rng = random.Random(seed)
+        distributions = self.distributions(rng)
+        conditions = [TOP, BOTTOM, boolvar("b0"), neg(eq(Var("m1"), "a"))]
+        conditions.append(conj(*self.group(rng, distributions)))
+        conditions.append(disj(*self.group(rng, distributions)))
+        for _ in range(6):
+            conditions.append(self.dnf(rng, distributions))
+            conditions.append(self.cnf(rng, distributions))
+            conditions.append(self.mixed(rng, distributions))
+        metrics = global_metrics()
+        taken = set()
+        for condition in conditions:
+            before = {
+                route: metrics.counter_value(CLAUSIFY_TOTAL, {"route": route})
+                for route in self.ROUTES
+            }
+            compiled = compile_probability(condition, distributions)
+            moved = [
+                route for route in self.ROUTES
+                if metrics.counter_value(CLAUSIFY_TOTAL, {"route": route})
+                > before[route]
+            ]
+            assert len(moved) == 1, f"{condition!r}: routes {moved}"
+            assert compiled.compiled.complemented == (moved[0] == "complement")
+            taken.update(moved)
+            expected = probability_enumerate(condition, distributions)
+            assert compiled.probability() == expected, (
+                f"seed={seed} route={moved[0]} condition={condition!r}"
+            )
+        assert taken == set(self.ROUTES)
+
+    def test_constants_and_single_groups_take_the_direct_route(self):
+        """⊤, ⊥, a literal, one term and one clause are CNFs already."""
+        supports = {"b0": (False, True), "b1": (False, True)}
+        b0, b1 = boolvar("b0"), boolvar("b1")
+        for condition in (TOP, BOTTOM, b0, conj(b0, neg(b1)), disj(b0, b1)):
+            assert not compile_condition(condition, supports).complemented
+        assert compile_condition(
+            disj(b0, conj(b0, b1)), supports
+        ).complemented
 
 
 class TestBooleanization:

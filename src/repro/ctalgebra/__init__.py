@@ -25,7 +25,6 @@ from repro.ctalgebra.lifted import (
 )
 from repro.ctalgebra.plan import (
     PlanNode,
-    StatsAccumulator,
     TableStats,
     collect_stats,
     estimate,
@@ -43,7 +42,6 @@ from repro.ctalgebra.translate import (
 
 __all__ = [
     "PlanNode",
-    "StatsAccumulator",
     "TableStats",
     "apply_query_to_ctable",
     "collect_stats",

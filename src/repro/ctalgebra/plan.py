@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -68,7 +67,7 @@ from repro.algebra.ast import (
     Union,
 )
 from repro.algebra.predicates import is_column_var, column_index
-from repro.tables.ctable import CRow, CTable, make_row
+from repro.tables.ctable import CTable, make_row
 from repro.ctalgebra.lifted import (
     difference_bar,
     intersection_bar,
@@ -425,90 +424,6 @@ def collect_stats(tables: Mapping[str, CTable]) -> Dict[str, TableStats]:
 
 def _formula_size(formula: Formula) -> int:
     return sum(1 for _ in walk(formula))
-
-
-class StatsAccumulator:
-    """Mutable per-table counters behind :class:`TableStats`.
-
-    ``TableStats.from_ctable`` walks every row (and every row's
-    condition formula) from scratch; a session re-registering a large
-    table that changed by a handful of rows pays that full walk again.
-    The accumulator keeps the raw integer counters — row count,
-    per-column constant refcounts, total condition nodes — so a
-    re-registration can be absorbed as a *row delta*: only the added and
-    removed rows are walked.  :meth:`stats` performs the same final
-    divisions as ``from_ctable``, so the resulting :class:`TableStats`
-    is bit-identical (the statistics fingerprint in plan/result cache
-    keys depends on it).
-    """
-
-    __slots__ = ("arity", "rows", "constant_counts", "constant_refs", "condition_nodes")
-
-    def __init__(self, arity: int) -> None:
-        self.arity = arity
-        self.rows = 0
-        self.constant_counts = [0] * arity
-        #: Per column: constant value -> number of rows holding it.
-        self.constant_refs: List[Dict[object, int]] = [
-            {} for _ in range(arity)
-        ]
-        self.condition_nodes = 0
-
-    @classmethod
-    def from_ctable(cls, table: CTable) -> "StatsAccumulator":
-        accumulator = cls(table.arity)
-        accumulator.add_rows(table.rows)
-        return accumulator
-
-    def add_rows(self, rows: Iterable[CRow]) -> None:
-        for row in rows:
-            self.rows += 1
-            self.condition_nodes += _formula_size(row.condition)
-            for index, term in enumerate(row.values):
-                if isinstance(term, Const):
-                    self.constant_counts[index] += 1
-                    refs = self.constant_refs[index]
-                    refs[term.value] = refs.get(term.value, 0) + 1
-
-    def remove_rows(self, rows: Iterable[CRow]) -> None:
-        for row in rows:
-            self.rows -= 1
-            self.condition_nodes -= _formula_size(row.condition)
-            for index, term in enumerate(row.values):
-                if isinstance(term, Const):
-                    self.constant_counts[index] -= 1
-                    refs = self.constant_refs[index]
-                    remaining = refs[term.value] - 1
-                    if remaining:
-                        refs[term.value] = remaining
-                    else:
-                        del refs[term.value]
-
-    def apply_delta(
-        self, old_rows: Iterable[CRow], new_rows: Iterable[CRow]
-    ) -> None:
-        """Shift the counters from the *old_rows* multiset to *new_rows*."""
-        from collections import Counter
-
-        before = Counter(old_rows)
-        after = Counter(new_rows)
-        self.add_rows((after - before).elements())
-        self.remove_rows((before - after).elements())
-
-    def stats(self) -> TableStats:
-        """The equivalent ``TableStats.from_ctable`` result."""
-        total = self.rows
-        if total == 0:
-            return TableStats(
-                0, tuple(ColumnStats(1.0, 0) for _ in range(self.arity)), 0.0
-            )
-        columns = tuple(
-            ColumnStats(
-                self.constant_counts[i] / total, len(self.constant_refs[i])
-            )
-            for i in range(self.arity)
-        )
-        return TableStats(total, columns, self.condition_nodes / total)
 
 
 @dataclass(frozen=True)

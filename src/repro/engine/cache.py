@@ -1,23 +1,23 @@
 """The LRU caches behind prepared queries: plans and answer tables.
 
 A cache entry is an optimized :class:`~repro.ctalgebra.plan.PlanNode`
-keyed on everything the planner's output depends on: the (interned)
-query AST, the schema of the relations it references, a fingerprint of
-the statistics the optimizer saw, and the optimize flag.  Because the
-statistics fingerprint is part of the key, a stale entry can never be
-*returned* for changed data — invalidation exists to keep the cache from
-filling up with unreachable entries and to make the re-plan-on-register
-contract observable.
+keyed on the (interned) query AST, the version of each relation it
+reads, and the optimize flag.  A session draws a new version for a
+relation on every successful write, and computes a key before it reads
+the tables, so an entry is only ever *returned* for the tables it was
+computed from; one computed while a write landed sits under a version
+no later lookup asks for.  Invalidation exists to keep the cache from
+filling up with such unreachable entries and to make the
+re-plan-on-write contract observable.
 
 Entries also record which relation names they depend on, per scope (one
-scope per :class:`~repro.engine.Session`), so ``session.register`` can
-evict exactly the entries whose inputs changed and leave the rest warm.
+scope per :class:`~repro.engine.Session`), so a write can evict exactly
+the entries whose inputs changed and leave the rest warm.
 
 :class:`ResultCache` reuses the identical machinery for *answer tables*
-(``q̄(T)`` results): c-tables are immutable values and the only way a
-session's inputs change is ``register``, which invalidates by relation
-name — so a repeated identical read can be served without touching the
-physical plan at all.
+(``q̄(T)`` results): c-tables are immutable values, so a repeated read
+at unchanged versions can be served without touching the physical plan
+at all.
 """
 
 from __future__ import annotations
@@ -153,21 +153,17 @@ class ResultCache(PlanCache):
     """A bounded LRU mapping read keys to answer :class:`CTable` objects.
 
     Keys mirror the plan cache's — (session scope, interned query,
-    schema + statistics fingerprint, the config fields that shape the
-    answer) — and entries are invalidated per relation on re-register.
-    Correctness rests on that synchronous invalidation: the statistics
-    fingerprint narrows accidental key reuse but is an aggregate two
-    distinct tables can share, so any new table-mutation path MUST call
-    ``invalidate`` like ``Session.register`` does.  Within an unchanged
-    registry, c-table immutability makes sharing the cached answer safe.
+    relation versions, the config fields that shape the answer).
+    Correctness rests on the versions: any new table-mutation path MUST
+    draw a new version after publishing its table, like
+    ``Session.register`` and ``Session._mutate`` do.  At unchanged
+    versions, c-table immutability makes sharing the cached answer safe.
 
-    The mutation API (``Session.insert``/``delete``/``update``) keeps
-    the same contract but upgrades it: after the per-relation
-    invalidation drops the stale entry, ``PreparedQuery.refresh()``
-    *re-populates* the key in place — the maintained view's refreshed
-    table is ``put`` back under the post-mutation fingerprint — so a
-    standing read loop over mutating data stays a cache hit without
-    ever observing a stale answer.
+    After a mutation (``Session.insert``/``delete``/``update``),
+    ``PreparedQuery.refresh()`` *re-populates* the cache: the maintained
+    view's refreshed table is ``put`` under the key taken before the
+    view read the tables — so a standing read loop over mutating data
+    stays a cache hit without ever observing a stale answer.
     """
 
     __slots__ = ()

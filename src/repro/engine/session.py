@@ -12,14 +12,21 @@ independently re-translates and re-plans the query and re-evaluates
   and an LRU plan cache,
 - a :class:`Session` registers named tables of *any* representation
   system (v-/Codd-/or-set-/?-/…/c-tables, pc-tables), coercing each to a
-  c-table once via :func:`~repro.tables.convert.ctable_of` and caching
-  per-table statistics,
+  c-table once via :func:`~repro.tables.convert.ctable_of`,
 - ``session.query(q)`` returns a lazy :class:`Dataset` whose terminal
   methods — ``collect``, ``certain``, ``possible``, ``probability``,
   ``lineage``, ``explain`` — all share one :class:`PreparedQuery`: the
   query is planned once (plan memoized in the engine's cache, keyed on
-  query + schema + statistics fingerprint) and ``q̄(T)`` is evaluated
-  once, then every question is answered off that single answer table.
+  the query and the versions of the relations it reads) and ``q̄(T)`` is
+  evaluated once, then every question is answered off that single
+  answer table.
+
+Every successful write to a relation (``register``, ``insert``,
+``delete``, ``update``) gives it a new version, drawn from one counter
+per session.  Cached plans and answers are keyed on those versions, so
+by Theorem 4 a cached ``q̄(T)`` is only ever returned while ``T`` is
+still the registered table.  Per-table statistics are computed only
+when the planner or EXPLAIN asks for them.
 
 The pre-engine top-level functions survive as thin shims over a
 module-level default engine (see :func:`repro.engine.default_engine`),
@@ -65,7 +72,6 @@ from repro.tables.ctable import CRow, CTable, coerce_row, make_row
 from repro.tables.convert import ctable_of
 from repro.ctalgebra.plan import (
     PlanNode,
-    StatsAccumulator,
     TableStats,
     collect_stats,
     execute_plan,
@@ -134,6 +140,12 @@ def bind_single_table(query: Query, table: CTable) -> Dict[str, CTable]:
 class _Registered:
     """One registry entry: the coerced c-table plus cached derived data.
 
+    ``version`` is the session-wide counter value drawn by the last
+    successful write; cache keys carry it.  A write publishes
+    ``ctable`` before ``version``, so a key read before the tables can
+    only name the table it was read with or an earlier one.  ``stats``
+    holds the last computed statistics beside the table they describe.
+
     ``row_ids`` aligns one monotonically assigned integer with each row
     of ``ctable`` (registration numbers the initial rows ``0..n-1``;
     the mutation API hands out fresh ids from ``next_row_id`` and never
@@ -142,7 +154,7 @@ class _Registered:
     """
 
     __slots__ = (
-        "source", "ctable", "stats", "accumulator", "distributions",
+        "source", "ctable", "version", "stats", "distributions",
         "row_ids", "next_row_id",
     )
 
@@ -150,14 +162,13 @@ class _Registered:
         self,
         source: object,
         ctable: CTable,
-        stats: TableStats,
-        accumulator: StatsAccumulator,
+        version: int,
         distributions: Optional[ValidatedDistributions],
     ) -> None:
         self.source = source
         self.ctable = ctable
-        self.stats = stats
-        self.accumulator = accumulator
+        self.version = version
+        self.stats: Optional[Tuple[CTable, TableStats]] = None
         self.distributions = distributions
         self.row_ids: List[int] = list(range(len(ctable.rows)))
         self.next_row_id = len(ctable.rows)
@@ -370,8 +381,8 @@ class Engine:
     ) -> CTable:
         """Evaluate ``q̄`` against ad-hoc bindings.
 
-        Ad-hoc calls re-plan every time: without a registry there is no
-        place to track statistics changes, so nothing is cached.  Use a
+        Ad-hoc calls re-plan every time: without a registry there are no
+        relation versions to key a cache on, so nothing is cached.  Use a
         :class:`Session` for repeated queries.
         """
         config = self._config.with_options(
@@ -472,8 +483,9 @@ class Session:
     embedded via :func:`~repro.tables.convert.ctable_of` (Mod-preserving
     by construction), pc-tables contribute their underlying c-table plus
     their variable distributions, and plain :class:`Instance` values
-    become variable-free c-tables.  Coercion and per-table statistics
-    happen once, at registration.
+    become variable-free c-tables.  Coercion happens once, at
+    registration; per-table statistics are computed when a plan first
+    needs them.
     """
 
     _ids = itertools.count()
@@ -490,6 +502,9 @@ class Session:
             Tuple[Tuple[ValidatedDistributions, ...], ValidatedDistributions]
         ] = None
         self._id = next(Session._ids)
+        # One counter for every relation's version: a write draws the
+        # next value, so no two tables a relation ever held share one.
+        self._versions = itertools.count()
         # guarded-by: single-threaded like the registry itself.  One
         # view per standing query (made standing by
         # ``PreparedQuery.refresh()``), keyed on (query, optimize,
@@ -512,11 +527,10 @@ class Session:
     def register(self, name: str, table: object) -> "Session":
         """Register (or replace) *table* under *name*; returns ``self``.
 
-        Replacing a name invalidates exactly the cached plans *and
-        cached answer tables* that read it — statistics of the other
-        registered tables stay warm, and a replacement of the same
-        schema refreshes the cached statistics incrementally from the
-        row delta.
+        The relation gets a new version, so no cached plan or answer
+        table read from the replaced table is returned again; the
+        entries that read *name* are evicted, and those of the other
+        registered tables stay warm.
         """
         distributions = None
         source = table
@@ -555,22 +569,9 @@ class Session:
             # invariant (canonical interned formulas) and stay inside
             # the declared domain metadata.
             PlanVerifier().verify_ctable(name, ctable)
-        previous = self._registry.get(name)
-        if previous is not None and previous.ctable.arity == ctable.arity:
-            # Incremental refresh: absorb the row delta into the cached
-            # accumulator instead of re-walking the whole table (and
-            # every condition formula) from scratch.  A schema change
-            # falls through to the full rebuild below.
-            accumulator = previous.accumulator
-            accumulator.apply_delta(previous.ctable.rows, ctable.rows)
-        else:
-            accumulator = StatsAccumulator.from_ctable(ctable)
+        # One dict store publishes the table and its version together.
         self._registry[name] = _Registered(
-            source,
-            ctable,
-            accumulator.stats(),
-            accumulator,
-            distributions,
+            source, ctable, next(self._versions), distributions
         )
         self._engine._plan_cache.invalidate(self._id, (name,))
         self._engine._result_cache.invalidate(self._id, (name,))
@@ -595,9 +596,9 @@ class Session:
         pairs, or bare value tuples.  Only these rows are validated
         (arity, domain coverage, the boolean c-table rules); a malformed
         one raises :class:`TableError` and changes nothing.  The
-        mutation rolls the cached statistics forward from the row delta,
-        invalidates exactly the cached plans/answers/circuits that read
-        *name*, and hands every standing materialized view a signed
+        mutation gives *name* a new version, evicts exactly the cached
+        plans/answers/circuits that read it, and hands every standing
+        materialized view a signed
         :class:`~repro.ivm.delta.DeltaBatch` (consumed on its next
         ``refresh``).  The coerced table object changes;
         :meth:`source` keeps returning the originally registered object.
@@ -690,9 +691,7 @@ class Session:
         entry.ctable = new_table
         entry.row_ids = ids + [row_id for row_id, _ in added]
         entry.next_row_id = next_id + len(added)
-        entry.accumulator.remove_rows(delete_rows)
-        entry.accumulator.add_rows(insert_rows)
-        entry.stats = entry.accumulator.stats()
+        entry.version = next(self._versions)  # after the table it names
         engine = self._engine
         engine._plan_cache.invalidate(self._id, (name,))
         engine._result_cache.invalidate(self._id, (name,))
@@ -763,8 +762,19 @@ class Session:
         return self._entry(name).source
 
     def stats(self, name: str) -> TableStats:
-        """The cached :class:`TableStats` of one registered table."""
-        return self._entry(name).stats
+        """The :class:`TableStats` of one registered table.
+
+        Computed from the current table on first use after a change and
+        cached beside that table object; only the optimizer and EXPLAIN
+        read them.
+        """
+        entry = self._entry(name)
+        table = entry.ctable
+        cached = entry.stats
+        if cached is None or cached[0] is not table:
+            cached = (table, TableStats.from_ctable(table))
+            entry.stats = cached
+        return cached[1]
 
     def distributions(self) -> ValidatedDistributions:
         """Variable distributions merged across registered pc-tables.
@@ -882,24 +892,24 @@ class Session:
             for name in query.relation_names()
         }
 
-    def _fingerprint(
-        self, query: Query
-    ) -> Tuple[Tuple[str, int, TableStats], ...]:
-        """(schema, statistics) parts of the plan-cache key."""
-        parts: list[Tuple[str, int, TableStats]] = []
-        for name in sorted(query.relation_names()):
-            entry = self._entry(name)
-            parts.append((name, entry.ctable.arity, entry.stats))
-        return tuple(parts)
+    def _versions_of(self, query: Query) -> Tuple[Tuple[str, int], ...]:
+        """The ``(name, version)`` pairs of the relations *query* reads:
+        the registry-state part of plan and result keys."""
+        return tuple(
+            (name, self._entry(name).version)
+            for name in sorted(query.relation_names())
+        )
 
 
 class PreparedQuery:
     """One query, planned once against the session's current statistics.
 
     The optimized plan is memoized in the engine's LRU plan cache keyed
-    on (query, schema, statistics fingerprint, optimize flag); as long as
-    the registry does not change, every execution — and every
-    :class:`Dataset` terminal — reuses the identical plan object.
+    on (query, versions of the relations it reads, optimize flag); as
+    long as none of those relations is written, every execution — and
+    every :class:`Dataset` terminal — reuses the identical plan object.
+    Keys are always computed before the tables are read, so an answer
+    raced by a write is parked under a version no later lookup uses.
     """
 
     __slots__ = ("_session", "_query", "_config", "_parse_seconds")
@@ -935,7 +945,7 @@ class PreparedQuery:
         return (
             session._id,
             self._query,
-            session._fingerprint(self._query),
+            session._versions_of(self._query),
             self._config.optimize,
         )
 
@@ -969,21 +979,26 @@ class PreparedQuery:
 
     def physical_plan(self) -> PhysicalOp:
         """The physical plan, lowered once and cached alongside the
-        logical one (same cache entry, same invalidation)."""
+        logical one (same cache entry, same invalidation).
+
+        Lowered without statistics: estimates only annotate EXPLAIN
+        output, which lowers its own annotated tree.
+        """
         entry = self._plan_entry()
         lowered = entry.physical
         if lowered is None:
-            stats = {
-                name: self._session.stats(name)
-                for name in self._query.relation_names()
-            }
-            verifier = (
-                PlanVerifier(stats) if self._config.verify_plans else None
-            )
+            verifier = PlanVerifier() if self._config.verify_plans else None
             with trace_span(SPAN_LOWER):
-                lowered = lower(entry.logical, stats, verifier=verifier)
+                lowered = lower(entry.logical, verifier=verifier)
             entry.physical = lowered
         return lowered
+
+    def _stats(self) -> Dict[str, TableStats]:
+        """Current statistics of the relations this query reads."""
+        session = self._session
+        return {
+            name: session.stats(name) for name in self._query.relation_names()
+        }
 
     def _result_key(self) -> Tuple[object, ...]:
         session = self._session
@@ -992,7 +1007,7 @@ class PreparedQuery:
             "result",
             session._id,
             self._query,
-            session._fingerprint(self._query),
+            session._versions_of(self._query),
             config.optimize,
             config.simplify_conditions,
             config.executor,
@@ -1012,11 +1027,13 @@ class PreparedQuery:
         from :meth:`Session.insert` / :meth:`~Session.delete` /
         :meth:`~Session.update` calls since the last refresh and fold
         them through the delta rules of the view's physical operators.
-        The maintained table is re-cached under the current result-cache
-        key, so the next :meth:`execute` is a cache hit on a never-stale
-        entry.  The returned table is structurally identical (rows,
-        interned condition objects, order) to fully re-executing the
-        view's plan on the mutated tables.
+        The maintained table is re-cached under the result-cache key
+        taken before the view read the tables, so the next
+        :meth:`execute` is a cache hit, and a write racing the refresh
+        leaves the answer under a version no later read asks for.  The
+        returned table is structurally identical (rows, interned
+        condition objects, order) to fully re-executing the view's plan
+        on the mutated tables.
 
         An ``executor="interpreted"`` query never builds or reads a
         view: its refresh re-executes through the lifted-operator
@@ -1025,9 +1042,10 @@ class PreparedQuery:
         if self._config.executor == "interpreted":
             return self._execute()
         session = self._session
+        key = self._result_key()  # before the view reads the tables
         result = session._maintained_result(self)
         session.engine._result_cache.put(
-            self._result_key(),
+            key,
             result,
             session._id,
             frozenset(self._query.relation_names()),
@@ -1037,11 +1055,12 @@ class PreparedQuery:
     def execute(self) -> CTable:
         """Evaluate the plan against the registry's current tables.
 
-        A repeated identical read — same session state, same query, same
-        config — is served from the engine's result cache without
-        executing (or even lowering) any plan; ``register`` invalidates
-        per relation name.  With ``trace=True`` in the config, a span
-        trace of the execution lands in ``Engine.last_trace()``.
+        A repeated identical read — same relation versions, same query,
+        same config — is served from the engine's result cache without
+        executing (or even lowering) any plan; a write to a relation the
+        query reads gives it a new version, so the read misses.  With
+        ``trace=True`` in the config, a span trace of the execution
+        lands in ``Engine.last_trace()``.
         Once :meth:`refresh` has made the query standing, a read that
         misses the cache is served from its materialized view
         (refreshing it first), so repeated reads over mutating tables pay
@@ -1156,12 +1175,8 @@ class PreparedQuery:
         if analyze:
             return self._explain_analyze()
         if physical:
-            return explain_physical(self.physical_plan())
-        stats = {
-            name: self._session.stats(name)
-            for name in self._query.relation_names()
-        }
-        return explain_plan(self.plan(), stats)
+            return explain_physical(lower(self.plan(), self._stats()))
+        return explain_plan(self.plan(), self._stats())
 
     def _explain_analyze(self) -> str:
         """Execute under full instrumentation and render the actuals.
@@ -1182,7 +1197,9 @@ class PreparedQuery:
         with tracer.activate():
             if self._parse_seconds is not None:
                 tracer.event(SPAN_PARSE, seconds=self._parse_seconds)
-            physical_tree = self.physical_plan()
+            logical = self.plan()
+            with trace_span(SPAN_LOWER):
+                physical_tree = lower(logical, self._stats())
             bindings = session._bindings(self._query)
             with tracer.span(
                 SPAN_EXECUTE, cached=False, executor="vectorized"
@@ -1229,7 +1246,7 @@ class Dataset:
         "_distribution_sources",
         "_distributions",
         "_plan",
-        "_stats",
+        "_tables",
     )
 
     def __init__(self, prepared: PreparedQuery) -> None:
@@ -1240,7 +1257,7 @@ class Dataset:
         ] = None
         self._distributions: Optional[ValidatedDistributions] = None
         self._plan: Optional[PlanNode] = None
-        self._stats: Optional[Dict[str, TableStats]] = None
+        self._tables: Optional[Dict[str, CTable]] = None
 
     @property
     def prepared(self) -> PreparedQuery:
@@ -1253,20 +1270,17 @@ class Dataset:
     def collect(self) -> CTable:
         """The answer c-table ``q̄(T)`` (memoized; the lazy boundary).
 
-        The registry state the other terminals need — the plan, its
-        statistics, the pc-table distributions — is snapshotted at the
-        same moment (by reference; merging and rendering stay lazy), so
-        probability/lineage/explain readings remain consistent with the
-        answer even across later ``register`` calls.
+        The registry state the other terminals need — the plan, the
+        bound tables, the pc-table distributions — is snapshotted at the
+        same moment (by reference; merging, statistics and rendering
+        stay lazy), so probability/lineage/explain readings remain
+        consistent with the answer even across later ``register`` calls.
         """
         if self._collected is None:
             session = self._prepared.session
             self._distribution_sources = session._distribution_sources()
             self._plan = self._prepared.plan()
-            self._stats = {
-                name: session.stats(name)
-                for name in self._prepared.query.relation_names()
-            }
+            self._tables = session._bindings(self._prepared.query)
             self._collected = self._prepared.execute()
         return self._collected
 
@@ -1285,10 +1299,10 @@ class Dataset:
     def explain(self, physical: bool = False, analyze: bool = False) -> str:
         """The executed plan, annotated with estimates.
 
-        Once the dataset has collected, the plan and statistics are part
-        of its snapshot: the rendering describes the plan that produced
-        the memoized answer, not whatever a later ``register`` would
-        plan.  ``physical=True`` renders the lowered physical operator
+        Once the dataset has collected, the plan and the tables it read
+        are part of its snapshot: the rendering describes the plan that
+        produced the memoized answer, with estimates from those tables,
+        not whatever a later ``register`` would plan.  ``physical=True`` renders the lowered physical operator
         tree (hash joins and their ``out=`` columns, filters) instead of
         the logical one.
         ``analyze=True`` re-executes the query under tracing against the
@@ -1299,9 +1313,11 @@ class Dataset:
         if analyze:
             return self._prepared.explain(analyze=True)
         if self._plan is not None:
+            assert self._tables is not None
+            stats = collect_stats(self._tables)
             if physical:
-                return explain_physical(lower(self._plan, self._stats))
-            return explain_plan(self._plan, self._stats)
+                return explain_physical(lower(self._plan, stats))
+            return explain_plan(self._plan, stats)
         return self._prepared.explain(physical=physical)
 
     # ------------------------------------------------------------------

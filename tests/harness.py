@@ -31,6 +31,7 @@ what keeps the symbolic engine honest.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -56,6 +57,7 @@ from repro import (
     sel,
     union,
 )
+from repro.logic.atoms import Const
 from repro.logic.syntax import TOP, Formula, disj, neg
 from repro.prob import PCTable
 from repro.ctalgebra.plan import execute_plan
@@ -363,15 +365,17 @@ def assert_plan_modes_equivalent(
 
 @dataclass(frozen=True)
 class UpdateProfile:
-    """Shape of a seeded insert/delete/update sequence.
+    """Shape of a seeded insert/delete/update/re-register sequence.
 
     Each step picks one relation uniformly (the touched-relation mix),
-    one operation from the insert/delete/update weights, and a batch of
-    ``min_batch..max_batch`` rows.  Fresh rows draw values and
-    conditions from ``tables`` — the *same* shared variable pool as the
-    initial data, so deltas correlate with standing rows through shared
-    variables, which is exactly what stresses incremental condition
-    composition against the rerun oracle.
+    one operation from the insert/delete/update/re-register weights,
+    and a batch of ``min_batch..max_batch`` rows.  Fresh rows draw
+    values and conditions from ``tables`` — the *same* shared variable
+    pool as the initial data, so deltas correlate with standing rows
+    through shared variables, which is exactly what stresses
+    incremental condition composition against the rerun oracle.  A
+    re-register replaces the relation by :func:`renamed_constants` of
+    it: a different table with identical statistics.
     """
 
     min_steps: int = 1
@@ -381,6 +385,7 @@ class UpdateProfile:
     insert_weight: float = 2.0
     delete_weight: float = 1.5
     update_weight: float = 1.0
+    reregister_weight: float = 0.5
     tables: TableProfile = DEFAULT_TABLES
 
 
@@ -407,6 +412,42 @@ def random_fresh_row(
     return values, random_condition(rng, profile)
 
 
+def renamed_constants(rng: random.Random, table: CTable) -> CTable:
+    """*table* with one column's constants renamed by a bijection.
+
+    The column's constants, in ``repr`` order and followed by the least
+    integer not among them, are shifted one place along: each maps to
+    the next.  Row count, conditions, and each column's constant share
+    and distinct count stay as they were, so the result has the same
+    ``TableStats`` as *table*.  A table without constants comes back
+    equal.
+    """
+    columns = [
+        column
+        for column in range(table.arity)
+        if any(isinstance(row.values[column], Const) for row in table.rows)
+    ]
+    if not columns:
+        return table
+    column = rng.choice(columns)
+    values = {
+        term.value
+        for row in table.rows
+        if isinstance(term := row.values[column], Const)
+    }
+    fresh = next(value for value in itertools.count() if value not in values)
+    cycle = sorted(values, key=repr) + [fresh]
+    rename = dict(zip(cycle, cycle[1:]))
+    rows = []
+    for row in table.rows:
+        entries = list(row.values)
+        term = entries[column]
+        if isinstance(term, Const):
+            entries[column] = Const(rename[term.value])
+        rows.append((tuple(entries), row.condition))
+    return table.spliced((), rows)
+
+
 def apply_random_updates(
     rng: random.Random,
     session,
@@ -418,15 +459,20 @@ def apply_random_updates(
     Deletes and updates target rows sampled from the live table by
     *position* (duplicate rows stay multiset-correct: k sampled
     positions holding equal rows remove exactly k occurrences); an
-    empty relation falls back to an insert.  Returns the applied steps
-    as ``(operation, relation, batch_size)`` triples for assertion
-    context — the sequence itself is replayable from the rng seed.
+    empty relation falls back to an insert.  A re-register (of a c-table
+    relation; pc-table distributions are not carried over) counts every
+    row as its batch.  Returns the applied steps as ``(operation,
+    relation, batch_size)`` triples for assertion context — the
+    sequence itself is replayable from the rng seed.
     """
     if relations is None:
         relations = session.names()
-    operations = ("insert", "delete", "update")
+    operations = ("insert", "delete", "update", "reregister")
     weights = (
-        profile.insert_weight, profile.delete_weight, profile.update_weight
+        profile.insert_weight,
+        profile.delete_weight,
+        profile.update_weight,
+        profile.reregister_weight,
     )
     applied = []
     for _ in range(rng.randint(profile.min_steps, profile.max_steps)):
@@ -446,6 +492,9 @@ def apply_random_updates(
             )
             batch = [table.rows[position] for position in positions]
             session.delete(name, batch)
+        elif operation == "reregister":
+            batch = list(table.rows)
+            session.register(name, renamed_constants(rng, table))
         else:
             positions = rng.sample(
                 range(len(table.rows)), min(size, len(table.rows))

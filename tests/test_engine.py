@@ -590,6 +590,77 @@ class TestSessionConcurrency:
         assert session.query(join).collect() == references[join]
 
 
+class TestRacedWrites:
+    """A write that lands while a read runs — as a second thread's
+    would — never leaves the old answer reachable.
+
+    ``{(1, 2)}`` and ``{(3, 4)}`` have equal ``TableStats``, so only the
+    relation's version tells the two tables apart.  Each test runs one
+    write right after the raced read computed its answer; the next read
+    must be the current table's answer.
+    """
+
+    QUERY = proj(rel("V", 2), [0, 1])
+
+    @staticmethod
+    def current_answer(session):
+        return Engine().session(V=session.table("V")).query(
+            TestRacedWrites.QUERY
+        ).collect()
+
+    def raced_read(self, monkeypatch, write):
+        from repro.engine import session as session_module
+
+        session = Engine().session(V=CTable([(1, 2)], arity=2))
+        prepared = session.prepare(self.QUERY)
+        execute = session_module.execute_physical
+        pending = [write]
+
+        def racing(*args, **kwargs):
+            answered = execute(*args, **kwargs)
+            if pending:
+                pending.pop()(session)
+            return answered
+
+        monkeypatch.setattr(session_module, "execute_physical", racing)
+        prepared.execute()
+        assert not pending
+        return session, prepared
+
+    def test_register_during_read(self, monkeypatch):
+        session, prepared = self.raced_read(
+            monkeypatch,
+            lambda session: session.register("V", CTable([(3, 4)], arity=2)),
+        )
+        assert prepared.execute() == self.current_answer(session)
+
+    def test_update_during_read(self, monkeypatch):
+        session, prepared = self.raced_read(
+            monkeypatch,
+            lambda session: session.update("V", [((1, 2), (3, 4))]),
+        )
+        assert prepared.execute() == self.current_answer(session)
+
+    def test_update_during_refresh(self, monkeypatch):
+        session = Engine().session(V=CTable([(1, 2)], arity=2))
+        prepared = session.prepare(self.QUERY)
+        prepared.refresh()  # the query is now standing
+        maintained = Session._maintained_result
+        pending = [lambda: session.update("V", [((1, 2), (3, 4))])]
+
+        def racing(self, prepared):
+            answered = maintained(self, prepared)
+            if pending:
+                pending.pop()()
+            return answered
+
+        monkeypatch.setattr(Session, "_maintained_result", racing)
+        prepared.refresh()
+        assert not pending
+        assert prepared.execute() == self.current_answer(session)
+        assert prepared.refresh() == self.current_answer(session)
+
+
 class TestDefaultEngine:
     def test_default_engine_is_a_singleton(self):
         assert default_engine() is default_engine()

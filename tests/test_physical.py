@@ -39,7 +39,6 @@ from repro import (
     union,
 )
 from repro.ctalgebra.plan import (
-    StatsAccumulator,
     TableStats,
     collect_stats,
     execute_plan,
@@ -441,7 +440,7 @@ class TestResultCache:
 
 
 class TestIncrementalStats:
-    """Session.register refreshes TableStats from row deltas."""
+    """After a re-register, Session.stats describes the new table."""
 
     def test_delta_refresh_matches_full_recompute(self):
         engine = Engine()
@@ -471,13 +470,6 @@ class TestIncrementalStats:
         wider = CTable([((1, 2, 3), eq(X, 0))], arity=3)
         session.register("V", wider)
         assert session.stats("V") == TableStats.from_ctable(wider)
-
-    def test_accumulator_empties_cleanly(self):
-        table = mixed_table(4)
-        accumulator = StatsAccumulator.from_ctable(table)
-        accumulator.apply_delta(table.rows, ())
-        empty = CTable((), arity=2)
-        assert accumulator.stats() == TableStats.from_ctable(empty)
 
     def test_instance_registration_still_works(self):
         engine = Engine()

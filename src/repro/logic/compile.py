@@ -12,23 +12,29 @@ weighted model counting is a single linear-time pass
 Pipeline
 --------
 
-1. **Booleanize** (:func:`booleanize`): a condition over multi-valued
-   pc-table variables is translated into propositional logic over
-   :class:`_Indicator` atoms — the one-hot encoding pc-tables already
-   imply.  A variable with a two-value support uses a single proposition
-   (``x = v₀`` / its negation); larger supports get one indicator per
-   outcome plus exactly-one clauses.  Fixed (singleton-support) variables
-   fold away entirely.
-2. **Clausify** by the shape of the root and the two levels under it.
-   A CNF is its own clause set.  A DNF F, the shape of positive-query
-   lineage, gives ¬F's clauses, one of negated literals per term; the
-   circuit is ``complemented`` and the probability is ``1 − W(EO ∧ ¬F)``
-   (EO: the exactly-one clauses; :mod:`repro.prob.wmc` shows
-   ``W(EO) = 1``).  Anything else is Tseitin-encoded
-   (:func:`repro.logic.cnf.tseitin_clauses`); its biconditional
+1. **Clausify** the condition straight from its own two levels (the
+   root and the groups under it).  A CNF is its own clause set.  A DNF
+   F, the shape of positive-query lineage, gives ¬F's clauses, one of
+   negated literals per term; the circuit is ``complemented`` and the
+   probability is ``1 − W(EO ∧ ¬F)`` (EO: the exactly-one clauses;
+   :mod:`repro.prob.wmc` shows ``W(EO) = 1``).  Each literal maps to one
+   signed CNF variable by the one-hot encoding pc-tables already imply:
+   a ``Var = Const`` atom, or a :class:`BoolVar` with at most one truthy
+   outcome, asserts one outcome ``(name, value)``.  The outcome of a
+   singleton support folds to ⊤ and a value outside the support to ⊥; a
+   two-value support uses one variable for ``x = v₀`` and a sign; a
+   larger support uses one variable per outcome plus exactly-one
+   clauses for every group the condition uses.  Outcomes are numbered by
+   first occurrence, left to right, and each distinct atom is mapped
+   once.
+2. **Fall back** when a literal asserts no single outcome (``Var = Var``,
+   a :class:`BoolVar` with several truthy outcomes) or a group is not a
+   literal list: :func:`booleanize` translates the condition into
+   propositional logic over :class:`_Indicator` atoms, which step 1
+   clausifies when it has two levels; anything else is Tseitin-encoded
+   (:func:`repro.logic.cnf.tseitin_clauses`).  Its biconditional
    definitions are *functionally determined* by the atoms, so the CNF
-   has one model per model of the formula.  Atoms are numbered by
-   first occurrence, left to right, on every route.
+   has one model per model of the formula.
 3. **Compile** (:func:`compile_cnf`): an exhaustive DPLL whose trace is
    recorded as a circuit.  Unit propagation contributes AND-conjoined
    literal nodes (their variables provably vanish from the residual, so
@@ -77,16 +83,18 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
+    Union,
     cast,
 )
 
 from repro.errors import ConditionError
 from repro.logic.atoms import BoolVar, Const, Eq, Var
-from repro.logic.cnf import AtomMap, Clause, _literal, tseitin_clauses
+from repro.logic.cnf import Clause, tseitin_clauses
 from repro.obs.metrics import counter
 from repro.obs.names import CLAUSIFY_TOTAL, DDNNF_COMPILE_TOTAL, WMC_COUNT_TOTAL
 from repro.logic.syntax import (
@@ -101,13 +109,15 @@ from repro.logic.syntax import (
     conj,
     disj,
     hashcons,
-    is_atom,
     neg,
 )
 
 #: ``supports[x]`` is the tuple of outcomes variable ``x`` can take with
 #: positive probability, in a deterministic (repr-sorted) order.
 Supports = Mapping[str, Tuple[Hashable, ...]]
+
+#: A pc-table outcome: a variable's name and one value of its support.
+Outcome = Tuple[str, Hashable]
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,45 +149,9 @@ def indicator(name: str, value: Hashable) -> Formula:
     return hashcons(_Indicator, name, value)
 
 
-def indicator_fields(atom: Formula) -> Optional[Tuple[str, Hashable]]:
-    """Return ``(variable, value)`` for an indicator atom, else ``None``.
-
-    The weighted-model-counting layer uses this to recognize which CNF
-    variables encode pc-table outcomes (and must be weighted from the
-    distributions) versus Tseitin definitions (weighted ``(1, 1)``).
-    """
-    if isinstance(atom, _Indicator):
-        return (atom.name, atom.value)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Booleanization: multi-valued conditions → propositional formulas
 # ---------------------------------------------------------------------------
-
-
-def _takes(name: str, value: Hashable, supports: Supports) -> Formula:
-    """Translate the assertion ``name = value`` under *supports*.
-
-    Singleton supports fold to a constant; two-value supports use one
-    proposition and its negation (no exactly-one clauses needed, and the
-    weight pair ``(p(v₀), p(v₁))`` sums to 1 so smoothing gaps are free);
-    larger supports use the one-hot indicator for *value*.
-    """
-    try:
-        support = supports[name]
-    except KeyError:
-        raise ConditionError(
-            f"no distribution covers condition variable {name!r}"
-        ) from None
-    if value not in support:
-        return BOTTOM
-    if len(support) == 1:
-        return TOP
-    if len(support) == 2:
-        base = indicator(name, support[0])
-        return base if value == support[0] else neg(base)
-    return indicator(name, value)
 
 
 def _support_of(name: str, supports: Supports) -> Tuple[Hashable, ...]:
@@ -189,10 +163,44 @@ def _support_of(name: str, supports: Supports) -> Tuple[Hashable, ...]:
         ) from None
 
 
+def _encode(
+    value: Hashable, support: Tuple[Hashable, ...]
+) -> Union[bool, Tuple[Hashable, bool]]:
+    """How ``x = value`` is encoded when ``x`` ranges over *support*.
+
+    ``True`` or ``False`` when it folds: a singleton support's outcome
+    always holds, a value outside the support never does.  Otherwise
+    ``(encoded, positive)``: the outcome whose variable encodes the
+    assertion, and its sign.  Two-value supports use one proposition
+    ``x = v₀`` and its negation (no exactly-one clauses needed, and the
+    weight pair ``(p(v₀), p(v₁))`` sums to 1 so smoothing gaps are
+    free); larger supports use the one-hot variable of *value*.
+    """
+    if value not in support:
+        return False
+    if len(support) == 1:
+        return True
+    if len(support) == 2:
+        return support[0], value == support[0]
+    return value, True
+
+
+def _takes(name: str, value: Hashable, supports: Supports) -> Formula:
+    """Translate the assertion ``name = value`` under *supports*."""
+    code = _encode(value, _support_of(name, supports))
+    if code is True or code is False:
+        return TOP if code else BOTTOM
+    encoded, positive = code
+    atom = indicator(name, encoded)
+    return atom if positive else neg(atom)
+
+
 def booleanize(formula: Formula, supports: Supports) -> Formula:
     """Translate *formula* into propositional logic over indicator atoms.
 
-    Equalities between a variable and a constant become ``_takes``;
+    Only conditions that :func:`compile_condition` cannot clausify
+    straight from their own literals come here (module docstring, step
+    2).  Equalities between a variable and a constant become ``_takes``;
     equalities between two variables expand over the intersection of
     their supports; a :class:`BoolVar` is the disjunction of its truthy
     outcomes (matching the truthiness semantics of
@@ -707,12 +715,14 @@ class DDNNF:
 class CompiledCircuit:
     """A condition compiled end to end: circuit + encoding metadata.
 
-    ``var_atom`` maps each CNF variable that encodes a genuine atom
-    (indicator or boolean proposition) back to that atom; Tseitin
-    definition variables are absent from it.  :mod:`repro.prob.wmc`
-    uses the map to assign literal weights from the distributions.
-    A ``complemented`` circuit compiles the condition's negation, so the
-    condition's probability is one minus the circuit's weighted count.
+    ``var_atom`` maps each CNF variable that encodes a pc-table outcome
+    to that outcome's ``(name, value)`` pair; a two-value variable is
+    always encoded by its first outcome ``support[0]``, and Tseitin
+    definition variables are absent.  ``supports`` holds the support of
+    every variable the encoding uses.  :mod:`repro.prob.wmc` reads both
+    to weight literals from the distributions.  A ``complemented``
+    circuit compiles the condition's negation, so the condition's
+    probability is one minus the circuit's weighted count.
     """
 
     __slots__ = ("circuit", "var_atom", "supports", "complemented")
@@ -720,7 +730,7 @@ class CompiledCircuit:
     def __init__(
         self,
         circuit: DDNNF,
-        var_atom: Dict[int, Formula],
+        var_atom: Dict[int, Outcome],
         supports: Dict[str, Tuple[Hashable, ...]],
         complemented: bool = False,
     ) -> None:
@@ -735,36 +745,30 @@ def compile_formula(formula: Formula) -> CompiledCircuit:
 
     Every atom is treated as an independent two-valued proposition —
     the reading under which d-DNNF model counts must agree with
-    :meth:`repro.logic.bdd.Bdd.count_models` over the same variables.
-    The counting universe is anchored to *every* atom of the formula:
-    Tseitin clausification may simplify an atom away entirely (e.g. in
+    :meth:`repro.logic.bdd.Bdd.count_models` over the same variables —
+    so the circuit has no outcome variables to weight.  The counting
+    universe is anchored to *every* atom of the formula: Tseitin
+    clausification may simplify an atom away entirely (e.g. in
     ``~(e & ~(c | e))``, which is valid), and an eliminated atom must
     still count as a free variable — smoothing multiplies its gap
-    factor in, which is ``2`` for model counts and ``1`` for
-    probability weights.
+    factor in, which is ``2`` for model counts.
     """
     clauses, atom_map, _root = tseitin_clauses(formula)
     for atom in sorted(formula.atoms(), key=repr):
         atom_map.index_of(atom)  # allocate atoms simplification removed
-    var_atom = {
-        atom_map.index_of(atom): atom for atom in atom_map.atoms()
-    }
     circuit = compile_cnf(clauses, len(atom_map))
-    return CompiledCircuit(circuit, var_atom, {})
+    return CompiledCircuit(circuit, {}, {})
 
 
-def _is_literal(formula: Formula) -> bool:
-    if isinstance(formula, Not):
-        formula = formula.child
-    return is_atom(formula)
+def _two_level(formula: Formula) -> Tuple[List[Sequence[Formula]], bool]:
+    """Read *formula* as groups of members, looking two levels down.
 
-
-def _two_level(formula: Formula) -> Optional[Tuple[List[Sequence[Formula]], bool]]:
-    """Read *formula* as groups of literals, looking two levels down.
-
-    Returns ``(clauses, False)`` for a CNF: ⊤, ⊥, a literal, a clause or
-    an AND of those.  Returns ``(terms, True)`` for any other DNF: an OR
-    of literals and ANDs of literals.  Returns ``None`` for the rest.
+    Returns ``(clauses, False)`` when the root is ⊤, ⊥, an AND, or an OR
+    without AND children: each AND child (or the root itself) is one
+    clause, an OR's children its members.  Returns ``(terms, True)`` for
+    an OR with an AND child: each child is one term, an AND's children
+    its members.  The formula is a CNF or DNF when every member is a
+    literal, which :func:`_clausify` checks as it maps them.
     """
     complemented = False
     if isinstance(formula, And):
@@ -777,54 +781,161 @@ def _two_level(formula: Formula) -> Optional[Tuple[List[Sequence[Formula]], bool
     groups: List[Sequence[Formula]] = []
     for top in tops:
         if isinstance(top, inner):
-            group: Sequence[Formula] = top.children
+            groups.append(top.children)
         else:
-            group = () if isinstance(top, Bottom) else (top,)
-        if not all(map(_is_literal, group)):
-            return None
-        groups.append(group)
+            groups.append(() if isinstance(top, Bottom) else (top,))
     return groups, complemented
+
+
+def _outcome_literal(
+    atom: Formula,
+    supports: Supports,
+    numbers: Dict[Outcome, int],
+    used: Dict[str, Tuple[Hashable, ...]],
+) -> Optional[Union[int, bool]]:
+    """The signed CNF variable asserting *atom*, encoded by :func:`_encode`.
+
+    Numbers the asserted outcome on first use and files its variable's
+    support in *used*.  Returns ``True``/``False`` when the atom folds
+    under *supports*, and ``None`` when it asserts no single outcome: a
+    ``Var = Var`` atom, a :class:`BoolVar` with several truthy outcomes,
+    or no atom at all.  :class:`_Indicator` atoms map to their own
+    outcome, so booleanized conditions clausify the same way.
+    """
+    if isinstance(atom, Eq):
+        variable, constant = atom.left, atom.right
+        if isinstance(variable, Const):
+            variable, constant = constant, variable
+        if not (isinstance(variable, Var) and isinstance(constant, Const)):
+            return None
+        name, value = variable.name, constant.value
+        support = _support_of(name, supports)
+    elif isinstance(atom, BoolVar):
+        name = atom.name
+        support = _support_of(name, supports)
+        truthy = [outcome for outcome in support if outcome]
+        if len(truthy) != 1:
+            return None if truthy else False
+        value = truthy[0]
+    elif isinstance(atom, _Indicator):
+        name, value = atom.name, atom.value
+        support = _support_of(name, supports)
+    else:
+        return None
+    code = _encode(value, support)
+    if code is True or code is False:
+        return code
+    encoded, positive = code
+    outcome = (name, encoded)
+    number = numbers.get(outcome)
+    if number is None:
+        number = numbers[outcome] = len(numbers) + 1
+        used[name] = support
+    return number if positive else -number
+
+
+class _Clauses(NamedTuple):
+    """A condition's clauses before the exactly-one clauses are added."""
+
+    clauses: List[Clause]
+    #: The CNF variable of every outcome the clauses mention.
+    numbers: Dict[Outcome, int]
+    #: The support of every variable with an outcome in ``numbers``.
+    used: Dict[str, Tuple[Hashable, ...]]
+    #: The CNF variables the clauses number, definitions included.
+    num_vars: int
+    route: str
+
+
+def _clausify(formula: Formula, supports: Supports) -> Optional[_Clauses]:
+    """Clausify a CNF or DNF whose literals each map to one CNF literal.
+
+    Returns ``None`` when a member of :func:`_two_level`'s groups is no
+    such literal (:func:`_outcome_literal`).  A literal that folds true
+    drops its clause, one that folds false drops out of it; a DNF term
+    is complemented member by member into a clause of ¬F.
+    """
+    groups, complemented = _two_level(formula)
+    numbers: Dict[Outcome, int] = {}
+    used: Dict[str, Tuple[Hashable, ...]] = {}
+    # One entry per distinct source atom, keyed by identity: the
+    # formula holds every atom alive until the clauses are built.
+    memo: Dict[int, Union[int, bool]] = {}
+    clauses: List[Clause] = []
+    for group in groups:
+        literals: List[int] = []
+        for literal in group:
+            flip = complemented
+            if isinstance(literal, Not):
+                literal, flip = literal.child, not flip
+            code = memo.get(id(literal))
+            if code is None:
+                code = _outcome_literal(literal, supports, numbers, used)
+                if code is None:
+                    return None
+                memo[id(literal)] = code
+            if code is True or code is False:
+                if code is not flip:
+                    break  # the literal holds, so the clause does
+            else:
+                literals.append(-code if flip else code)
+        else:
+            clauses.append(frozenset(literals))
+    route = "complement" if complemented else "direct"
+    return _Clauses(clauses, numbers, used, len(numbers), route)
+
+
+def _tseitin(boolean: Formula, supports: Supports) -> _Clauses:
+    """Tseitin-encode a booleanized condition that has no two levels."""
+    clauses, atom_map, _root = tseitin_clauses(boolean)
+    numbers = {
+        (atom.name, atom.value): atom_map.index_of(atom)
+        for atom in atom_map.atoms()
+        if isinstance(atom, _Indicator)
+    }
+    used: Dict[str, Tuple[Hashable, ...]] = {}
+    for atom in sorted(boolean.atoms(), key=repr):
+        if isinstance(atom, _Indicator):
+            used[atom.name] = tuple(supports[atom.name])
+    return _Clauses(clauses, numbers, used, len(atom_map), "tseitin")
 
 
 def compile_condition(formula: Formula, supports: Supports) -> CompiledCircuit:
     """Compile a (possibly multi-valued) condition under *supports*.
 
-    The condition is booleanized, clausified by its shape (module
-    docstring, step 2), extended with exactly-one clauses for every
-    referenced one-hot group, and compiled to d-DNNF.  The returned
-    metadata carries enough structure for :mod:`repro.prob.wmc` to
-    weight literals from the distributions.
+    The condition is clausified straight from its own literals when it
+    can be, and through :func:`booleanize` otherwise (module docstring,
+    steps 1–2), extended with exactly-one clauses for every one-hot
+    group it uses, and compiled to d-DNNF.  The returned metadata maps
+    every outcome variable to its ``(name, value)`` pair, which is all
+    :mod:`repro.prob.wmc` needs to weight literals from the
+    distributions.
     """
-    boolean = booleanize(formula, supports)
-    shape = _two_level(boolean)
-    if shape is None:
-        clauses, atom_map, _root = tseitin_clauses(boolean)
-        complemented, route = False, "tseitin"
-    else:
-        groups, complemented = shape
-        route = "complement" if complemented else "direct"
-        sign, atom_map = (-1 if complemented else 1), AtomMap()
-        clauses = [
-            frozenset([sign * _literal(literal, atom_map) for literal in group])
-            for group in groups
-        ]
-    counter(CLAUSIFY_TOTAL, labels={"route": route})
-    used_supports: Dict[str, Tuple[Hashable, ...]] = {}
-    for atom in sorted(boolean.atoms(), key=repr):
-        if isinstance(atom, _Indicator):
-            used_supports[atom.name] = tuple(supports[atom.name])
-    for name, support in used_supports.items():
+    clausified = _clausify(formula, supports)
+    if clausified is None:
+        boolean = booleanize(formula, supports)
+        clausified = _clausify(boolean, supports)
+        if clausified is None:
+            clausified = _tseitin(boolean, supports)
+    counter(CLAUSIFY_TOTAL, labels={"route": clausified.route})
+    clauses, numbers = clausified.clauses, clausified.numbers
+    num_vars = clausified.num_vars
+    for name, support in clausified.used.items():
         if len(support) <= 2:
             continue
-        group = [
-            atom_map.index_of(indicator(name, value)) for value in support
-        ]
+        group = []
+        for value in support:
+            number = numbers.get((name, value))
+            if number is None:
+                num_vars += 1
+                number = numbers[name, value] = num_vars
+            group.append(number)
         clauses.append(frozenset(group))
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 clauses.append(frozenset({-group[i], -group[j]}))
-    var_atom = {
-        atom_map.index_of(atom): atom for atom in atom_map.atoms()
-    }
-    circuit = compile_cnf(clauses, len(atom_map))
-    return CompiledCircuit(circuit, var_atom, used_supports, complemented)
+    var_atom = {number: outcome for outcome, number in numbers.items()}
+    circuit = compile_cnf(clauses, num_vars)
+    return CompiledCircuit(
+        circuit, var_atom, clausified.used, clausified.route == "complement"
+    )

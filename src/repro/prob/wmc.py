@@ -14,20 +14,24 @@ end.
 Weights
 -------
 
-- A **one-hot indicator** ``[x=v]`` weighs ``p(v)`` positively and ``1``
+The compiler maps every outcome variable to its ``(name, value)`` pair
+(:attr:`repro.logic.compile.CompiledCircuit.var_atom`), so a weight is a
+lookup in the distributions:
+
+- A **one-hot** variable ``x = v`` weighs ``p(v)`` positively and ``1``
   negatively; the exactly-one clauses emitted by the compiler make the
   product over a group pick out exactly one outcome's probability.
 - A **two-value variable** is encoded as the single proposition
   ``x = v₀``, weighted ``(p(v₀), p(v₁))`` — no exactly-one clauses, and
   the weights sum to 1 so smoothing gaps cost nothing.
-- **Tseitin definitions** weigh ``(1, 1)``: the full biconditional
-  encoding makes them functionally determined, so they never multiply
-  the count.
+- **Tseitin definitions** have no pair and weigh ``(1, 1)``: the full
+  biconditional encoding makes them functionally determined, so they
+  never multiply the count.
 - A **complemented** circuit (a DNF condition F) counts ``EO ∧ ¬F``,
   EO being the exactly-one clauses, and P(F) is ``1 − W(EO ∧ ¬F)``.
   Exact, because validated distributions sum to 1: a two-value pair
   adds ``p(v₀) + p(v₁) = 1`` and a one-hot group, whose EO models set
-  one indicator each, adds ``Σ p(v) · 1 = 1``, so ``W(EO) = 1``.
+  one variable each, adds ``Σ p(v) · 1 = 1``, so ``W(EO) = 1``.
 
 Zero-probability outcomes are dropped from every support before
 compilation — a condition true only on measure-zero outcomes is simply
@@ -45,12 +49,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.errors import ProbabilityError
-from repro.logic.compile import (
-    CompiledCircuit,
-    Supports,
-    compile_condition,
-    indicator_fields,
-)
+from repro.logic.compile import CompiledCircuit, Supports, compile_condition
 from repro.logic.counting import Distributions, check_distributions
 from repro.logic.syntax import Formula
 
@@ -130,27 +129,23 @@ class CompiledCondition:
 def compile_probability(
     formula: Formula, distributions: Distributions
 ) -> CompiledCondition:
-    """Compile *formula* under *distributions* into a weighted circuit."""
+    """Compile *formula* under *distributions* into a weighted circuit.
+
+    Every variable starts at weight ``(1, 1)``; each outcome variable
+    then takes its weights from its ``(name, value)`` pair, the
+    negative one from the second outcome when the support has two.
+    """
     distributions = check_distributions(distributions)
     supports: Supports = condition_supports(formula, distributions)
     compiled = compile_condition(formula, supports)
-    pos: Dict[int, Fraction] = {}
-    neg: Dict[int, Fraction] = {}
-    for variable in range(1, compiled.circuit.num_vars + 1):
-        atom = compiled.var_atom.get(variable)
-        fields = indicator_fields(atom) if atom is not None else None
-        if fields is None:
-            pos[variable] = Fraction(1)
-            neg[variable] = Fraction(1)
-            continue
-        name, value = fields
+    pos = dict.fromkeys(range(1, compiled.circuit.num_vars + 1), Fraction(1))
+    neg = dict(pos)
+    for variable, (name, value) in compiled.var_atom.items():
+        distribution = distributions[name]
+        pos[variable] = distribution[value]
         support = compiled.supports[name]
-        pos[variable] = Fraction(distributions[name][value])
         if len(support) == 2:
-            other = support[1] if value == support[0] else support[0]
-            neg[variable] = Fraction(distributions[name][other])
-        else:
-            neg[variable] = Fraction(1)
+            neg[variable] = distribution[support[1]]
     return CompiledCondition(formula, compiled, pos, neg)
 
 

@@ -25,6 +25,10 @@ Layers:
 - ``TestClausifyRoutes`` — each clause form ``compile_condition``
   picks by shape (direct CNF, DNF complement, Tseitin) ≡ enumeration
   on seeded corpora that take all three;
+- ``TestDirectClausify`` / ``TestBooleanizeFallback`` — clausifying
+  straight from the condition's literals ≡ enumeration, with the
+  clauses and numbering of ``booleanize`` where nothing folds, and
+  ``booleanize`` reached only by literals that assert no one outcome;
 - ``TestDeepNesting`` — a condition nested hundreds of levels deep
   answers through every public terminal;
 - ``TestStrategyDispatch`` / ``TestEngineCircuitCache`` — no route
@@ -52,22 +56,24 @@ from harness import (
     random_wide_condition,
 )
 from repro.engine import Dataset, Engine, ExecutionConfig
-from repro.errors import ProbabilityError
+from repro.errors import ConditionError, ProbabilityError
 from repro.logic.atoms import Var, boolvar, eq, ne
 from repro.logic.bdd import Bdd
+import repro.logic.compile as compile_module
 import repro.logic.counting as counting_module
-from repro.logic.cnf import tseitin_clauses
+from repro.logic.cnf import AtomMap, _literal, tseitin_clauses
 from repro.logic.compile import (
     DAnd,
     DDNNF,
     DLit,
     DOr,
+    _clausify,
+    _two_level,
     booleanize,
     compile_cnf,
     compile_condition,
     compile_formula,
     indicator,
-    indicator_fields,
 )
 from repro.logic.counting import (
     ValidatedDistributions,
@@ -90,6 +96,7 @@ from repro.prob import (
     tuple_probability_naive,
     wmc_probability,
 )
+from repro.prob.wmc import condition_supports
 from repro.algebra import col_eq_const, rel, sel
 
 X = Var("x")
@@ -590,13 +597,201 @@ class TestClausifyRoutes:
         ).complemented
 
 
+class TestDirectClausify:
+    """Clausifying a condition from its own literals ≡ enumeration.
+
+    Seeded CNFs and DNFs over boolean flags, two-valued, singleton and
+    3–4-valued supports, with negations, values outside the support,
+    duplicate literals and ``x ∧ ¬x`` within a group.  Where no literal
+    folds or merges, the clauses and the numbering are exactly those
+    that :func:`booleanize` and ``_two_level`` give.
+    """
+
+    def distributions(self, rng):
+        weight = Fraction(rng.randint(1, 6), 7)
+        result = {
+            "b0": {True: weight, False: 1 - weight},
+            "b1": {True: 1 - weight, False: weight},
+            "t0": {1: Fraction(2, 5), 2: Fraction(3, 5)},
+            "t1": {"lo": Fraction(1, 9), "hi": Fraction(8, 9)},
+            "s0": {"only": Fraction(1)},
+            # Zero weight: "c" is outside the support.
+            "z0": {"a": Fraction(1, 4), "b": Fraction(3, 4), "c": Fraction(0)},
+            # One truthy outcome, so the flag is one one-hot variable.
+            "f0": {0: Fraction(1, 6), "": Fraction(2, 6), "on": Fraction(3, 6)},
+        }
+        for name in ("m0", "m1"):
+            support = ("a", "b", "c", "d")[: rng.randint(3, 4)]
+            weights = [rng.randint(1, 9) for _ in support]
+            result[name] = {
+                value: Fraction(w, sum(weights))
+                for value, w in zip(support, weights)
+            }
+        return result
+
+    def literal(self, rng, distributions):
+        name = rng.choice(sorted(distributions))
+        if name in ("b0", "b1", "f0") and rng.random() < 0.5:
+            atom = boolvar(name)
+        else:
+            values = sorted(distributions[name], key=repr)
+            if rng.random() < 0.1:
+                values = ["absent"]
+            atom = eq(Var(name), rng.choice(values))
+        return neg(atom) if rng.random() < 0.35 else atom
+
+    def condition(self, rng, distributions):
+        inner, outer = (conj, disj) if rng.random() < 0.5 else (disj, conj)
+        return outer(*(
+            inner(*(
+                self.literal(rng, distributions)
+                for _ in range(rng.randint(1, 3))
+            ))
+            for _ in range(rng.randint(1, 4))
+        ))
+
+    @staticmethod
+    def reference(formula, supports):
+        """Clauses and numbering through ``booleanize`` + ``_two_level``."""
+        boolean = booleanize(formula, supports)
+        groups, complemented = _two_level(boolean)
+        sign, atom_map = (-1 if complemented else 1), AtomMap()
+        clauses = [
+            frozenset(sign * _literal(literal, atom_map) for literal in group)
+            for group in groups
+        ]
+        numbers = {
+            (atom.name, atom.value): atom_map.index_of(atom)
+            for atom in atom_map.atoms()
+        }
+        return groups, clauses, numbers, complemented
+
+    @pytest.mark.parametrize("seed", [11, 12, 13, 14])
+    def test_direct_clauses_match_enumeration_and_booleanize(self, seed):
+        rng = random.Random(seed)
+        distributions = self.distributions(rng)
+        compared = 0
+        for trial in range(80):
+            condition = self.condition(rng, distributions)
+            supports = condition_supports(condition, distributions)
+            shape = _clausify(condition, supports)
+            assert shape is not None, f"trial={trial} {condition!r}"
+            expected = probability_enumerate(condition, distributions)
+            assert compile_probability(
+                condition, distributions
+            ).probability() == expected, f"seed={seed} trial={trial} {condition!r}"
+            groups, clauses, numbers, complemented = self.reference(
+                condition, supports
+            )
+            source, _ = _two_level(condition)
+            if [len(group) for group in groups] != [
+                len(group) for group in source
+            ]:
+                continue  # a literal folded or merged
+            compared += 1
+            assert shape.clauses == clauses, f"trial={trial} {condition!r}"
+            assert shape.numbers == numbers, f"trial={trial} {condition!r}"
+            assert (shape.route == "complement") == complemented
+        assert compared >= 12, f"seed={seed}: only {compared} compared"
+
+    def test_folds_and_merges_count_exactly(self):
+        """The cases booleanize simplifies away, one by one."""
+        distributions = self.distributions(random.Random(3))
+        b0, t0, s0, z0 = (Var(name) for name in ("b0", "t0", "s0", "z0"))
+        conditions = [
+            conj(eq(t0, 1), eq(t0, 2)),  # x ∧ ¬x in one term
+            disj(conj(eq(t0, 1), eq(t0, 2)), boolvar("b1")),
+            disj(eq(t0, 1), eq(t0, 2)),  # x ∨ ¬x in one clause
+            conj(disj(eq(t0, 1), ne(t0, 2)), boolvar("b1")),  # duplicates
+            disj(conj(boolvar("b0"), eq(b0, True)), eq(s0, "only")),
+            disj(conj(eq(z0, "c"), boolvar("b1")), ne(s0, "only")),
+            conj(disj(eq(z0, "c"), ne(z0, "absent")), eq(Var("m0"), "b")),
+            disj(conj(boolvar("f0"), ne(Var("m1"), "a")), eq(z0, "a")),
+        ]
+        for condition in conditions:
+            assert _clausify(
+                condition, condition_supports(condition, distributions)
+            ) is not None
+            assert compile_probability(
+                condition, distributions
+            ).probability() == probability_enumerate(
+                condition, distributions
+            ), f"{condition!r}"
+
+
+class TestBooleanizeFallback:
+    """``booleanize`` runs only for literals that map to no one outcome."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Outermost ``booleanize`` calls (its recursion is not counted)."""
+        calls = []
+        depth = [0]
+        original = compile_module.booleanize
+
+        def counted(formula, supports):
+            if not depth[0]:
+                calls.append(formula)
+            depth[0] += 1
+            try:
+                return original(formula, supports)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(compile_module, "booleanize", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "kind,size", [(k, n) for k, n, _ in TestModelCounts.COMPLEMENT_SIZES]
+    )
+    def test_lineage_shapes_skip_booleanize(self, calls, kind, size):
+        compiled = compile_condition(*edge_lineage(kind, size))
+        assert compiled.complemented
+        assert calls == []
+
+    def test_cnf_skips_booleanize(self, calls):
+        supports = {"x": (1, 2, 3), "b": (False, True), "y": (1, 2)}
+        condition = conj(
+            disj(eq(X, 1), boolvar("b")), disj(ne(X, 3), eq(Y, 2)), eq(Y, 1)
+        )
+        assert not compile_condition(condition, supports).complemented
+        assert calls == []
+
+    def test_unmapped_literals_take_booleanize_once(self, calls):
+        supports = {
+            "x": (1, 2, 3), "y": (2, 3), "b": (False, True), "n": (0, 1, 2),
+        }
+        conditions = [
+            disj(conj(eq(X, Y), boolvar("b")), eq(X, 1)),  # Var = Var
+            conj(disj(boolvar("n"), eq(X, 2)), ne(Y, 3)),  # two truthy
+            neg(conj(boolvar("b"), eq(X, 3))),  # a Not over a connective
+        ]
+        for condition in conditions:
+            calls.clear()
+            compile_condition(condition, supports)
+            assert calls == [condition]
+
+    @pytest.mark.parametrize("condition", [
+        eq(X, 1), boolvar("w"), disj(conj(eq(X, 1), eq(Y, 2)), eq(X, 2)),
+        eq(X, Y),
+    ], ids=["eq", "flag", "dnf", "var-var"])
+    def test_missing_distribution_raises_the_same_error(self, condition):
+        missing = sorted(condition.variables())[-1]
+        supports = {
+            name: (1, 2) for name in condition.variables() if name != missing
+        }
+        with pytest.raises(ConditionError, match=(
+            f"no distribution covers condition variable {missing!r}"
+        )):
+            compile_condition(condition, supports)
+
+
 class TestBooleanization:
     """The multi-valued-to-boolean encoding layer, unit by unit."""
 
     def test_indicator_roundtrip(self):
         atom = indicator("x", "red")
-        assert indicator_fields(atom) == ("x", "red")
-        assert indicator_fields(eq(X, 1)) is None
+        assert (atom.name, atom.value) == ("x", "red")
         assert atom is indicator("x", "red")  # hash-consed
 
     def test_singleton_support_collapses_to_constants(self):
